@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dpz_core::quantize::{dequantize_scores, quantize_scores};
-use dpz_core::Scheme;
+use dpz_core::DpzConfig;
 use std::hint::black_box;
 
 fn scores(n: usize) -> Vec<f64> {
@@ -27,27 +27,28 @@ fn scores(n: usize) -> Vec<f64> {
 fn bench_quantizer(c: &mut Criterion) {
     let n = 1 << 20;
     let data = scores(n);
+    let schemes = [
+        ("Loose", DpzConfig::loose()),
+        ("Strict", DpzConfig::strict()),
+    ]
+    .map(|(name, cfg)| (name, cfg.resolved_scheme().expect("static bound")));
 
     let mut group = c.benchmark_group("quantize");
     group.throughput(Throughput::Elements(n as u64));
-    for scheme in [Scheme::Loose, Scheme::Strict] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{scheme:?}")),
-            &data,
-            |b, d| b.iter(|| quantize_scores(black_box(d), scheme)),
-        );
+    for (name, scheme) in schemes {
+        group.bench_with_input(BenchmarkId::from_parameter(name), &data, |b, d| {
+            b.iter(|| quantize_scores(black_box(d), scheme))
+        });
     }
     group.finish();
 
     let mut group = c.benchmark_group("dequantize");
     group.throughput(Throughput::Elements(n as u64));
-    for scheme in [Scheme::Loose, Scheme::Strict] {
+    for (name, scheme) in schemes {
         let q = quantize_scores(&data, scheme);
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{scheme:?}")),
-            &q,
-            |b, q| b.iter(|| dequantize_scores(black_box(q))),
-        );
+        group.bench_with_input(BenchmarkId::from_parameter(name), &q, |b, q| {
+            b.iter(|| dequantize_scores(black_box(q)))
+        });
     }
     group.finish();
 }

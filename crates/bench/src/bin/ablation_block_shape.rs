@@ -8,7 +8,7 @@ use dpz_bench::harness::{fmt, format_table, write_csv, Args};
 use dpz_core::container::{serialize, ContainerData};
 use dpz_core::decompose::{dct_blocks, from_blocks, idct_blocks, to_blocks, BlockShape};
 use dpz_core::quantize::{dequantize_scores, quantize_scores};
-use dpz_core::{Scheme, TveLevel};
+use dpz_core::{DpzConfig, TveLevel};
 use dpz_data::metrics::psnr;
 use dpz_data::{Dataset, DatasetKind};
 use dpz_linalg::{Matrix, Pca, PcaOptions};
@@ -31,7 +31,8 @@ fn run_with_shape(data: &[f32], dims: &[usize], shape: BlockShape) -> (f64, f64,
     let pca = Pca::fit(&coeffs, PcaOptions::default()).expect("pca");
     let k = pca.k_for_tve(TveLevel::FiveNines.fraction());
     let scores = pca.transform(&coeffs, k).expect("transform");
-    let quantized = quantize_scores(scores.as_slice(), Scheme::Strict);
+    let strict = DpzConfig::strict().resolved_scheme().expect("static bound");
+    let quantized = quantize_scores(scores.as_slice(), strict);
     let payload = ContainerData {
         dims: dims.to_vec(),
         orig_len: data.len(),
@@ -43,7 +44,7 @@ fn run_with_shape(data: &[f32], dims: &[usize], shape: BlockShape) -> (f64, f64,
         k,
         transform_tag: 0,
         dwt_levels: 0,
-        p: Scheme::Strict.p(),
+        p: quantized.p,
         standardized: false,
         basis: pca
             .projection(k)

@@ -7,7 +7,7 @@
 use dpz_bench::harness::{fmt, format_table, write_csv, Args};
 use dpz_core::decompose::{choose_shape, dct_blocks, from_blocks, idct_blocks, to_blocks};
 use dpz_core::quantize::{dequantize_scores, quantize_scores};
-use dpz_core::{Scheme, TveLevel};
+use dpz_core::{DpzConfig, TveLevel};
 use dpz_data::metrics::psnr;
 use dpz_data::{Dataset, DatasetKind};
 use dpz_deflate::{compress_with_level, CompressionLevel};
@@ -35,6 +35,7 @@ fn main() {
     }
     let coeffs = dct_blocks(&blocks);
     let (n, m) = coeffs.shape();
+    let strict = DpzConfig::strict().resolved_scheme().expect("static bound");
 
     let header = [
         "truncation",
@@ -59,7 +60,7 @@ fn main() {
         let scores = pca.transform(&head, k).expect("transform");
         let pca_ms = t.elapsed().as_secs_f64() * 1e3;
 
-        let quantized = quantize_scores(scores.as_slice(), Scheme::Strict);
+        let quantized = quantize_scores(scores.as_slice(), strict);
         // Estimated compressed size: deflated indices + outliers + model.
         let packed_idx = compress_with_level(&quantized.indices, CompressionLevel::Default).len();
         let outlier_bytes: Vec<u8> = quantized

@@ -1,7 +1,7 @@
 //! Z-checker-style quality assessment report: roundtrips a dataset through
 //! every operating point of the quality-target control plane — legacy
 //! bounds, fixed-ratio, fixed-PSNR, and the baselines — and emits one
-//! [`QualityReport`](dpz_bench::quality::QualityReport) per combination as
+//! [`QualityReport`] per combination as
 //! a table, a CSV, and a JSON document (`quality_report.json`) that CI
 //! archives and `perf_gate` diffs non-blockingly.
 //!

@@ -71,10 +71,7 @@ fn dpz_probe(
         }
         _ => {
             let scheme = cfg.resolved_scheme()?;
-            (
-                scheme.p(),
-                oracle.predict_cr(scheme.p(), scheme.wide_index()),
-            )
+            (scheme.p, oracle.predict_cr(scheme.p, scheme.wide_index))
         }
     };
     Ok(CodecProbe {

@@ -16,12 +16,12 @@
 //!
 //! ## Container versions
 //!
-//! Legacy (v1/v2) layout — directory *before* the payload:
+//! Legacy (v1/v2) layout, decode-only — directory *before* the payload:
 //! `magic "DPZC" | version u8 | ndims u8 | dims u64×ndims
 //! | chunk count u64 | chunk byte lengths u64×count
 //! | chunk crc32 u32×count (version 2) | streams…`.
 //!
-//! Version 4 (the current writer, [`VERSION_SEEKABLE`]) moves the directory
+//! Version 4 (the current writer, `VERSION_SEEKABLE`) moves the directory
 //! into an **index footer** so a seekable reader can locate, size, and
 //! CRC-verify exactly the chunks a query touches without walking the
 //! payload:
@@ -421,31 +421,6 @@ fn compress_progressive_resolved(
 
 fn push_u64(out: &mut Vec<u8>, v: usize) {
     out.extend_from_slice(&(v as u64).to_le_bytes());
-}
-
-/// Build a legacy (v1/v2) container for a set of chunk streams. `version`
-/// controls whether the CRC-32 column is written (2) or omitted (1).
-fn assemble(dims: &[usize], streams: &[Vec<u8>], version: u8) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.push(version);
-    out.push(dims.len() as u8);
-    for &d in dims {
-        push_u64(&mut out, d);
-    }
-    push_u64(&mut out, streams.len());
-    for s in streams {
-        push_u64(&mut out, s.len());
-    }
-    if version >= 2 {
-        for s in streams {
-            out.extend_from_slice(&crc32(s).to_le_bytes());
-        }
-    }
-    for s in streams {
-        out.extend_from_slice(s);
-    }
-    out
 }
 
 /// Build a seekable v4 container: header, streams, index footer, tail.
@@ -1403,27 +1378,6 @@ pub fn decompress_progressive(
     })
 }
 
-/// Re-encode a (non-progressive) v4 container into the legacy v1 or v2
-/// layout, for readers predating the index footer. The chunk streams are
-/// copied verbatim; only the directory framing changes.
-pub fn reencode_legacy(bytes: &[u8], version: u8) -> Result<Vec<u8>, DpzError> {
-    if !(MIN_VERSION..=VERSION_CRC).contains(&version) {
-        return Err(DpzError::BadInput("unsupported legacy version"));
-    }
-    let index = SeekableIndex::from_bytes(bytes)?;
-    if index.progressive.is_some() {
-        return Err(DpzError::BadInput(
-            "progressive containers have no legacy form",
-        ));
-    }
-    let streams: Vec<Vec<u8>> = index
-        .chunks
-        .iter()
-        .map(|e| bytes[e.offset..e.offset + e.len].to_vec())
-        .collect();
-    Ok(assemble(&index.dims, &streams, version))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1436,6 +1390,25 @@ mod tests {
                 let r = (i / cols) as f32;
                 let c = (i % cols) as f32;
                 (0.05 * r).sin() * 10.0 + (0.04 * c).cos() * 5.0
+            })
+            .collect()
+    }
+
+    /// Frozen legacy streams written by the retired v1/v2 writers: the
+    /// 64×96 golden field of `tests/golden_artifacts.rs` ([`golden_field`]),
+    /// loose, 4 chunks.
+    const LEGACY_V1: &[u8] =
+        include_bytes!("../../../tests/fixtures/legacy/dpzc-v1-loose-4x-64x96.bin");
+    const LEGACY_V2: &[u8] =
+        include_bytes!("../../../tests/fixtures/legacy/dpzc-v2-loose-4x-64x96.bin");
+
+    /// The field behind [`LEGACY_V1`] and [`LEGACY_V2`].
+    fn golden_field() -> Vec<f32> {
+        (0..64 * 96)
+            .map(|i| {
+                let r = (i / 96) as f32;
+                let c = (i % 96) as f32;
+                (0.04 * r).sin() * 40.0 + (0.03 * c).cos() * 25.0 + 100.0
             })
             .collect()
     }
@@ -1669,24 +1642,20 @@ mod tests {
 
     #[test]
     fn legacy_reencodes_still_decode() {
-        let data = field(16, 16);
-        let out = compress_chunked(&data, &[16, 16], &DpzConfig::loose(), 2).unwrap();
+        let data = golden_field();
+        let out = compress_chunked(&data, &[64, 96], &DpzConfig::loose(), 4).unwrap();
         let (b, dims_b, info4) = decompress_chunked_with_info(&out.bytes).unwrap();
         assert_eq!(info4.version, VERSION_SEEKABLE);
         assert!(info4.checksummed);
-        for version in [1u8, 2u8] {
-            let legacy = reencode_legacy(&out.bytes, version).unwrap();
+        for (version, legacy) in [(1u8, LEGACY_V1), (2, LEGACY_V2)] {
             assert_eq!(legacy[4], version);
-            // Re-encoding is deterministic: same input, same bytes.
-            assert_eq!(legacy, reencode_legacy(&out.bytes, version).unwrap());
-            let (a, dims_a, info) = decompress_chunked_with_info(&legacy).unwrap();
+            let (a, dims_a, info) = decompress_chunked_with_info(legacy).unwrap();
             assert_eq!(info.version, version);
             assert_eq!(info.checksummed, version >= 2);
-            assert_eq!(a, b, "v{version} reencode must decode identically");
+            assert_eq!(a, b, "v{version} stream must decode identically");
             assert_eq!(dims_a, dims_b);
-            assert_eq!(chunk_count(&legacy).unwrap(), 2);
+            assert_eq!(chunk_count(legacy).unwrap(), 4);
         }
-        assert!(reencode_legacy(&out.bytes, 3).is_err());
     }
 
     #[test]
@@ -1823,9 +1792,8 @@ mod tests {
         assert_eq!(vals, in_mem);
         assert_eq!(dims, in_dims);
         // Legacy containers refuse the seekable entry points.
-        let legacy = reencode_legacy(&out.bytes, 2).unwrap();
         assert!(matches!(
-            decompress_region_from(&mut counting(&legacy), &region),
+            decompress_region_from(&mut counting(LEGACY_V2), &region),
             Err(DpzError::BadInput(_))
         ));
     }
@@ -1876,11 +1844,10 @@ mod tests {
 
     #[test]
     fn legacy_region_falls_back_to_full_decode() {
-        let data = field(20, 30);
-        let out = compress_chunked(&data, &[20, 30], &DpzConfig::loose(), 4).unwrap();
-        let legacy = reencode_legacy(&out.bytes, 2).unwrap();
+        let data = golden_field();
+        let out = compress_chunked(&data, &[64, 96], &DpzConfig::loose(), 4).unwrap();
         let region = vec![3..17, 5..25];
-        let (a, da) = decompress_region(&legacy, &region).unwrap();
+        let (a, da) = decompress_region(LEGACY_V2, &region).unwrap();
         let (b, db) = decompress_region(&out.bytes, &region).unwrap();
         assert_eq!(a, b);
         assert_eq!(da, db);
@@ -1962,11 +1929,9 @@ mod tests {
     }
 
     #[test]
-    fn progressive_rejects_legacy_reencode_and_permuted_footer() {
+    fn progressive_rejects_permuted_footer() {
         let data = field(32, 32);
         let out = compress_progressive(&data, &[32, 32], &DpzConfig::loose(), 2).unwrap();
-        // Progressive chunks cannot be framed as legacy containers.
-        assert!(reencode_legacy(&out.bytes, 2).is_err());
         // Swapping two component records breaks the strictly-increasing end
         // offsets; the forged footer (CRC recomputed) must be rejected.
         let idx = SeekableIndex::from_bytes(&out.bytes).unwrap();
@@ -2034,9 +1999,12 @@ mod tests {
         );
         let (_, _, outer) = decompress_chunked_with_info(&out.bytes).unwrap();
         assert_eq!(outer.tans_sections, expect);
-        // Legacy reencodes aggregate too.
-        let legacy = reencode_legacy(&out.bytes, 2).unwrap();
-        let (_, _, li) = decompress_chunked_with_info(&legacy).unwrap();
+        // Legacy streams aggregate too: a frozen v2 framing of these same
+        // chunk streams.
+        let legacy =
+            include_bytes!("../../../tests/fixtures/legacy/dpzc-v2-tans-strict-2x-64x96.bin");
+        let (_, _, li) = decompress_chunked_with_info(legacy).unwrap();
+        assert_eq!(li.version, 2);
         assert_eq!(li.tans_sections, expect);
     }
 

@@ -163,9 +163,9 @@ impl Stage<ComboCtx> for KeepCoeffPrefix {
 /// `full` marks graphs whose later stages rotate onto *all* `m` components
 /// (`PcaRotate` is a lossless change of basis) — those need the complete
 /// eigenbasis and always use the dense solver. Selection-only graphs keep
-/// just the leading `⌈m·f⌉` components, so they route through the same
-/// full/truncated/randomized crossover policy the compression pipeline's
-/// stage 2 uses ([`crate::pipeline::fit_for_rank`]).
+/// just the leading `⌈m·f⌉` components, so they go through the same
+/// rank-bounded fit the compression pipeline's stage 2 uses
+/// ([`Pca::fit_rank`]).
 struct PcaFit {
     full: bool,
 }
@@ -181,9 +181,8 @@ impl Stage<ComboCtx> for PcaFit {
             Pca::fit(mat, PcaOptions::default())?
         } else {
             let want = ((m as f64 * ctx.keep_fraction).round() as usize).clamp(1, m);
-            let (pca, _, _, _) =
-                crate::pipeline::fit_for_rank(mat, PcaOptions::default(), want, m, None, None)?;
-            pca
+            let opts = PcaOptions::default();
+            Pca::fit_rank(mat, opts, want, &crate::pipeline::RF_OPTS, None, None)?.pca
         };
         ctx.pca = Some(pca);
         Ok(())

@@ -42,45 +42,22 @@ pub enum IndexWidth {
 /// Quantization scheme (Section V-A): the *resolved* stage-3 realization of
 /// a [`QualityTarget`] — a concrete bound plus index width. The quantizer
 /// layer speaks `Scheme`; the config layer speaks `QualityTarget` and
-/// resolves it here via [`DpzConfig::resolved_scheme`].
+/// resolves it here via [`DpzConfig::resolved_scheme`] (DPZ-l is
+/// `DpzConfig::loose().resolved_scheme()`, `P = 1e-3` with 1-byte indices;
+/// DPZ-s is `strict()`, `P = 1e-4` with 2-byte indices).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Scheme {
-    /// DPZ-l ("loose"): `P = 1e-3`, 1-byte bin indices.
-    Loose,
-    /// DPZ-s ("strict"): `P = 1e-4`, 2-byte bin indices.
-    Strict,
-    /// Custom error bound and index width.
-    Custom {
-        /// Quantizer error bound `P` on each retained PCA score.
-        p: f64,
-        /// Use 2-byte indices (otherwise 1-byte).
-        wide_index: bool,
-    },
+pub struct Scheme {
+    /// Quantizer error bound `P` on each retained PCA score.
+    pub p: f64,
+    /// Use 2-byte indices (otherwise 1-byte).
+    pub wide_index: bool,
 }
 
 impl Scheme {
-    /// Quantizer half-bin error bound `P`.
-    pub fn p(self) -> f64 {
-        match self {
-            Scheme::Loose => 1e-3,
-            Scheme::Strict => 1e-4,
-            Scheme::Custom { p, .. } => p,
-        }
-    }
-
-    /// True when indices are 2-byte.
-    pub fn wide_index(self) -> bool {
-        match self {
-            Scheme::Loose => false,
-            Scheme::Strict => true,
-            Scheme::Custom { wide_index, .. } => wide_index,
-        }
-    }
-
     /// Number of usable bins `B` (one index value is reserved as the
     /// out-of-range escape).
     pub fn bins(self) -> u32 {
-        if self.wide_index() {
+        if self.wide_index {
             u32::from(u16::MAX) // 65535 bins, escape = 65535
         } else {
             u32::from(u8::MAX) // 255 bins, escape = 255
@@ -199,8 +176,7 @@ pub struct DpzConfig {
 }
 
 impl DpzConfig {
-    /// DPZ-l with the "five-nine" TVE default (`P = 1e-3`, 1-byte indices —
-    /// byte-identical artifacts to the historical `Scheme::Loose`).
+    /// DPZ-l with the "five-nine" TVE default (`P = 1e-3`, 1-byte indices).
     pub fn loose() -> DpzConfig {
         DpzConfig {
             target: QualityTarget::ErrorBound(1e-3),
@@ -240,19 +216,6 @@ impl DpzConfig {
         self
     }
 
-    /// Express a legacy quantization [`Scheme`] as a target + width pair
-    /// (`Scheme::Loose` ↔ `ErrorBound(1e-3)`/`Narrow`, and so on) —
-    /// byte-identical artifacts to the pre-target config plumbing.
-    pub fn with_scheme(mut self, scheme: Scheme) -> DpzConfig {
-        self.target = QualityTarget::ErrorBound(scheme.p());
-        self.index_width = if scheme.wide_index() {
-            IndexWidth::Wide
-        } else {
-            IndexWidth::Narrow
-        };
-        self
-    }
-
     /// The index width the policy picks for a resolved bound `p`.
     pub fn wide_for(&self, p: f64) -> bool {
         match self.index_width {
@@ -276,7 +239,7 @@ impl DpzConfig {
                     .into(),
             )
         })?;
-        Ok(Scheme::Custom {
+        Ok(Scheme {
             p,
             wide_index: self.wide_for(p),
         })
@@ -340,12 +303,24 @@ mod tests {
 
     #[test]
     fn scheme_parameters_match_paper() {
-        assert_eq!(Scheme::Loose.p(), 1e-3);
-        assert!(!Scheme::Loose.wide_index());
-        assert_eq!(Scheme::Strict.p(), 1e-4);
-        assert!(Scheme::Strict.wide_index());
-        assert_eq!(Scheme::Loose.bins(), 255);
-        assert_eq!(Scheme::Strict.bins(), 65535);
+        let loose = DpzConfig::loose().resolved_scheme().unwrap();
+        assert_eq!(
+            loose,
+            Scheme {
+                p: 1e-3,
+                wide_index: false
+            }
+        );
+        assert_eq!(loose.bins(), 255);
+        let strict = DpzConfig::strict().resolved_scheme().unwrap();
+        assert_eq!(
+            strict,
+            Scheme {
+                p: 1e-4,
+                wide_index: true
+            }
+        );
+        assert_eq!(strict.bins(), 65535);
     }
 
     #[test]
@@ -376,37 +351,17 @@ mod tests {
     }
 
     #[test]
-    fn custom_scheme() {
-        let s = Scheme::Custom {
-            p: 5e-3,
-            wide_index: true,
-        };
-        assert_eq!(s.p(), 5e-3);
-        assert_eq!(s.bins(), 65535);
-    }
-
-    #[test]
-    fn targets_resolve_to_legacy_schemes() {
-        // The paper's two operating points resolve to schemes that are
-        // byte-identical to the pre-refactor Scheme::Loose / Scheme::Strict.
-        let loose = DpzConfig::loose().resolved_scheme().unwrap();
-        assert_eq!(loose.p(), Scheme::Loose.p());
-        assert_eq!(loose.wide_index(), Scheme::Loose.wide_index());
-        assert_eq!(loose.bins(), Scheme::Loose.bins());
-        let strict = DpzConfig::strict().resolved_scheme().unwrap();
-        assert_eq!(strict.p(), Scheme::Strict.p());
-        assert_eq!(strict.wide_index(), Scheme::Strict.wide_index());
-
+    fn targets_resolve_to_schemes() {
         // Auto width follows the bound across the threshold.
         let auto = DpzConfig::loose().with_target(QualityTarget::ErrorBound(1e-4));
-        assert!(auto.resolved_scheme().unwrap().wide_index());
+        assert!(auto.resolved_scheme().unwrap().wide_index);
         let auto = DpzConfig::strict().with_target(QualityTarget::ErrorBound(1e-3));
-        assert!(!auto.resolved_scheme().unwrap().wide_index());
+        assert!(!auto.resolved_scheme().unwrap().wide_index);
 
         // RelBound is the explicit spelling of the same (range-relative)
         // contract and resolves identically.
         let rel = DpzConfig::loose().with_target(QualityTarget::RelBound(1e-3));
-        assert_eq!(rel.resolved_scheme().unwrap().p(), 1e-3);
+        assert_eq!(rel.resolved_scheme().unwrap().p, 1e-3);
     }
 
     #[test]
@@ -430,18 +385,5 @@ mod tests {
             cfg.resolved_scheme(),
             Err(DpzError::InvalidConfig(_))
         ));
-    }
-
-    #[test]
-    fn with_scheme_compat_maps_to_targets() {
-        let cfg = DpzConfig::loose().with_scheme(Scheme::Custom {
-            p: 5e-4,
-            wide_index: true,
-        });
-        assert_eq!(cfg.target, QualityTarget::ErrorBound(5e-4));
-        assert_eq!(cfg.index_width, IndexWidth::Wide);
-        let s = cfg.resolved_scheme().unwrap();
-        assert_eq!(s.p(), 5e-4);
-        assert!(s.wide_index());
     }
 }

@@ -35,6 +35,7 @@
 //! validated header implies, so declared-small-but-inflates-huge bombs fail
 //! fast with [`DeflateError::TooLarge`].
 
+use crate::decompose::effective_dwt_levels;
 use crate::quantize::{dequantize_scores, QuantizedScores};
 use dpz_deflate::{
     compress_parallel, crc32, decompress_bounded, tans, CompressionLevel, DeflateError,
@@ -209,7 +210,7 @@ pub fn serialize(data: &ContainerData) -> (Vec<u8>, SectionSizes) {
 /// Serialize with an explicit entropy backend. DEFLATE produces the v2
 /// layout byte-for-byte; tANS upgrades the container to v3 with a
 /// per-section backend flag (tiny sections stay on DEFLATE — see
-/// [`TANS_MIN_SECTION`] — so a v3 stream may legitimately mix coders).
+/// `TANS_MIN_SECTION` — so a v3 stream may legitimately mix coders).
 pub fn serialize_with_backend(
     data: &ContainerData,
     backend: LosslessBackend,
@@ -218,38 +219,6 @@ pub fn serialize_with_backend(
         LosslessBackend::Deflate => VERSION,
         LosslessBackend::Tans => VERSION_TANS,
     };
-    serialize_as(data, version, backend)
-}
-
-/// Serialize to the legacy version-1 layout (no CRC trailers). Kept so the
-/// backward-compatibility suite can fabricate genuine v1 streams and so
-/// operators can write containers readable by pre-checksum deployments.
-pub fn serialize_v1(data: &ContainerData) -> (Vec<u8>, SectionSizes) {
-    serialize_as(data, 1, LosslessBackend::Deflate)
-}
-
-/// Pack one section under the requested backend, returning the bytes and
-/// the flag actually used (the tANS header does not pay for itself on tiny
-/// or >4 GiB payloads, so those fall back to DEFLATE).
-fn pack_section(raw: &[u8], backend: LosslessBackend) -> (Vec<u8>, LosslessBackend) {
-    match backend {
-        LosslessBackend::Tans
-            if raw.len() >= TANS_MIN_SECTION && raw.len() <= u32::MAX as usize =>
-        {
-            (tans::compress(raw), LosslessBackend::Tans)
-        }
-        _ => (
-            compress_parallel(raw, CompressionLevel::Default),
-            LosslessBackend::Deflate,
-        ),
-    }
-}
-
-fn serialize_as(
-    data: &ContainerData,
-    version: u8,
-    backend: LosslessBackend,
-) -> (Vec<u8>, SectionSizes) {
     // Model section: basis ++ mean ++ scale.
     let mut model = Vec::with_capacity((data.basis.len() + 2 * data.mean.len()) * 4);
     for &v in data.basis.iter().chain(&data.mean).chain(&data.scale) {
@@ -277,20 +246,20 @@ fn serialize_as(
         outliers_packed: outliers_packed.len(),
     };
 
-    // Per-section CRC-32 trailer for version >= 2 (absent in v1); backend
-    // flag byte for version >= 3 (absent before, where DEFLATE is implied).
-    let crc_trailer = |out: &mut Vec<u8>, packed: &[u8]| {
-        if version >= 2 {
-            out.extend_from_slice(&crc32(packed).to_le_bytes());
-        }
-    };
-    let backend_flag = |out: &mut Vec<u8>, b: LosslessBackend| {
+    // Each section: backend flag byte (version >= 3 only; DEFLATE is
+    // implied in v2), raw length, packed length, packed bytes, and a CRC-32
+    // trailer over the packed bytes (absent in the decode-only v1 layout).
+    let section = |out: &mut Vec<u8>, b: LosslessBackend, raw_len: usize, packed: &[u8]| {
         if version >= VERSION_TANS {
             out.push(match b {
                 LosslessBackend::Deflate => 0,
                 LosslessBackend::Tans => 1,
             });
         }
+        push_u64(out, raw_len);
+        push_u64(out, packed.len());
+        out.extend_from_slice(packed);
+        out.extend_from_slice(&crc32(packed).to_le_bytes());
     };
 
     let mut out = Vec::with_capacity(sizes.total_packed() + 128);
@@ -312,22 +281,29 @@ fn serialize_as(
     out.extend_from_slice(&data.p.to_le_bytes());
     out.push(u8::from(data.scores.wide_index));
     out.push(u8::from(data.standardized));
-    backend_flag(&mut out, model_backend);
-    push_u64(&mut out, model.len());
-    push_u64(&mut out, model_packed.len());
-    out.extend_from_slice(&model_packed);
-    crc_trailer(&mut out, &model_packed);
-    backend_flag(&mut out, indices_backend);
-    push_u64(&mut out, data.scores.indices.len());
-    push_u64(&mut out, indices_packed.len());
-    out.extend_from_slice(&indices_packed);
-    crc_trailer(&mut out, &indices_packed);
-    backend_flag(&mut out, outliers_backend);
-    push_u64(&mut out, data.scores.outliers.len());
-    push_u64(&mut out, outliers_packed.len());
-    out.extend_from_slice(&outliers_packed);
-    crc_trailer(&mut out, &outliers_packed);
+    section(&mut out, model_backend, model.len(), &model_packed);
+    let n_indices = data.scores.indices.len();
+    section(&mut out, indices_backend, n_indices, &indices_packed);
+    let n_outliers = data.scores.outliers.len();
+    section(&mut out, outliers_backend, n_outliers, &outliers_packed);
     (out, sizes)
+}
+
+/// Pack one section under the requested backend, returning the bytes and
+/// the flag actually used (the tANS header does not pay for itself on tiny
+/// or >4 GiB payloads, so those fall back to DEFLATE).
+fn pack_section(raw: &[u8], backend: LosslessBackend) -> (Vec<u8>, LosslessBackend) {
+    match backend {
+        LosslessBackend::Tans
+            if raw.len() >= TANS_MIN_SECTION && raw.len() <= u32::MAX as usize =>
+        {
+            (tans::compress(raw), LosslessBackend::Tans)
+        }
+        _ => (
+            compress_parallel(raw, CompressionLevel::Default),
+            LosslessBackend::Deflate,
+        ),
+    }
 }
 
 struct Cursor<'a> {
@@ -477,6 +453,10 @@ pub fn deserialize_with_info(bytes: &[u8]) -> Result<(ContainerData, ContainerIn
     let dwt_levels = cur.u8()?;
     if transform_tag > 1 || (transform_tag == 0 && dwt_levels != 0) {
         return Err(DpzError::Corrupt("unknown stage-1 transform"));
+    }
+    // The inverse DWT asserts a depth the block length supports.
+    if effective_dwt_levels(n, dwt_levels.into()) != usize::from(dwt_levels) {
+        return Err(DpzError::Corrupt("infeasible DWT depth"));
     }
     let p = cur.f64()?;
     let wide_index = cur.u8()? != 0;
@@ -785,6 +765,10 @@ pub fn deserialize_progressive(
     if transform_tag > 1 || (transform_tag == 0 && dwt_levels != 0) {
         return Err(DpzError::Corrupt("unknown stage-1 transform"));
     }
+    // The inverse DWT asserts a depth the block length supports.
+    if effective_dwt_levels(n, dwt_levels.into()) != usize::from(dwt_levels) {
+        return Err(DpzError::Corrupt("infeasible DWT depth"));
+    }
     let p = cur.f64()?;
     let wide_index = cur.u8()? != 0;
     let standardized = cur.u8()? != 0;
@@ -961,12 +945,12 @@ pub fn deserialize_progressive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Scheme;
+    use crate::config::DpzConfig;
     use crate::quantize::quantize_scores;
 
     fn sample_container() -> ContainerData {
         let scores: Vec<f64> = (0..40).map(|i| (i as f64 * 0.31).sin() * 0.1).collect();
-        let q = quantize_scores(&scores, Scheme::Loose);
+        let q = quantize_scores(&scores, DpzConfig::loose().resolved_scheme().unwrap());
         ContainerData {
             dims: vec![10, 8],
             orig_len: 80,
@@ -978,7 +962,7 @@ mod tests {
             k: 4,
             transform_tag: 0,
             dwt_levels: 0,
-            p: Scheme::Loose.p(),
+            p: q.p,
             standardized: false,
             basis: (0..32).map(|i| i as f32 * 0.01).collect(),
             mean: vec![0.5; 8],
@@ -1039,15 +1023,30 @@ mod tests {
         data.orig_len = 81; // dims product mismatch
         let (bytes, _) = serialize(&data);
         assert!(deserialize(&bytes).is_err());
+        // n = 10 halves once before turning odd: one DWT level at most.
+        let mut data = sample_container();
+        data.transform_tag = 1;
+        data.dwt_levels = 3;
+        let infeasible = Err(DpzError::Corrupt("infeasible DWT depth"));
+        assert_eq!(deserialize(&serialize(&data).0).map(|_| ()), infeasible);
+        let progressive = serialize_progressive(&data).0;
+        assert_eq!(
+            deserialize_progressive(&progressive, None).map(|_| ()),
+            infeasible
+        );
     }
+
+    /// A frozen v1 (pre-checksum) stream: the loose 64×96 golden field,
+    /// written by the retired v1 writer.
+    const V1_FIXTURE: &[u8] =
+        include_bytes!("../../../tests/fixtures/legacy/dpz1-v1-loose-64x96.bin");
 
     #[test]
     fn v2_streams_carry_crc_trailers_and_report_checksummed() {
-        let data = sample_container();
+        let (data, _) = deserialize_with_info(V1_FIXTURE).unwrap();
         let (v2, _) = serialize(&data);
-        let (v1, _) = serialize_v1(&data);
         // Three u32 trailers is the only layout difference.
-        assert_eq!(v2.len(), v1.len() + 12);
+        assert_eq!(v2.len(), V1_FIXTURE.len() + 12);
         let (_, info) = deserialize_with_info(&v2).unwrap();
         assert_eq!(
             info,
@@ -1061,9 +1060,7 @@ mod tests {
 
     #[test]
     fn v1_streams_still_decode() {
-        let data = sample_container();
-        let (bytes, _) = serialize_v1(&data);
-        let (parsed, info) = deserialize_with_info(&bytes).unwrap();
+        let (parsed, info) = deserialize_with_info(V1_FIXTURE).unwrap();
         assert_eq!(
             info,
             ContainerInfo {
@@ -1072,9 +1069,13 @@ mod tests {
                 tans_sections: 0
             }
         );
-        assert_eq!(parsed.dims, data.dims);
-        assert_eq!(parsed.basis, data.basis);
-        assert_eq!(parsed.scores, data.scores);
+        assert_eq!(parsed.dims, vec![64, 96]);
+        // Decoding is independent of the framing: the v2 re-serialization
+        // of the parsed payload parses back to the same parts.
+        let again = deserialize(&serialize(&parsed).0).unwrap();
+        assert_eq!(again.basis, parsed.basis);
+        assert_eq!(again.mean, parsed.mean);
+        assert_eq!(again.scores, parsed.scores);
     }
 
     #[test]
@@ -1102,7 +1103,7 @@ mod tests {
         let scores: Vec<f64> = (0..4000)
             .map(|i| if i % 13 == 0 { 0.05 } else { 0.0 })
             .collect();
-        let q = quantize_scores(&scores, Scheme::Loose);
+        let q = quantize_scores(&scores, DpzConfig::loose().resolved_scheme().unwrap());
         ContainerData {
             dims: vec![100, 80],
             orig_len: 8000,
@@ -1114,7 +1115,7 @@ mod tests {
             k: 4,
             transform_tag: 0,
             dwt_levels: 0,
-            p: Scheme::Loose.p(),
+            p: q.p,
             standardized: false,
             basis: (0..32).map(|i| i as f32 * 0.01).collect(),
             mean: vec![0.5; 8],

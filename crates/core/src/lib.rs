@@ -61,8 +61,8 @@ pub mod target;
 pub use chunked::{
     compress_chunked, compress_progressive, decompress_chunk, decompress_chunk_from,
     decompress_chunked, decompress_chunked_with_info, decompress_progressive, decompress_region,
-    decompress_region_from, reencode_legacy, ChunkEntry, ChunkedCompressed, ComponentEntry,
-    ProgressiveDecoded, ProgressiveEntry, SeekableIndex, FLAG_PROGRESSIVE,
+    decompress_region_from, ChunkEntry, ChunkedCompressed, ComponentEntry, ProgressiveDecoded,
+    ProgressiveEntry, SeekableIndex, FLAG_PROGRESSIVE,
 };
 pub use config::{
     DpzConfig, IndexWidth, KSelection, Scheme, Stage1Transform, Standardize, TveLevel,

@@ -24,7 +24,7 @@ use crate::quantize::{dequantize_scores, quantize_scores, QuantizedScores};
 use crate::sampling::{SamplingEstimate, SamplingStrategy};
 use crate::stage::{BufferPool, Stage, StageGraph, StageTrace};
 use crate::target::{self, QualityTarget, RatioOracle};
-use dpz_linalg::{Matrix, Pca, PcaOptions, RangeFinderOptions, SubspaceSeed};
+use dpz_linalg::{Matrix, Pca, PcaOptions, RangeFinderOptions, SubspaceSeed, RANDOMIZED_MIN_M};
 use dpz_telemetry::span;
 use std::sync::Arc;
 use std::time::Duration;
@@ -152,42 +152,33 @@ pub(crate) const RF_OPTS: RangeFinderOptions = RangeFinderOptions {
     seed: 0x5EED_0D12_F00D_CAFE,
 };
 
-/// Below this feature count the sketched path cannot beat the dense
-/// solvers: the sketch width (k + oversample) stops being ≪ M and the
-/// range-finder's own orthogonalization dominates.
-pub(crate) const RANDOMIZED_MIN_M: usize = 64;
+/// The rank a stage-2 fit for `k` kept components asks for: `k` plus a 25%
+/// (at least 2) margin.
+pub(crate) fn rank_with_margin(k: usize) -> usize {
+    k + (k / 4).max(2)
+}
 
-/// Crossover policy for a rank-bounded PCA fit: randomized range-finder
-/// when the sketch stays well below M, subspace iteration when the rank is
-/// still small-ish, full decomposition otherwise. Shared by the stage-2
-/// routing and the combo graphs so every rank-bounded fit in the codebase
-/// obeys one policy.
-///
-/// Returns the fit plus the converged sketch basis, whether a
-/// caller-provided warm seed actually survived the TVE gate, and the
-/// sketch-derived score matrix (randomized path only — recovered from the
-/// range-finder's own products, so stage 2 can skip the explicit
-/// projection).
-pub(crate) fn fit_for_rank(
+/// Rank-bounded stage-2 fit of [`rank_with_margin`]`(k)` pairs through
+/// [`Pca::fit_rank`]'s solver policy. The warm seed (TVE-gated when
+/// `gate_tve` is given) goes in, and the converged basis is handed on
+/// only from the randomized arm — the one that returns sketch scores. A
+/// wave that fitted densely therefore keeps the chunked driver's prior
+/// seed.
+fn fit_rank_margin(
+    ctx: &mut PipelineCtx<'_>,
     coeffs: &Matrix,
     opts: PcaOptions,
-    want: usize,
-    m: usize,
-    warm: Option<&SubspaceSeed>,
+    k: usize,
     gate_tve: Option<f64>,
-) -> Result<(Pca, Option<SubspaceSeed>, bool, Option<Matrix>), DpzError> {
-    let sketch = want + RF_OPTS.oversample;
-    if m >= RANDOMIZED_MIN_M && sketch * 4 < m {
-        let fit = Pca::fit_randomized_warm(coeffs, opts, want, &RF_OPTS, warm, gate_tve)?;
-        Ok((fit.pca, Some(fit.basis), fit.warm_used, fit.scores))
-    } else if want * 6 < m {
-        // Measured crossover with the SIMD GEMM backend: subspace iteration
-        // at the fit_truncated budget beats the direct solver up to roughly
-        // k = M/6.
-        Ok((Pca::fit_truncated(coeffs, opts, want)?, None, false, None))
-    } else {
-        Ok((Pca::fit(coeffs, opts)?, None, false, None))
+) -> Result<(Pca, Option<Matrix>), DpzError> {
+    let want = rank_with_margin(k);
+    let fit = Pca::fit_rank(coeffs, opts, want, &RF_OPTS, ctx.warm_in, gate_tve)?;
+    let randomized = fit.scores.is_some();
+    record_pca_route(randomized, ctx.warm_in.is_some(), fit.warm_used);
+    if randomized {
+        ctx.warm_out = Some(fit.basis);
     }
+    Ok((fit.pca, fit.scores))
 }
 
 /// Telemetry for the stage-2 solver routing: how often the randomized path
@@ -345,21 +336,20 @@ impl<'a> Stage<PipelineCtx<'a>> for Stage2Pca {
         let coeffs = ctx.coeffs.take().expect("stage 1 ran");
         let opts = PcaOptions { standardize };
         let warm_in = ctx.warm_in;
-        let (pca, choice, sketch_scores) = match (&ctx.sampling_est, cfg.selection) {
-            // A saturated estimate (subset k pinned at the subset width) is only
-            // a lower bound on the true k; using it would silently degrade
-            // quality, so fall through to the full path instead.
-            (Some(est), KSelection::Tve(tve)) if !est.saturated => {
+        // A saturated estimate (subset k pinned at the subset width) is only
+        // a lower bound on the true k; using it would silently degrade
+        // quality, so it falls through to the TVE path instead.
+        let sampled_k = ctx
+            .sampling_est
+            .as_ref()
+            .filter(|est| !est.saturated)
+            .map(|est| est.k_estimate);
+        let (pca, choice, sketch_scores) = match (sampled_k, cfg.selection) {
+            (Some(k_e), KSelection::Tve(tve)) => {
                 // Fast path: k comes from the sample; fit only k_e (+ margin)
-                // components through the crossover policy, gating any warm
-                // seed against the configured TVE target.
-                let k_e = est.k_estimate;
-                let margin = (k_e / 4).max(2);
-                let want = (k_e + margin).min(shape.m);
-                let (pca, basis, warm_used, scores) =
-                    fit_for_rank(&coeffs, opts, want, shape.m, warm_in, Some(tve))?;
-                record_pca_route(basis.is_some(), warm_in.is_some(), warm_used);
-                ctx.warm_out = basis;
+                // components, gating any warm seed against the configured
+                // TVE target.
+                let (pca, scores) = fit_rank_margin(ctx, &coeffs, opts, k_e, Some(tve))?;
                 let choice = select_k(&pca, KSelection::Fixed(k_e));
                 (pca, choice, scores)
             }
@@ -367,11 +357,7 @@ impl<'a> Stage<PipelineCtx<'a>> for Stage2Pca {
             // needed rank: route through the rank-bounded solvers instead of
             // the full O(M³) decomposition whenever the bound is far below M.
             (_, KSelection::Fixed(k_fixed)) => {
-                let want = (k_fixed + (k_fixed / 4).max(2)).min(shape.m);
-                let (pca, basis, warm_used, scores) =
-                    fit_for_rank(&coeffs, opts, want, shape.m, warm_in, None)?;
-                record_pca_route(basis.is_some(), warm_in.is_some(), warm_used);
-                ctx.warm_out = basis;
+                let (pca, scores) = fit_rank_margin(ctx, &coeffs, opts, k_fixed, None)?;
                 let choice = select_k(&pca, cfg.selection);
                 (pca, choice, scores)
             }

@@ -42,10 +42,10 @@ impl QuantizedScores {
 /// `dpz-kernels` quantize kernel; this layer owns the byte-width policy
 /// (1-byte vs 2-byte little-endian indices) and the outlier side stream.
 pub fn quantize_scores(scores: &[f64], scheme: Scheme) -> QuantizedScores {
-    let p = scheme.p();
+    let p = scheme.p;
     assert!(p > 0.0 && p.is_finite(), "quantizer needs a positive P");
     let bins = scheme.bins();
-    let wide = scheme.wide_index();
+    let wide = scheme.wide_index;
     let escape = bins as u16; // one past the last valid bin index
     let half_range = p * f64::from(bins);
 
@@ -116,11 +116,21 @@ pub fn dequantize_scores(q: &QuantizedScores) -> Vec<f64> {
 mod tests {
     use super::*;
 
+    /// DPZ-l and DPZ-s, as `DpzConfig::{loose,strict}` resolve them.
+    const LOOSE: Scheme = Scheme {
+        p: 1e-3,
+        wide_index: false,
+    };
+    const STRICT: Scheme = Scheme {
+        p: 1e-4,
+        wide_index: true,
+    };
+
     fn check_bound(scores: &[f64], scheme: Scheme) -> QuantizedScores {
         let q = quantize_scores(scores, scheme);
         let back = dequantize_scores(&q);
         assert_eq!(back.len(), scores.len());
-        let p = scheme.p();
+        let p = scheme.p;
         for (i, (s, r)) in scores.iter().zip(&back).enumerate() {
             if s.is_finite() {
                 let limit = if s.abs() < p * f64::from(scheme.bins()) {
@@ -140,7 +150,7 @@ mod tests {
         let scores: Vec<f64> = (0..10_000)
             .map(|i| ((i as f64) * 0.37).sin() * 0.2)
             .collect();
-        let q = check_bound(&scores, Scheme::Loose);
+        let q = check_bound(&scores, LOOSE);
         assert!(!q.wide_index);
         assert_eq!(q.indices.len(), scores.len());
     }
@@ -150,7 +160,7 @@ mod tests {
         let scores: Vec<f64> = (0..10_000)
             .map(|i| ((i as f64) * 0.11).cos() * 5.0)
             .collect();
-        let q = check_bound(&scores, Scheme::Strict);
+        let q = check_bound(&scores, STRICT);
         assert!(q.wide_index);
         assert_eq!(q.indices.len(), scores.len() * 2);
     }
@@ -159,7 +169,7 @@ mod tests {
     fn out_of_range_become_outliers() {
         // Loose: half-range = 1e-3 * 255 = 0.255.
         let scores = vec![0.0, 0.1, 0.5, -3.0, 0.2];
-        let q = quantize_scores(&scores, Scheme::Loose);
+        let q = quantize_scores(&scores, LOOSE);
         assert_eq!(q.outliers.len(), 2);
         let back = dequantize_scores(&q);
         assert!((back[2] - 0.5).abs() < 1e-6);
@@ -168,19 +178,19 @@ mod tests {
 
     #[test]
     fn boundary_values() {
-        let p = Scheme::Loose.p();
+        let p = LOOSE.p;
         let half = p * 255.0;
         // Exactly ±half must escape (strict inequality), just inside must not.
         let scores = vec![half, -half, half - p, -half + p, 0.0];
-        let q = quantize_scores(&scores, Scheme::Loose);
+        let q = quantize_scores(&scores, LOOSE);
         assert_eq!(q.outliers.len(), 2);
-        check_bound(&scores, Scheme::Loose);
+        check_bound(&scores, LOOSE);
     }
 
     #[test]
     fn non_finite_scores_escape() {
         let scores = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.01];
-        let q = quantize_scores(&scores, Scheme::Loose);
+        let q = quantize_scores(&scores, LOOSE);
         assert_eq!(q.outliers.len(), 3);
         let back = dequantize_scores(&q);
         assert!(back[0].is_nan());
@@ -190,23 +200,23 @@ mod tests {
     #[test]
     fn zero_maps_near_zero() {
         // 255 bins: zero is inside a bin whose center is within P of zero.
-        let q = quantize_scores(&[0.0], Scheme::Loose);
+        let q = quantize_scores(&[0.0], LOOSE);
         let back = dequantize_scores(&q);
-        assert!(back[0].abs() <= Scheme::Loose.p());
+        assert!(back[0].abs() <= LOOSE.p);
     }
 
     #[test]
     fn raw_bytes_accounting() {
         let scores = vec![0.0; 100];
-        let q8 = quantize_scores(&scores, Scheme::Loose);
+        let q8 = quantize_scores(&scores, LOOSE);
         assert_eq!(q8.raw_bytes(), 100);
-        let q16 = quantize_scores(&scores, Scheme::Strict);
+        let q16 = quantize_scores(&scores, STRICT);
         assert_eq!(q16.raw_bytes(), 200);
     }
 
     #[test]
     fn custom_scheme_wide() {
-        let scheme = Scheme::Custom {
+        let scheme = Scheme {
             p: 0.01,
             wide_index: true,
         };
@@ -216,7 +226,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let q = quantize_scores(&[], Scheme::Loose);
+        let q = quantize_scores(&[], LOOSE);
         assert_eq!(q.len, 0);
         assert!(dequantize_scores(&q).is_empty());
     }

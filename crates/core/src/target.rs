@@ -149,7 +149,7 @@ impl QualityTarget {
 }
 
 /// The quantizer bound that delivers a range-relative PSNR of `db` (dB),
-/// with [`PSNR_HEADROOM_DB`] reserved for the non-quantizer error sources.
+/// with `PSNR_HEADROOM_DB` reserved for the non-quantizer error sources.
 /// Uniform quantization at bound `P` has MSE `P²/3` in the normalized
 /// domain, so `P = √3 · 10^(−dB/20)`.
 pub fn bound_for_psnr(db: f64) -> f64 {
@@ -283,7 +283,10 @@ impl RatioOracle {
             }
             KSelection::Fixed(k) => {
                 let k = k.clamp(1, shape.m);
-                (Pca::fit_truncated(&coeffs, opts, k)?, k)
+                let want = crate::pipeline::rank_with_margin(k);
+                let fit =
+                    Pca::fit_rank(&coeffs, opts, want, &crate::pipeline::RF_OPTS, None, None)?;
+                (fit.pca, k)
             }
             KSelection::KneePoint(_) => {
                 let pca = Pca::fit(&coeffs, opts)?;
@@ -332,7 +335,7 @@ impl RatioOracle {
             } => {
                 let q = quantize_scores(
                     scores,
-                    Scheme::Custom {
+                    Scheme {
                         p,
                         wide_index: wide,
                     },

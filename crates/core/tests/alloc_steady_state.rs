@@ -11,6 +11,7 @@ use dpz_core::decompose::{choose_shape, dct_blocks, idct_blocks};
 use dpz_linalg::Matrix;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 struct CountingAlloc;
 
@@ -35,8 +36,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// The counter is process-wide, so the tests take turns: one test's
+/// warm-up allocations must not land inside another's measured window.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 #[test]
 fn transform_blocks_is_alloc_free_after_warmup() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // Pin the pool before first use so the bound is host-independent.
     std::env::set_var("DPZ_THREADS", "4");
 
@@ -72,6 +78,7 @@ fn transform_blocks_is_alloc_free_after_warmup() {
 
 #[test]
 fn dct_2d_with_scratch_is_alloc_free_after_warmup() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     use dpz_linalg::dct::{dct2_2d_with, dct3_2d_with, Dct2dScratch};
 
     // Non-power-of-two row length exercises the Bluestein FFT path; the

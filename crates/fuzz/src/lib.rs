@@ -214,16 +214,16 @@ impl Corpus {
             dpz_core::compress(&line, &[600], &cfg).unwrap().bytes,
             dpz_core::compress(&field, &[32, 32], &v3).unwrap().bytes,
         ];
-        let chunked_v4 = dpz_core::compress_chunked(&field, &[32, 32], &cfg, 2)
-            .unwrap()
-            .bytes;
         let chunked = vec![
-            chunked_v4.clone(),
+            dpz_core::compress_chunked(&field, &[32, 32], &cfg, 2)
+                .unwrap()
+                .bytes,
             dpz_core::compress_chunked(&field, &[32, 32], &v3, 2)
                 .unwrap()
                 .bytes,
-            // The legacy v2 directory framing, still a live decode path.
-            dpz_core::reencode_legacy(&chunked_v4, 2).unwrap(),
+            // The legacy v2 directory framing, still a live decode path
+            // (frozen bytes: no writer emits it any more).
+            include_bytes!("../../../tests/fixtures/legacy/dpzc-v2-loose-4x-64x96.bin").to_vec(),
             // Progressive streams: energy-ordered components behind the
             // same DPZC magic, with per-component spans in the footer.
             dpz_core::compress_progressive(&field, &[32, 32], &cfg, 2)

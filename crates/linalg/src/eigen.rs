@@ -12,8 +12,8 @@
 //!
 //! Total cost is `O(n³)` with a small constant; for DPZ's block counts
 //! (`M ≤ ~2048`) this completes in well under a second in release builds.
-//! [`crate::jacobi`] provides an independent cyclic-Jacobi solver used to
-//! cross-validate this implementation in tests.
+//! A test-only cyclic-Jacobi solver (`jacobi.rs`) cross-validates this
+//! implementation.
 
 use crate::{LinalgError, Matrix, Result};
 use dpz_kernels::blas;
@@ -689,11 +689,12 @@ where
 /// Truncated eigendecomposition: the `k` largest-magnitude eigenpairs via
 /// orthogonal (subspace) iteration with a Rayleigh–Ritz projection.
 ///
-/// This is DPZ's sampling fast path: once the sampling strategy has
-/// estimated `k ≪ M`, the full `O(M³)` solve is replaced by
-/// `O(M²·k)`-per-iteration subspace iteration. Intended for positive
-/// semi-definite inputs (covariance matrices), where the largest-magnitude
-/// eigenvalues are also the largest.
+/// This is the middle arm of [`crate::Pca::fit_rank`]: when a sampled or
+/// fixed `k` is well below `M` but `M` is too small for the randomized
+/// sketch, the full `O(M³)` solve is replaced by `O(M²·k)`-per-iteration
+/// subspace iteration. Intended for positive semi-definite inputs
+/// (covariance matrices), where the largest-magnitude eigenvalues are also
+/// the largest.
 pub fn sym_eigen_topk(a: &Matrix, k: usize, max_iters: usize) -> Result<SymEigen> {
     let m = a.rows();
     if a.rows() != a.cols() {

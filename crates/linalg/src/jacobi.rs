@@ -13,7 +13,7 @@ use crate::{LinalgError, Matrix, Result};
 /// Repeatedly annihilates the largest remaining off-diagonal entries with
 /// Givens rotations until the off-diagonal Frobenius norm is negligible.
 /// `max_sweeps` bounds the number of full upper-triangle sweeps.
-pub fn jacobi_eigen(a: &Matrix, max_sweeps: usize) -> Result<SymEigen> {
+pub(crate) fn jacobi_eigen(a: &Matrix, max_sweeps: usize) -> Result<SymEigen> {
     if a.rows() != a.cols() {
         return Err(LinalgError::DimensionMismatch {
             op: "jacobi_eigen",

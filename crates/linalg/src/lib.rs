@@ -10,12 +10,14 @@
 //!   ([`dct`]), implemented on top of an in-house FFT ([`fft`]) with a naive
 //!   `O(n²)` reference used for validation,
 //! * a **symmetric eigensolver** for PCA ([`eigen`] — Householder
-//!   tridiagonalization followed by implicit QL with shifts; [`jacobi`]
-//!   provides an independent cyclic-Jacobi implementation used to cross-check
-//!   it in tests),
-//! * **PCA** itself ([`pca`]) plus the supporting statistics ([`stats`]),
-//!   curve fitting ([`fit`]) and knee-point detection ([`knee`]) that drive
-//!   the paper's k-selection machinery (Algorithm 1).
+//!   tridiagonalization followed by implicit QL with shifts, plus subspace
+//!   iteration for a few leading pairs; a test-only cyclic-Jacobi solver
+//!   cross-checks it),
+//! * **PCA** itself ([`pca`]: the full fit, one rank-bounded fit and two
+//!   TVE-driven fits, backed by the randomized range-finder in
+//!   [`rangefinder`]) plus the supporting statistics ([`stats`]), curve
+//!   fitting ([`fit`]) and knee-point detection ([`knee`]) that drive the
+//!   paper's k-selection machinery (Algorithm 1).
 //!
 //! Everything is written from scratch; there is no FFI and no external
 //! numerical dependency. Matrices are dense, row-major [`Matrix`] values and
@@ -27,13 +29,13 @@ pub mod dct;
 pub mod eigen;
 pub mod fft;
 pub mod fit;
-pub mod jacobi;
+#[cfg(test)]
+mod jacobi;
 pub mod knee;
 pub mod matrix;
 pub mod pca;
 pub mod rangefinder;
 pub mod stats;
-pub mod svd;
 pub mod wavelet;
 
 pub use dct::{dct2, dct2_inplace, dct3, dct3_inplace, Dct1d, DctScratch};
@@ -42,7 +44,7 @@ pub use fft::FftScratch;
 pub use fit::{CurveFit, FitKind, Interp1d, PolyFit};
 pub use knee::{detect_knee, KneeOptions};
 pub use matrix::Matrix;
-pub use pca::{Pca, PcaOptions, RandomizedFit};
+pub use pca::{Pca, PcaOptions, RandomizedFit, RANDOMIZED_MIN_M};
 pub use rangefinder::{RangeFinderOptions, SubspaceSeed};
 pub use wavelet::{dwt_forward, dwt_inverse, Wavelet};
 

@@ -17,6 +17,12 @@ use crate::eigen::{sym_eigen, SymEigen};
 use crate::rangefinder::{randomized_covariance_eigen, RangeFinderOptions, SubspaceSeed};
 use crate::{LinalgError, Matrix, Result};
 
+/// Below this feature count the randomized range-finder cannot beat the
+/// dense solvers: the sketch width (`k + oversample`) stops being ≪ `m` and
+/// the range-finder's own orthogonalization dominates. [`Pca::fit_rank`]
+/// applies it; callers picking a TVE fitter use it too.
+pub const RANDOMIZED_MIN_M: usize = 64;
+
 /// Options controlling a PCA fit.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PcaOptions {
@@ -30,9 +36,9 @@ pub struct PcaOptions {
 
 /// A fitted PCA model.
 ///
-/// May be *truncated*: [`Pca::fit_truncated`] keeps only the leading
-/// `k` eigenpairs (computed by subspace iteration), but still knows the
-/// total variance, so TVE queries remain meaningful.
+/// May be *truncated*: [`Pca::fit_rank`] and the TVE fitters keep only the
+/// leading eigenpairs, but the model still knows the total variance, so TVE
+/// queries remain meaningful.
 #[derive(Debug, Clone)]
 pub struct Pca {
     mean: Vec<f64>,
@@ -55,106 +61,32 @@ impl Pca {
     /// Requires at least 2 samples and 1 feature. Cost is the `m x m`
     /// covariance (`O(n·m²)`, rayon-parallel) plus an `O(m³)` eigensolve.
     pub fn fit(data: &Matrix, opts: PcaOptions) -> Result<Pca> {
-        Pca::fit_impl(data, opts, None)
-    }
-
-    /// Fit a truncated model with only the `k` leading eigenpairs, via
-    /// subspace iteration — DPZ's sampling fast path (`O(m²·k)` per
-    /// iteration instead of `O(m³)`).
-    pub fn fit_truncated(data: &Matrix, opts: PcaOptions, k: usize) -> Result<Pca> {
-        Pca::fit_impl(data, opts, Some(k))
-    }
-
-    /// Fit a model with just enough leading eigenpairs to reach the TVE
-    /// target `tve`, escalating a truncated subspace solve from `k0` and
-    /// falling back to the full `O(m³)` eigendecomposition once the
-    /// truncated rank stops being comfortably below `m`. The covariance is
-    /// formed exactly once across all attempts.
-    ///
-    /// After an insufficient solve the next rank is *predicted* from the
-    /// observed spectral decay (geometric tail extrapolation) rather than
-    /// blindly doubled, so a typical run is one probe plus one solve near
-    /// the final rank — or a direct jump to the full solver when the tail
-    /// model says no truncated rank can win.
-    ///
-    /// This backs the pipeline's TVE-driven k-selection: the selected `k`
-    /// is usually a small fraction of `m`, so the solve cost tracks the
-    /// *output* rank instead of the feature count.
-    pub fn fit_tve_bounded(data: &Matrix, opts: PcaOptions, tve: f64, k0: usize) -> Result<Pca> {
         let prep = Prepared::new(data, opts)?;
-        let m = prep.cov.rows();
-        let mut k = k0.clamp(1, m);
-        loop {
-            // Measured crossover with the SIMD GEMM backend: subspace
-            // iteration at 24 sweeps beats the direct solver up to roughly
-            // k = m/6, so past that point answer with one full solve.
-            if k * 6 > m {
-                let eig = sym_eigen(&prep.cov)?;
-                return Ok(prep.into_pca(eig));
-            }
-            let eig = crate::eigen::sym_eigen_topk(&prep.cov, k, 24)?;
-            let explained: f64 = eig.eigenvalues.iter().map(|l| l.max(0.0)).sum();
-            if prep.total_variance <= 0.0 || explained >= tve * prep.total_variance {
-                return Ok(prep.into_pca(eig));
-            }
-            let next =
-                predict_tve_rank(&eig.eigenvalues, explained, tve * prep.total_variance, k, m);
-            k = next.max(k + 1).min(m);
-        }
-    }
-
-    /// Fit a model with **exactly** the TVE-minimal number of eigenpairs,
-    /// using [`crate::eigen::sym_eigen_select`]: one Householder reduction
-    /// (no transform accumulation), an eigenvalues-only QL pass for the
-    /// *complete* spectrum, and inverse iteration + back-transform for just
-    /// the `k` leading eigenvectors the TVE rule selects.
-    ///
-    /// Unlike [`Pca::fit_tve_bounded`] there is no escalation loop and no
-    /// over-computed margin: `k` is read off the exact sorted spectrum, so
-    /// this path does the same selection a full [`Pca::fit`] would — at a
-    /// fraction of the eigensolve cost when `k ≪ m`. This is the preferred
-    /// TVE path at moderate `m`, where the subspace-iteration solver behind
-    /// `fit_tve_bounded` has no room to win.
-    pub fn fit_tve_exact(data: &Matrix, opts: PcaOptions, tve: f64) -> Result<Pca> {
-        let prep = Prepared::new(data, opts)?;
-        let target = tve * prep.total_variance;
-        let (_spectrum, eig) = crate::eigen::sym_eigen_select(&prep.cov, |vals| {
-            let mut acc = 0.0;
-            for (i, &l) in vals.iter().enumerate() {
-                acc += l.max(0.0);
-                if acc >= target {
-                    return i + 1;
-                }
-            }
-            vals.len().max(1)
-        })?;
+        let eig = sym_eigen(&prep.cov)?;
         Ok(prep.into_pca(eig))
     }
 
-    /// Fit a truncated model with the `k` leading eigenpairs via the
-    /// seeded randomized range-finder — no `m x m` Gram, no Householder
-    /// reduction; see [`crate::rangefinder`]. Deterministic (fixed probe
-    /// seed) and bit-identical across kernel backends.
-    pub fn fit_randomized(
-        data: &Matrix,
-        opts: PcaOptions,
-        k: usize,
-        rf: &RangeFinderOptions,
-    ) -> Result<Pca> {
-        Pca::fit_randomized_warm(data, opts, k, rf, None, None).map(|f| f.pca)
-    }
-
-    /// [`Pca::fit_randomized`] with a cross-fit warm start and an optional
-    /// quality gate.
+    /// Fit the `k` leading eigenpairs — the rank-bounded fit behind a
+    /// sampled or fixed `k`. The solver follows the data shape:
     ///
-    /// `warm` seeds the probe subspace from a previous fit's converged
-    /// basis (ignored on feature-count mismatch). When `gate_tve` is given
-    /// and a warm-seeded fit captures less than `gate_tve` of the total
-    /// variance in its `k` leading components, the fit is redone cold —
-    /// the TVE-residual gate that makes warm starting safe on dissimilar
-    /// consecutive chunks. `warm_used` in the result reports which basis
-    /// the returned model came from.
-    pub fn fit_randomized_warm(
+    /// * the seeded randomized range-finder ([`crate::rangefinder`]) when
+    ///   `m >= RANDOMIZED_MIN_M` and the sketch stays thin,
+    ///   `(k + rf.oversample)·4 < m` — no `m x m` Gram, deterministic and
+    ///   bit-identical across kernel backends;
+    /// * subspace iteration over the covariance when `k·6 < m`, the
+    ///   measured crossover against the direct solver with the SIMD GEMM
+    ///   backend;
+    /// * the full `O(m³)` eigendecomposition otherwise (all `m` pairs).
+    ///
+    /// Only the randomized arm reads `warm` and `gate_tve`, and only it
+    /// returns `scores`. `warm` seeds the probe subspace from a previous
+    /// fit's converged basis (ignored on feature-count mismatch). When
+    /// `gate_tve` is given and a warm-seeded fit captures less than
+    /// `gate_tve` of the total variance in its `k` leading components, the
+    /// fit is redone cold — the TVE-residual gate that makes warm starting
+    /// safe on dissimilar consecutive chunks. `warm_used` reports which
+    /// basis the returned model came from.
+    pub fn fit_rank(
         data: &Matrix,
         opts: PcaOptions,
         k: usize,
@@ -162,25 +94,30 @@ impl Pca {
         warm: Option<&SubspaceSeed>,
         gate_tve: Option<f64>,
     ) -> Result<RandomizedFit> {
-        let prep = PreparedData::new(data, opts)?;
-        let m = prep.centered.cols();
-        let k = k.clamp(1, m);
-        let s = (k + rf.oversample).min(m);
-        if s * 4 >= m {
-            // Sketch not thin enough to pay off: subspace iteration over an
-            // explicit Gram (callers normally route around this arm).
-            let mut cov = prep.centered.gram();
-            cov.scale(1.0 / (prep.n_samples - 1) as f64);
-            let eig = crate::eigen::sym_eigen_topk(&cov, k, 24)?;
-            let keep = eig.eigenvalues.len().max(1);
-            let basis = SubspaceSeed::from_components(&eig.eigenvectors, keep);
+        let m = data.cols();
+        let k = k.max(1);
+        if m < RANDOMIZED_MIN_M || (k + rf.oversample) * 4 >= m {
+            let prep = Prepared::new(data, opts)?;
+            let k = k.min(m);
+            let eig = if k * 6 < m {
+                // 24 power iterations suffice for the strongly separated
+                // covariance spectra DPZ feeds this path; the Rayleigh-Ritz
+                // projection in sym_eigen_topk mops up the residual rotation.
+                crate::eigen::sym_eigen_topk(&prep.cov, k, 24)?
+            } else {
+                sym_eigen(&prep.cov)?
+            };
+            let pca = prep.into_pca(eig);
+            let basis = SubspaceSeed::from_components(&pca.components, k);
             return Ok(RandomizedFit {
-                pca: prep.pca(eig, keep),
+                pca,
                 basis,
                 warm_used: false,
                 scores: None,
             });
         }
+        let prep = PreparedData::new(data, opts)?;
+        let s = k + rf.oversample;
         let warm_now = warm.filter(|w| w.n_features() == m);
         let mut out = randomized_covariance_eigen(&prep.centered, s, rf, warm_now)?;
         let mut warm_used = warm_now.is_some();
@@ -204,6 +141,22 @@ impl Pca {
             warm_used,
             scores: Some(scores),
         })
+    }
+
+    /// Fit a model with **exactly** the TVE-minimal number of eigenpairs,
+    /// using [`crate::eigen::sym_eigen_select`]: one Householder reduction
+    /// (no transform accumulation), an eigenvalues-only QL pass for the
+    /// *complete* spectrum, and inverse iteration + back-transform for just
+    /// the `k` leading eigenvectors the TVE rule selects.
+    ///
+    /// There is no escalation loop and no over-computed margin: `k` is read
+    /// off the exact sorted spectrum, so this path does the same selection
+    /// a full [`Pca::fit`] would — at a fraction of the eigensolve cost when
+    /// `k ≪ m`. This is the TVE path below [`RANDOMIZED_MIN_M`].
+    pub fn fit_tve_exact(data: &Matrix, opts: PcaOptions, tve: f64) -> Result<Pca> {
+        let prep = Prepared::new(data, opts)?;
+        let eig = tve_select_eigen(&prep.cov, tve * prep.total_variance)?;
+        Ok(prep.into_pca(eig))
     }
 
     /// TVE-driven randomized fit: sketch at `k0 + oversample`, read the
@@ -233,7 +186,9 @@ impl Pca {
             // the dense exact-TVE path (one Gram + eigenvalues-only QL +
             // inverse iteration for just the selected eigenvectors).
             if s * 4 >= m {
-                let eig = prep.dense_tve_eigen(tve)?;
+                let mut cov = prep.centered.gram();
+                cov.scale(1.0 / (prep.n_samples - 1) as f64);
+                let eig = tve_select_eigen(&cov, target)?;
                 let keep = eig.eigenvalues.len().max(1);
                 let basis = SubspaceSeed::from_components(&eig.eigenvectors, keep);
                 return Ok(RandomizedFit {
@@ -248,19 +203,11 @@ impl Pca {
             // Smallest rank whose captured variance (exact for this basis —
             // Ritz values are v·C·v along orthonormal directions) reaches
             // the target.
-            let mut hit = None;
-            if prep.total_variance <= 0.0 {
-                hit = Some(1);
+            let hit = if prep.total_variance <= 0.0 {
+                Some(1)
             } else {
-                let mut acc = 0.0;
-                for (i, &l) in out.eigen.eigenvalues.iter().enumerate() {
-                    acc += l.max(0.0);
-                    if acc >= target {
-                        hit = Some(i + 1);
-                        break;
-                    }
-                }
-            }
+                tve_rank(&out.eigen.eigenvalues, target)
+            };
             if let Some(keep) = hit {
                 let warm_used = carry.is_none() && warm_now.is_some();
                 let scores = scores_from_t(&out.scores_t, keep)?;
@@ -283,19 +230,6 @@ impl Pca {
             k = next.max(k + 1).min(m);
             carry = Some(out.seed);
         }
-    }
-
-    fn fit_impl(data: &Matrix, opts: PcaOptions, truncate: Option<usize>) -> Result<Pca> {
-        let prep = Prepared::new(data, opts)?;
-        let m = prep.cov.rows();
-        let eig = match truncate {
-            // 24 power iterations suffice for the strongly separated
-            // covariance spectra DPZ feeds this path; the Rayleigh-Ritz
-            // projection in sym_eigen_topk mops up the residual rotation.
-            Some(k) => crate::eigen::sym_eigen_topk(&prep.cov, k.clamp(1, m), 24)?,
-            None => sym_eigen(&prep.cov)?,
-        };
-        Ok(prep.into_pca(eig))
     }
 
     /// Number of features the model was fitted on.
@@ -523,8 +457,8 @@ fn center_data(data: &Matrix, opts: PcaOptions) -> Result<(Vec<f64>, Option<Vec<
     Ok((mean, scale, centered))
 }
 
-/// Centered/standardized covariance, computed once and shared by the full,
-/// truncated and TVE-bounded fit paths.
+/// Centered/standardized covariance, computed once and shared by the dense
+/// fit paths (full, subspace iteration and exact TVE).
 struct Prepared {
     mean: Vec<f64>,
     scale: Option<Vec<f64>>,
@@ -637,25 +571,31 @@ impl PreparedData {
             n_samples: self.n_samples,
         }
     }
+}
 
-    /// Dense exact-TVE crossover: form the Gram once and run the same
-    /// selection rule as [`Pca::fit_tve_exact`].
-    fn dense_tve_eigen(&self, tve: f64) -> Result<SymEigen> {
-        let mut cov = self.centered.gram();
-        cov.scale(1.0 / (self.n_samples - 1) as f64);
-        let target = tve * self.total_variance;
-        let (_spectrum, eig) = crate::eigen::sym_eigen_select(&cov, |vals| {
-            let mut acc = 0.0;
-            for (i, &l) in vals.iter().enumerate() {
-                acc += l.max(0.0);
-                if acc >= target {
-                    return i + 1;
-                }
-            }
-            vals.len().max(1)
-        })?;
-        Ok(eig)
+/// Smallest rank whose captured variance reaches `target`: the TVE rule
+/// (Method 2 of Algorithm 1) over a descending spectrum, with negative
+/// numerical dust counted as zero. `None` when the whole spectrum falls
+/// short.
+fn tve_rank(eigenvalues: &[f64], target: f64) -> Option<usize> {
+    let mut acc = 0.0;
+    for (i, &l) in eigenvalues.iter().enumerate() {
+        acc += l.max(0.0);
+        if acc >= target {
+            return Some(i + 1);
+        }
     }
+    None
+}
+
+/// Exactly the TVE-minimal eigenpairs of a covariance: the complete
+/// spectrum, then eigenvectors for just the [`tve_rank`] leading values
+/// (all of them when the target is out of reach).
+fn tve_select_eigen(cov: &Matrix, target: f64) -> Result<SymEigen> {
+    let (_spectrum, eig) = crate::eigen::sym_eigen_select(cov, |vals| {
+        tve_rank(vals, target).unwrap_or(vals.len().max(1))
+    })?;
+    Ok(eig)
 }
 
 /// Predict the rank needed to close a TVE deficit from an insufficient
@@ -825,10 +765,14 @@ mod tests {
     }
 
     #[test]
-    fn truncated_fit_matches_full_on_leading_components() {
-        let x = synthetic(150, 10, 91);
+    fn rank_fit_subspace_arm_matches_full_on_leading_components() {
+        // m = 24 < RANDOMIZED_MIN_M and 3·6 < 24: subspace iteration.
+        let x = synthetic(150, 24, 91);
         let full = Pca::fit(&x, PcaOptions::default()).unwrap();
-        let trunc = Pca::fit_truncated(&x, PcaOptions::default(), 3).unwrap();
+        let rf = RangeFinderOptions::default();
+        let fit = Pca::fit_rank(&x, PcaOptions::default(), 3, &rf, None, None).unwrap();
+        assert!(fit.scores.is_none() && !fit.warm_used);
+        let trunc = fit.pca;
         assert_eq!(trunc.n_components(), 3);
         assert!((full.total_variance() - trunc.total_variance()).abs() < 1e-9);
         for i in 0..3 {
@@ -845,64 +789,29 @@ mod tests {
     }
 
     #[test]
-    fn tve_bounded_fit_matches_full_solve() {
-        // Satellite regression: the escalating truncated solve must agree
-        // with the full eigendecomposition to 1e-10 on both the computed
-        // eigenvalues and the TVE curve.
-        let x = synthetic(150, 24, 47);
-        let full = Pca::fit(&x, PcaOptions::default()).unwrap();
-        let bounded = Pca::fit_tve_bounded(&x, PcaOptions::default(), 0.999, 1).unwrap();
-        // Started from k0 = 1, so reaching the target proves escalation
-        // worked; two latent factors mean k should stay far below m.
-        let kept = bounded.n_components();
-        assert!(kept < 24, "escalation should truncate well below m");
-        assert!((full.total_variance() - bounded.total_variance()).abs() < 1e-10);
-        let lmax = full.eigenvalues()[0].max(1e-300);
-        for i in 0..kept {
-            let rel = (full.eigenvalues()[i] - bounded.eigenvalues()[i]).abs() / lmax;
-            assert!(rel < 1e-10, "eigenvalue {i} off by {rel:.3e}");
-        }
-        let tve_full = full.cumulative_tve();
-        let tve_bounded = bounded.cumulative_tve();
-        for i in 0..kept {
-            assert!(
-                (tve_full[i] - tve_bounded[i]).abs() < 1e-10,
-                "TVE entry {i} diverges"
-            );
-        }
-        assert!(tve_bounded[kept - 1] >= 0.999);
-        // Reconstruction through the bounded basis matches the full one.
-        let s_full = full.transform(&x, 2).unwrap();
-        let s_bounded = bounded.transform(&x, 2).unwrap();
-        let r_full = full.inverse_transform(&s_full).unwrap();
-        let r_bounded = bounded.inverse_transform(&s_bounded).unwrap();
-        assert!(r_full.max_abs_diff(&r_bounded) < 1e-8);
-    }
-
-    #[test]
-    fn tve_bounded_fit_falls_back_to_full_solve_on_flat_spectra() {
-        // A spectrum with no low-rank structure forces escalation all the
-        // way to the full solve; the result must still be a complete model.
-        let mut s = 13u64;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            (s >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-        };
-        let mut rows = Vec::new();
-        for _ in 0..60 {
-            rows.push((0..8).map(|_| next()).collect::<Vec<_>>());
-        }
-        let x = Matrix::from_rows(&rows).unwrap();
-        let full = Pca::fit(&x, PcaOptions::default()).unwrap();
-        let bounded = Pca::fit_tve_bounded(&x, PcaOptions::default(), 0.9999, 1).unwrap();
-        assert_eq!(bounded.n_components(), 8);
-        let lmax = full.eigenvalues()[0].max(1e-300);
-        for i in 0..8 {
-            let rel = (full.eigenvalues()[i] - bounded.eigenvalues()[i]).abs() / lmax;
-            assert!(rel < 1e-10, "eigenvalue {i} off by {rel:.3e}");
-        }
+    fn rank_fit_routes_by_shape() {
+        let rf = RangeFinderOptions::default();
+        let opts = PcaOptions::default();
+        let small = synthetic(150, 24, 5);
+        // 4·6 ≥ 24: the full solve, every eigenpair.
+        let full = Pca::fit_rank(&small, opts, 4, &rf, None, None).unwrap();
+        assert_eq!(full.pca.n_components(), 24);
+        assert!(full.scores.is_none());
+        assert_eq!(
+            full.pca.eigenvalues(),
+            Pca::fit(&small, opts).unwrap().eigenvalues()
+        );
+        // k = 0 is clamped to one pair (subspace iteration).
+        let one = Pca::fit_rank(&small, opts, 0, &rf, None, None).unwrap();
+        assert_eq!(one.pca.n_components(), 1);
+        // m = 128, (4 + 12)·4 < 128: the randomized sketch, with scores.
+        let wide = synthetic(200, 128, 5);
+        let sketched = Pca::fit_rank(&wide, opts, 4, &rf, None, None).unwrap();
+        assert_eq!(sketched.pca.n_components(), 4);
+        assert_eq!(sketched.scores.map(|s| s.shape()), Some((200, 4)));
+        // A warm seed of the wrong width is ignored.
+        let warm = Pca::fit_rank(&wide, opts, 4, &rf, Some(&one.basis), None).unwrap();
+        assert!(!warm.warm_used);
     }
 
     #[test]
@@ -942,8 +851,11 @@ mod tests {
 
     #[test]
     fn truncated_tve_uses_total_variance() {
-        let x = synthetic(150, 12, 17);
-        let trunc = Pca::fit_truncated(&x, PcaOptions::default(), 2).unwrap();
+        let x = synthetic(150, 24, 17);
+        let rf = RangeFinderOptions::default();
+        let trunc = Pca::fit_rank(&x, PcaOptions::default(), 2, &rf, None, None)
+            .unwrap()
+            .pca;
         // Two dominant factors: the truncated TVE must still be a fraction
         // of the *total* variance, close to the full model's value.
         let full = Pca::fit(&x, PcaOptions::default()).unwrap();
@@ -955,10 +867,17 @@ mod tests {
 
     #[test]
     fn randomized_fit_matches_full_on_leading_components() {
-        let x = synthetic(200, 48, 91);
+        let x = synthetic(200, 128, 91);
         let full = Pca::fit(&x, PcaOptions::default()).unwrap();
-        let rf = RangeFinderOptions::default();
-        let rand = Pca::fit_randomized(&x, PcaOptions::default(), 4, &rf).unwrap();
+        // A second power pass tightens the leading Ritz vectors enough for
+        // the reconstruction comparison below.
+        let rf = RangeFinderOptions {
+            power_iters: 2,
+            ..Default::default()
+        };
+        let rand = Pca::fit_rank(&x, PcaOptions::default(), 4, &rf, None, None)
+            .unwrap()
+            .pca;
         assert_eq!(rand.n_components(), 4);
         assert!((full.total_variance() - rand.total_variance()).abs() < 1e-9);
         let lmax = full.eigenvalues()[0].max(1e-300);
@@ -980,10 +899,14 @@ mod tests {
 
     #[test]
     fn randomized_fit_is_bitwise_deterministic() {
-        let x = synthetic(150, 40, 13);
+        let x = synthetic(150, 128, 13);
         let rf = RangeFinderOptions::default();
-        let a = Pca::fit_randomized(&x, PcaOptions::default(), 5, &rf).unwrap();
-        let b = Pca::fit_randomized(&x, PcaOptions::default(), 5, &rf).unwrap();
+        let fit = || {
+            Pca::fit_rank(&x, PcaOptions::default(), 5, &rf, None, None)
+                .unwrap()
+                .pca
+        };
+        let (a, b) = (fit(), fit());
         assert_eq!(a.components().as_slice(), b.components().as_slice());
         assert_eq!(a.eigenvalues(), b.eigenvalues());
         assert_eq!(a.mean(), b.mean());
@@ -1123,17 +1046,15 @@ mod tests {
         let rf = RangeFinderOptions::default();
         let opts = PcaOptions::default();
         let a = synthetic(200, 128, 7);
-        let cold = Pca::fit_randomized_warm(&a, opts, 4, &rf, None, None).unwrap();
+        let cold = Pca::fit_rank(&a, opts, 4, &rf, None, None).unwrap();
         assert!(!cold.warm_used);
         // Same data, warm seed, with a gate: must accept.
-        let again =
-            Pca::fit_randomized_warm(&a, opts, 4, &rf, Some(&cold.basis), Some(0.99)).unwrap();
+        let again = Pca::fit_rank(&a, opts, 4, &rf, Some(&cold.basis), Some(0.99)).unwrap();
         assert!(again.warm_used);
         // A nonsense gate (impossible target) forces the cold fallback.
-        let forced =
-            Pca::fit_randomized_warm(&a, opts, 2, &rf, Some(&cold.basis), Some(1.0)).unwrap();
+        let forced = Pca::fit_rank(&a, opts, 2, &rf, Some(&cold.basis), Some(1.0)).unwrap();
         assert!(!forced.warm_used);
-        let plain = Pca::fit_randomized_warm(&a, opts, 2, &rf, None, None).unwrap();
+        let plain = Pca::fit_rank(&a, opts, 2, &rf, None, None).unwrap();
         assert_eq!(
             forced.pca.components().as_slice(),
             plain.pca.components().as_slice()
@@ -1154,8 +1075,7 @@ mod tests {
             "sketch-derived scores diverge from the explicit projection"
         );
 
-        let fixed =
-            Pca::fit_randomized_warm(&x, PcaOptions::default(), 6, &rf, None, None).unwrap();
+        let fixed = Pca::fit_rank(&x, PcaOptions::default(), 6, &rf, None, None).unwrap();
         let scores = fixed.scores.expect("randomized path emits scores");
         let reference = fixed.pca.transform(&x, 6).unwrap();
         assert!(scores.max_abs_diff(&reference) < 1e-9);

@@ -142,22 +142,25 @@ proptest! {
     fn randomized_fit_tve_tracks_full_solver(
         seed in any::<u64>(),
         r in 1usize..4,
-        m in 72usize..112,
+        m in 8usize..112,
     ) {
-        // `m >= 72` keeps the sketch (`s = k + 12`) on the randomized path
-        // rather than the dense crossover, so the property exercises the
-        // range-finder itself. The fitted model's own cumulative TVE is
-        // exact for its basis, so comparing against the full eigensolve at
-        // the same k bounds the sketch's subspace error directly.
+        // With k = r + 2 and the default oversample of 12, this M range
+        // spans all three arms of `Pca::fit_rank`: the full solve
+        // (k·6 ≥ m), subspace iteration, and the randomized range-finder
+        // (m ≥ 64 and (k + 12)·4 < m). The fitted model's own cumulative
+        // TVE is exact for its basis, so comparing against the full
+        // eigensolve at the same k bounds each arm's subspace error
+        // directly.
         let x = low_rank_plus_noise(m + m / 2, m, r, seed);
         let k = r + 2;
         let full = Pca::fit(&x, PcaOptions::default()).unwrap();
-        let rand = Pca::fit_randomized(&x, PcaOptions::default(), k, &RangeFinderOptions::default()).unwrap();
+        let rf = RangeFinderOptions::default();
+        let rand = Pca::fit_rank(&x, PcaOptions::default(), k, &rf, None, None).unwrap().pca;
         let full_tve = full.cumulative_tve()[k - 1];
         let rand_tve = rand.cumulative_tve()[k - 1];
         prop_assert!(
             rand_tve >= full_tve - 1e-4,
-            "randomized TVE {rand_tve} fell behind full solver {full_tve} (r={r}, m={m})"
+            "rank-fit TVE {rand_tve} fell behind full solver {full_tve} (r={r}, m={m})"
         );
     }
 
@@ -172,8 +175,8 @@ proptest! {
         // same backend.
         let x = low_rank_plus_noise(m + 40, m, 3, seed);
         let rf = RangeFinderOptions::default();
-        let a = Pca::fit_randomized(&x, PcaOptions::default(), 6, &rf).unwrap();
-        let b = Pca::fit_randomized(&x, PcaOptions::default(), 6, &rf).unwrap();
+        let fit = || Pca::fit_rank(&x, PcaOptions::default(), 6, &rf, None, None).unwrap().pca;
+        let (a, b) = (fit(), fit());
         prop_assert_eq!(a.components().as_slice(), b.components().as_slice());
         prop_assert_eq!(a.eigenvalues(), b.eigenvalues());
         prop_assert_eq!(a.mean(), b.mean());

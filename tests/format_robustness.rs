@@ -289,13 +289,15 @@ fn v2_containers_verify_and_v1_still_decode() {
     assert_eq!(info.version, 2);
     assert!(info.checksummed);
 
-    // The v1 writer is kept for back-compat: same payload, no trailers.
-    let payload = dpz::core::container::deserialize(&out.bytes).unwrap();
-    let (v1, _) = dpz::core::container::serialize_v1(&payload);
-    let (via_v1, dims_v1, info_v1) = dpz::core::decompress_with_info(&v1).unwrap();
-    let (via_v2, dims_v2) = dpz::core::decompress(&out.bytes).unwrap();
+    // A frozen v1 stream (no trailers) still decodes, to the same values as
+    // the v2 framing of its own payload.
+    let v1 = include_bytes!("fixtures/legacy/dpz1-v1-loose-64x96.bin");
+    let (via_v1, dims_v1, info_v1) = dpz::core::decompress_with_info(v1).unwrap();
     assert_eq!(info_v1.version, 1);
     assert!(!info_v1.checksummed);
+    let payload = dpz::core::container::deserialize(v1).unwrap();
+    let (v2, _) = dpz::core::container::serialize(&payload);
+    let (via_v2, dims_v2) = dpz::core::decompress(&v2).unwrap();
     assert_eq!(dims_v1, dims_v2);
     assert_eq!(via_v1, via_v2);
 }

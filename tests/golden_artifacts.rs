@@ -8,7 +8,13 @@
 //! the container version.
 
 use dpz::prelude::*;
-use dpz_core::{compress_chunked, compress_progressive, reencode_legacy};
+use dpz_core::{compress_chunked, compress_progressive};
+
+/// Legacy streams frozen from the retired v1/v2 writers, all of the 64×96
+/// field with the loose config (DPZC: 4 chunks). See `fixtures/legacy`.
+const DPZ1_V1: &[u8] = include_bytes!("fixtures/legacy/dpz1-v1-loose-64x96.bin");
+const DPZC_V1: &[u8] = include_bytes!("fixtures/legacy/dpzc-v1-loose-4x-64x96.bin");
+const DPZC_V2: &[u8] = include_bytes!("fixtures/legacy/dpzc-v2-loose-4x-64x96.bin");
 
 /// FNV-1a, 64-bit — dependency-free and stable across platforms.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -31,9 +37,29 @@ fn smooth_field(rows: usize, cols: usize) -> Vec<f32> {
         .collect()
 }
 
+/// Deterministic xorshift white noise. Its flat PCA spectrum keeps the
+/// rank-bounded solvers away from convergence, where rounding dust decides
+/// eigenvector signs: on the smooth field the fixed-`k` pins below flip with
+/// the Gram's thread-count-dependent reduction order.
+fn noise_field(rows: usize, cols: usize) -> Vec<f32> {
+    let mut s = 0x2545_f491_4f6c_dd1du64;
+    (0..rows * cols)
+        .map(|_| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 40) as f32 / (1u64 << 24) as f32 - 0.5
+        })
+        .collect()
+}
+
 fn golden_cases() -> Vec<(&'static str, Vec<u8>)> {
     let field = smooth_field(64, 96);
     let line: Vec<f32> = (0..4096).map(|i| (i as f32 * 0.01).sin()).collect();
+    let noise = noise_field(64, 96);
+    let square = smooth_field(256, 256);
+    let fixed = |k| DpzConfig::loose().with_selection(KSelection::Fixed(k));
+    let sampled = DpzConfig::loose().with_sampling(true);
     vec![
         (
             "dpz1-loose-64x96",
@@ -67,19 +93,39 @@ fn golden_cases() -> Vec<(&'static str, Vec<u8>)> {
                 .unwrap()
                 .bytes,
         ),
-        (
-            "dpzc-v2-reencode-4x-64x96",
-            reencode_legacy(
-                &compress_chunked(&field, &[64, 96], &DpzConfig::loose(), 4)
-                    .unwrap()
-                    .bytes,
-                2,
-            )
-            .unwrap(),
-        ),
+        ("dpzc-v2-reencode-4x-64x96", DPZC_V2.to_vec()),
         (
             "dpzp-progressive-4x-64x96",
             compress_progressive(&field, &[64, 96], &DpzConfig::loose(), 4)
+                .unwrap()
+                .bytes,
+        ),
+        // Rank-bounded stage-2 routes. A 64×96 field has M = 32, so
+        // Fixed(3) fits 5 pairs by subspace iteration and Fixed(8) fits 10
+        // by the full QL solve.
+        (
+            "dpz1-fixed3-subspace-64x96",
+            compress(&noise, &[64, 96], &fixed(3)).unwrap().bytes,
+        ),
+        (
+            "dpz1-fixed8-full-64x96",
+            compress(&noise, &[64, 96], &fixed(8)).unwrap().bytes,
+        ),
+        // 256×256 gives M = 128: the fixed-k arm and the sampled-k arm
+        // (k_e = 3) both take the randomized range-finder.
+        (
+            "dpz1-fixed6-randomized-256x256",
+            compress(&square, &[256, 256], &fixed(6)).unwrap().bytes,
+        ),
+        (
+            "dpz1-sampling-randomized-256x256",
+            compress(&square, &[256, 256], &sampled).unwrap().bytes,
+        ),
+        // Ten 128×128 chunks (M = 64 each) span two projection waves, so
+        // the second wave's sampled fits start from the first wave's basis.
+        (
+            "dpzc-sampling-warm-10x-1280x128",
+            compress_chunked(&smooth_field(1280, 128), &[1280, 128], &sampled, 10)
                 .unwrap()
                 .bytes,
         ),
@@ -93,7 +139,8 @@ fn dpz_artifacts_are_byte_identical_to_golden() {
     // streams are byte-identical to v3-era output, but the directory moved
     // into a tail index footer (offset/len/rows/values/crc per chunk), which
     // is a sanctioned artifact change for the version bump. The v2 reencode
-    // pin guards the legacy writer that `reencode_legacy` keeps alive.
+    // pin now guards the frozen fixture that stands in for the retired
+    // legacy writer.
     let expected: &[(&str, u64)] = &[
         ("dpz1-loose-64x96", 0x5b223216eee05ee4),
         ("dpz1-strict-tve6-64x96", 0xb610e00893da9f3d),
@@ -104,6 +151,11 @@ fn dpz_artifacts_are_byte_identical_to_golden() {
         // v4 container down to v2 reproduces the old artifact byte-for-byte.
         ("dpzc-v2-reencode-4x-64x96", 0xfce609df834556fe),
         ("dpzp-progressive-4x-64x96", 0xc8fe461fc394dcd8),
+        ("dpz1-fixed3-subspace-64x96", 0xa32b8f47bba236cb),
+        ("dpz1-fixed8-full-64x96", 0xe663e7838a97d871),
+        ("dpz1-fixed6-randomized-256x256", 0xbc19901237fca76f),
+        ("dpz1-sampling-randomized-256x256", 0xb9cf13b76b3e2b0d),
+        ("dpzc-sampling-warm-10x-1280x128", 0x03e169ed8aad9eea),
     ];
     let mut failures = Vec::new();
     for ((name, bytes), (ename, ehash)) in golden_cases().iter().zip(expected) {
@@ -121,8 +173,9 @@ fn dpz_artifacts_are_byte_identical_to_golden() {
 
 #[test]
 fn v4_and_legacy_reencodes_decode_to_identical_values() {
-    // The seekable footer is framing only: a v4 container, its v2 reencode,
-    // and its v1 reencode must reconstruct bit-identical values.
+    // The seekable footer is framing only: a v4 container and the frozen
+    // v1/v2 framings of the same field reconstruct bit-identical values,
+    // and so do the current DPZ1 writer and the frozen v1 stream.
     let field = smooth_field(64, 96);
     let v4 = compress_chunked(&field, &[64, 96], &DpzConfig::loose(), 4)
         .unwrap()
@@ -130,11 +183,19 @@ fn v4_and_legacy_reencodes_decode_to_identical_values() {
     let (vals4, dims4, info4) = dpz_core::decompress_chunked_with_info(&v4).unwrap();
     assert_eq!(info4.version, 4);
     assert!(info4.checksummed);
-    for legacy_version in [1u8, 2] {
-        let legacy = reencode_legacy(&v4, legacy_version).unwrap();
-        let (vals, dims, info) = dpz_core::decompress_chunked_with_info(&legacy).unwrap();
+    for (legacy_version, legacy) in [(1u8, DPZC_V1), (2, DPZC_V2)] {
+        let (vals, dims, info) = dpz_core::decompress_chunked_with_info(legacy).unwrap();
         assert_eq!(info.version, legacy_version);
         assert_eq!(dims, dims4);
-        assert_eq!(vals, vals4, "v{legacy_version} reencode diverged");
+        assert_eq!(vals, vals4, "v{legacy_version} fixture diverged");
     }
+
+    let v2 = compress(&field, &[64, 96], &DpzConfig::loose())
+        .unwrap()
+        .bytes;
+    let (vals2, dims2) = decompress(&v2).unwrap();
+    let (vals1, dims1, info1) = dpz_core::decompress_with_info(DPZ1_V1).unwrap();
+    assert_eq!(info1.version, 1);
+    assert_eq!(dims1, dims2);
+    assert_eq!(vals1, vals2, "DPZ1 v1 fixture diverged");
 }

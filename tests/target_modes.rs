@@ -68,15 +68,21 @@ proptest! {
 
     // Fixed-ratio mode: a successful compression lands inside the
     // tolerance band around the requested ratio; a miss is the typed
-    // unreachable error carrying the best achievable ratio.
+    // unreachable error carrying the best achievable ratio. `fixed_k = 0`
+    // keeps the default TVE selection; otherwise `KSelection::Fixed` sends
+    // both the ratio oracle and stage 2 through the rank-bounded fit.
     #[test]
     fn fixed_ratio_lands_in_band_or_fails_typed(
         case in field_strategy(),
         target in 2.0f64..10.0,
         tol in 0.1f64..0.3,
+        fixed_k in 0usize..8,
     ) {
         let (data, dims) = case;
-        let cfg = DpzConfig::loose().with_target(QualityTarget::Ratio { target, tol });
+        let mut cfg = DpzConfig::loose().with_target(QualityTarget::Ratio { target, tol });
+        if fixed_k > 0 {
+            cfg = cfg.with_selection(KSelection::Fixed(fixed_k));
+        }
         match dpz::core::compress(&data, &dims, &cfg) {
             Ok(out) => {
                 let cr = (data.len() * 4) as f64 / out.bytes.len() as f64;
