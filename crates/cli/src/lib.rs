@@ -1006,8 +1006,9 @@ mod tests {
             }
         }
 
-        // All five pipeline stages show up as spans (paths are dotted, e.g.
-        // "chunk.compress.stage2.pca", so match by suffix).
+        // All five pipeline stages show up as spans (paths are dotted:
+        // "compress_chunked.chunk.stage2.pca" on the caller thread,
+        // "chunk.stage2.pca" on pool workers, so match by suffix).
         let spans: Vec<String> = events
             .iter()
             .filter(|ev| str_field(ev, "ph") == "X")

@@ -22,11 +22,6 @@
 //!   target the selection is rate-distortion-optimal (Tao et al.'s online
 //!   SZ-vs-ZFP style): best predicted PSNR at a fixed ratio, best
 //!   predicted ratio at a fixed quality.
-//!
-//! The DPZ pipeline's *internal* composition substrate — the [`Stage`]
-//! trait, [`StageGraph`] engine, and [`BufferPool`] — lives in
-//! `dpz_core::stage` (stages need core internals) and is re-exported here
-//! so this crate presents the complete codec-engine contract.
 
 #![warn(missing_docs)]
 
@@ -35,9 +30,8 @@ mod registry;
 mod wrappers;
 
 pub use auto::{AutoCodec, Selection};
-pub use dpz_core::stage::{BufferPool, Stage, StageGraph, StageTrace};
 pub use dpz_core::ProgressiveDecoded;
-pub use dpz_core::{CompressionStats, ContainerInfo, DpzError, PipelinePlan};
+pub use dpz_core::{CompressionStats, ContainerInfo, DpzError};
 pub use dpz_core::{QualityTarget, PROBE_CAP};
 pub use registry::{Format, Registry};
 pub use wrappers::{DpzChunkedCodec, DpzCodec, SzCodec, ZfpCodec};

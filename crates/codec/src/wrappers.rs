@@ -184,7 +184,7 @@ impl Codec for DpzCodec {
     }
 }
 
-/// Chunked DPZ (`DPZC`): the same stage graph executed once per slab, with
+/// Chunked DPZ (`DPZC`): the same stage chain run once per slab, with
 /// slab-granular random access.
 #[derive(Debug, Clone, Copy)]
 pub struct DpzChunkedCodec {

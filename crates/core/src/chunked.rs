@@ -56,14 +56,16 @@
 use crate::config::DpzConfig;
 use crate::container::{self, checked_product, ContainerInfo, DpzError, ProgressiveLayout};
 use crate::decompose::extract_region;
-use crate::pipeline::{decompress, decompress_with_info, Compressed, PipelinePlan};
-use crate::stage::BufferPool;
-use crate::target::{self, QualityTarget, RatioOracle};
+use crate::pipeline::{
+    decompress, decompress_with_info, Compressed, CompressionStats, NumericOutcome, PipelinePlan,
+};
+use crate::pool::BufferPool;
+use crate::target::{self, TargetArtifact};
 use dpz_deflate::crc32;
 use dpz_linalg::SubspaceSeed;
 use dpz_telemetry::span;
 use rayon::prelude::*;
-use std::io::{Read, Seek, SeekFrom};
+use std::io::{Cursor, Read, Seek, SeekFrom};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -95,17 +97,19 @@ pub struct ChunkedCompressed {
     pub bytes: Vec<u8>,
     /// Per-chunk stats from the inner pipeline (empty for progressive
     /// containers, whose entropy stage bypasses the stats-producing coder).
-    pub chunk_stats: Vec<crate::pipeline::CompressionStats>,
+    pub chunk_stats: Vec<CompressionStats>,
     /// End-to-end ratio (original bytes / container bytes).
     pub cr_total: f64,
 }
 
-/// Slab geometry along the slowest axis: `(rows_per_slab, values_per_row)`.
-fn slab_extents(dims: &[usize], chunks: usize) -> (usize, usize) {
-    let slow = dims[0];
-    let rest: usize = dims[1..].iter().product::<usize>().max(1);
-    let rows_per_slab = slow.div_ceil(chunks.clamp(1, slow));
-    (rows_per_slab, rest)
+impl TargetArtifact for ChunkedCompressed {
+    fn ratio(&self) -> f64 {
+        self.cr_total
+    }
+
+    fn decode(&self) -> Result<Vec<f32>, DpzError> {
+        decompress_chunked(&self.bytes).map(|(values, _)| values)
+    }
 }
 
 fn check_chunk_input(data: &[f32], dims: &[usize]) -> Result<(), DpzError> {
@@ -115,7 +119,94 @@ fn check_chunk_input(data: &[f32], dims: &[usize]) -> Result<(), DpzError> {
     if data.len() < 4 {
         return Err(DpzError::BadInput("too small to chunk"));
     }
-    Ok(())
+    crate::pipeline::check_input(data, dims)
+}
+
+/// The slab layout both writers share: slabs along the slowest axis, and
+/// at most two distinct slab lengths (full slabs and a ragged tail), so two
+/// plans over one shared pool cover every chunk and recycle the
+/// block-matrix scratch across rayon workers.
+struct Slabs<'a> {
+    dims: &'a [usize],
+    /// Values per row along the slowest axis.
+    rest: usize,
+    /// Values in a full slab.
+    slab_values: usize,
+    full: PipelinePlan,
+    tail: Option<PipelinePlan>,
+}
+
+impl<'a> Slabs<'a> {
+    fn plan(
+        len: usize,
+        dims: &'a [usize],
+        cfg: &DpzConfig,
+        chunks: usize,
+    ) -> Result<Self, DpzError> {
+        let slow = dims[0];
+        let rest: usize = dims[1..].iter().product::<usize>().max(1);
+        let slab_values = slow.div_ceil(chunks.clamp(1, slow)) * rest;
+        let pool = Arc::new(BufferPool::new());
+        let full = PipelinePlan::with_pool(slab_values, cfg, Arc::clone(&pool))?;
+        let tail = match len % slab_values {
+            0 => None,
+            l => Some(PipelinePlan::with_pool(l, cfg, pool)?),
+        };
+        Ok(Slabs {
+            dims,
+            rest,
+            slab_values,
+            full,
+            tail,
+        })
+    }
+
+    /// Slab height along the slowest axis.
+    fn rows(&self, slab: &[f32]) -> usize {
+        slab.len() / self.rest
+    }
+
+    /// Run one slab's numeric stages through its plan, with the slab's own
+    /// dims. `warm` seeds full-size slabs only: the ragged tail has a
+    /// different block shape, so a full-slab basis can never seed it; it
+    /// fits cold and passes nothing on.
+    fn project(
+        &self,
+        slab: &[f32],
+        warm: Option<&SubspaceSeed>,
+    ) -> Result<(NumericOutcome, Option<SubspaceSeed>), DpzError> {
+        let mut slab_dims = self.dims.to_vec();
+        slab_dims[0] = self.rows(slab);
+        match &self.tail {
+            Some(tail) if slab.len() != self.slab_values => tail
+                .project(slab, &slab_dims, None)
+                .map(|(outcome, _)| (outcome, None)),
+            _ => self.full.project(slab, &slab_dims, warm),
+        }
+    }
+
+    /// Frame the slab streams (in slab order) as a seekable v4 container.
+    fn assemble(
+        &self,
+        data: &[f32],
+        streams: &[Vec<u8>],
+        progressive: Option<&[ProgressiveLayout]>,
+        chunk_stats: Vec<CompressionStats>,
+    ) -> ChunkedCompressed {
+        let rows: Vec<usize> = data
+            .chunks(self.slab_values)
+            .map(|slab| self.rows(slab))
+            .collect();
+        let bytes = assemble_seekable(self.dims, streams, &rows, self.rest, progressive);
+        dpz_telemetry::global()
+            .counter("dpz_chunks_total")
+            .add(streams.len() as u64);
+        ChunkedCompressed {
+            cr_total: (data.len() * 4) as f64 / bytes.len() as f64,
+            bytes,
+            chunk_stats,
+        }
+    }
 }
 
 /// Compress `data` as `chunks` independent slabs (in parallel).
@@ -123,10 +214,11 @@ fn check_chunk_input(data: &[f32], dims: &[usize]) -> Result<(), DpzError> {
 /// Each slab must still be large enough to decompose (≥ 2 values); `chunks`
 /// is clamped accordingly. The output is a seekable v4 container.
 ///
-/// Data-dependent quality targets ([`QualityTarget::Ratio`] /
-/// [`QualityTarget::Psnr`]) are resolved **once, against the whole input**,
-/// before any slab is planned — every chunk then shares the same resolved
-/// bound, and the control loop confirms against the aggregate container.
+/// Data-dependent quality targets ([`crate::QualityTarget::Ratio`] /
+/// [`crate::QualityTarget::Psnr`]) are resolved **once, against the whole
+/// input**, before any slab is planned — every chunk then shares the same
+/// resolved bound, and the control loop confirms against the aggregate
+/// container.
 pub fn compress_chunked(
     data: &[f32],
     dims: &[usize],
@@ -135,93 +227,10 @@ pub fn compress_chunked(
 ) -> Result<ChunkedCompressed, DpzError> {
     check_chunk_input(data, dims)?;
     cfg.target.validate()?;
-    if cfg.target.needs_resolution() {
-        return chunked_with_target(data, cfg, &|resolved| {
-            compress_chunked_resolved(data, dims, resolved, chunks)
-        });
-    }
-    compress_chunked_resolved(data, dims, cfg, chunks)
+    target::compress_to_target(data, cfg, |resolved| {
+        compress_chunked_resolved(data, dims, resolved, chunks)
+    })
 }
-
-/// Shared control loop for data-dependent targets over a chunked/progressive
-/// compressor. `run` executes one full compression at a resolved config; the
-/// loop confirms against the aggregate container ratio (fixed-ratio, with one
-/// calibrated corrective pass) or the full-roundtrip PSNR (fixed-PSNR, with
-/// bounded tighten-and-retry).
-fn chunked_with_target(
-    data: &[f32],
-    cfg: &DpzConfig,
-    run: &dyn Fn(&DpzConfig) -> Result<ChunkedCompressed, DpzError>,
-) -> Result<ChunkedCompressed, DpzError> {
-    let reg = dpz_telemetry::global();
-    match cfg.target {
-        QualityTarget::Ratio { target: tcr, tol } => {
-            let oracle = RatioOracle::build(data, cfg)?;
-            let (resolved, res) = target::resolve_ratio(cfg, &oracle, tcr, tol, 1.0)?;
-            let out = run(&resolved)?;
-            reg.counter_with("dpz_target_confirm_total", &[("mode", "ratio")])
-                .inc();
-            if target::ratio_within(out.cr_total, tcr, tol) {
-                return Ok(out);
-            }
-            let predicted = res.predicted_cr.unwrap_or(out.cr_total).max(1e-9);
-            let calibration = out.cr_total / predicted;
-            let (resolved2, _) = target::resolve_ratio(cfg, &oracle, tcr, tol, calibration)?;
-            let out2 = run(&resolved2)?;
-            reg.counter_with("dpz_target_confirm_total", &[("mode", "ratio")])
-                .inc();
-            let dist = |cr: f64| (cr.max(1e-12) / tcr).ln().abs();
-            let best = if dist(out2.cr_total) <= dist(out.cr_total) {
-                out2
-            } else {
-                out
-            };
-            if target::ratio_within(best.cr_total, tcr, tol) {
-                Ok(best)
-            } else {
-                Err(DpzError::TargetUnreachable {
-                    requested: tcr,
-                    achievable: best.cr_total,
-                })
-            }
-        }
-        QualityTarget::Psnr(db) => {
-            let (mut resolved, res) = target::resolve_psnr(cfg, db);
-            let mut p = res.p;
-            let mut best: Option<(ChunkedCompressed, f64)> = None;
-            for attempt in 0..MAX_PSNR_ATTEMPTS {
-                let out = run(&resolved)?;
-                let (recon, _) = decompress_chunked(&out.bytes)?;
-                let measured = crate::pipeline::psnr(data, &recon);
-                if measured >= db {
-                    return Ok(out);
-                }
-                if best.as_ref().is_none_or(|(_, m)| measured > *m) {
-                    best = Some((out, measured));
-                }
-                if attempt + 1 < MAX_PSNR_ATTEMPTS {
-                    reg.counter("dpz_target_psnr_retries_total").inc();
-                    p *= 0.25;
-                    resolved = resolved.with_resolved_bound(p);
-                    resolved.selection = target::tighten_selection_once(resolved.selection);
-                }
-            }
-            let (out, measured) = best.expect("at least one attempt ran");
-            if measured >= db - crate::pipeline::PSNR_SLACK_DB {
-                Ok(out)
-            } else {
-                Err(DpzError::TargetUnreachable {
-                    requested: db,
-                    achievable: measured,
-                })
-            }
-        }
-        _ => run(cfg),
-    }
-}
-
-/// Bounded retries of the chunked post-hoc PSNR validation loop.
-const MAX_PSNR_ATTEMPTS: u32 = 3;
 
 fn compress_chunked_resolved(
     data: &[f32],
@@ -230,24 +239,13 @@ fn compress_chunked_resolved(
     chunks: usize,
 ) -> Result<ChunkedCompressed, DpzError> {
     let _root = span!("compress_chunked");
-    let (rows_per_slab, rest) = slab_extents(dims, chunks);
-    let slab_values = rows_per_slab * rest;
-
-    // The chunked driver is the plain pipeline's stage graph executed once
-    // per slab: at most two distinct slab lengths exist (full slabs and a
-    // ragged tail), so two shared plans cover every chunk, and one shared
-    // pool recycles the block-matrix scratch across rayon workers.
-    let pool = Arc::new(BufferPool::new());
-    let full_plan = PipelinePlan::with_pool(slab_values, cfg, Arc::clone(&pool))?;
-    let tail_len = data.len() % slab_values;
-    let tail_plan = match tail_len {
-        0 => None,
-        l => Some(PipelinePlan::with_pool(l, cfg, Arc::clone(&pool))?),
-    };
+    // The chunked driver is the plain pipeline's stage chain run once per
+    // slab through the shared slab plans.
+    let slabs = Slabs::plan(data.len(), dims, cfg, chunks)?;
 
     // Two-phase pipelined execution: each slab's numeric stages
-    // (DCT → PCA → quantize, via `PipelinePlan::project_warm`) and its
-    // entropy coding (`PipelinePlan::encode`) are separate tasks. Slabs are
+    // (DCT → PCA → quantize, via `PipelinePlan::project`) and its entropy
+    // coding (`PipelinePlan::encode`) are separate tasks. Slabs are
     // taken in fixed-width waves; `rayon::join` runs wave `w`'s entropy
     // coding concurrently with wave `w+1`'s numeric stages, so the DEFLATE
     // or tANS work of finished slabs overlaps the transform math of later
@@ -273,31 +271,21 @@ fn compress_chunked_resolved(
         let mut chunk_span = dpz_telemetry::span::span("chunk");
         chunk_span.annotate("chunk", index as f64);
         chunk_span.annotate("bytes", (chunk.len() * 4) as f64);
-        let rows = chunk.len() / rest;
-        let mut slab_dims = dims.to_vec();
-        slab_dims[0] = rows;
-        if chunk.len() == slab_values {
-            full_plan.project_warm(chunk, &slab_dims, warm)
-        } else {
-            // The ragged tail has a different block shape, so a full-slab
-            // basis can never seed it; fit cold and pass nothing on.
-            let plan = tail_plan.as_ref().expect("ragged tail was planned");
-            plan.project(chunk, &slab_dims).map(|o| (o, None))
-        }
+        slabs.project(chunk, warm)
     };
-    let encode_wave = |outcomes: Vec<crate::pipeline::NumericOutcome>| -> Vec<Compressed> {
+    let encode_wave = |outcomes: Vec<NumericOutcome>| -> Vec<Compressed> {
         outcomes
             .into_par_iter()
-            .map(|o| full_plan.encode(o))
+            .map(|o| slabs.full.encode(o))
             .collect()
     };
 
-    let slabs: Vec<(usize, &[f32])> = data.chunks(slab_values).enumerate().collect();
-    let mut streams = Vec::with_capacity(slabs.len());
-    let mut chunk_stats = Vec::with_capacity(slabs.len());
-    let mut pending: Option<Vec<crate::pipeline::NumericOutcome>> = None;
+    let slab_data: Vec<(usize, &[f32])> = data.chunks(slabs.slab_values).enumerate().collect();
+    let mut streams = Vec::with_capacity(slab_data.len());
+    let mut chunk_stats = Vec::with_capacity(slab_data.len());
+    let mut pending: Option<Vec<NumericOutcome>> = None;
     let mut warm: Option<SubspaceSeed> = None;
-    for wave_slabs in slabs.chunks(PROJECT_WAVE) {
+    for wave_slabs in slab_data.chunks(PROJECT_WAVE) {
         let seed = warm.as_ref();
         let (encoded, projected) = rayon::join(
             || pending.take().map(&encode_wave),
@@ -333,17 +321,7 @@ fn compress_chunked_resolved(
         chunk_stats.push(c.stats);
     }
 
-    let rows: Vec<usize> = slabs.iter().map(|(_, c)| c.len() / rest).collect();
-    let out = assemble_seekable(dims, &streams, &rows, rest, None);
-    let cr_total = (data.len() * 4) as f64 / out.len() as f64;
-    dpz_telemetry::global()
-        .counter("dpz_chunks_total")
-        .add(streams.len() as u64);
-    Ok(ChunkedCompressed {
-        bytes: out,
-        chunk_stats,
-        cr_total,
-    })
+    Ok(slabs.assemble(data, &streams, None, chunk_stats))
 }
 
 /// Compress `data` as a **progressive** seekable container: every slab is a
@@ -358,12 +336,9 @@ pub fn compress_progressive(
 ) -> Result<ChunkedCompressed, DpzError> {
     check_chunk_input(data, dims)?;
     cfg.target.validate()?;
-    if cfg.target.needs_resolution() {
-        return chunked_with_target(data, cfg, &|resolved| {
-            compress_progressive_resolved(data, dims, resolved, chunks)
-        });
-    }
-    compress_progressive_resolved(data, dims, cfg, chunks)
+    target::compress_to_target(data, cfg, |resolved| {
+        compress_progressive_resolved(data, dims, resolved, chunks)
+    })
 }
 
 fn compress_progressive_resolved(
@@ -373,50 +348,23 @@ fn compress_progressive_resolved(
     chunks: usize,
 ) -> Result<ChunkedCompressed, DpzError> {
     let _root = span!("compress_progressive");
-    let (rows_per_slab, rest) = slab_extents(dims, chunks);
-    let slab_values = rows_per_slab * rest;
-    let pool = Arc::new(BufferPool::new());
-    let full_plan = PipelinePlan::with_pool(slab_values, cfg, Arc::clone(&pool))?;
-    let tail_len = data.len() % slab_values;
-    let tail_plan = match tail_len {
-        0 => None,
-        l => Some(PipelinePlan::with_pool(l, cfg, Arc::clone(&pool))?),
-    };
-
-    let slabs: Vec<&[f32]> = data.chunks(slab_values).collect();
-    let results: Vec<Result<(Vec<u8>, ProgressiveLayout), DpzError>> = slabs
+    let slabs = Slabs::plan(data.len(), dims, cfg, chunks)?;
+    let slab_data: Vec<&[f32]> = data.chunks(slabs.slab_values).collect();
+    let results: Vec<Result<(Vec<u8>, ProgressiveLayout), DpzError>> = slab_data
         .par_iter()
         .map(|chunk| {
-            let rows = chunk.len() / rest;
-            let mut slab_dims = dims.to_vec();
-            slab_dims[0] = rows;
-            let plan = if chunk.len() == slab_values {
-                &full_plan
-            } else {
-                tail_plan.as_ref().expect("ragged tail was planned")
-            };
-            let outcome = plan.project(chunk, &slab_dims)?;
+            let (outcome, _) = slabs.project(chunk, None)?;
             Ok(container::serialize_progressive(&outcome.into_payload()))
         })
         .collect();
-    let mut streams = Vec::with_capacity(slabs.len());
-    let mut layouts = Vec::with_capacity(slabs.len());
+    let mut streams = Vec::with_capacity(slab_data.len());
+    let mut layouts = Vec::with_capacity(slab_data.len());
     for r in results {
         let (bytes, layout) = r?;
         streams.push(bytes);
         layouts.push(layout);
     }
-    let rows: Vec<usize> = slabs.iter().map(|c| c.len() / rest).collect();
-    let out = assemble_seekable(dims, &streams, &rows, rest, Some(&layouts));
-    let cr_total = (data.len() * 4) as f64 / out.len() as f64;
-    dpz_telemetry::global()
-        .counter("dpz_chunks_total")
-        .add(streams.len() as u64);
-    Ok(ChunkedCompressed {
-        bytes: out,
-        chunk_stats: Vec::new(),
-        cr_total,
-    })
+    Ok(slabs.assemble(data, &streams, Some(&layouts), Vec::new()))
 }
 
 fn push_u64(out: &mut Vec<u8>, v: usize) {
@@ -921,6 +869,36 @@ fn decode_stream(stream: &[u8]) -> Result<(Vec<f32>, Vec<usize>, ContainerInfo),
     }
 }
 
+/// Append decoded parts, in chunk order, into one buffer of exactly
+/// `expected` values, collecting each part's side value. The first failed
+/// part's error wins, and overflow is rejected before it is copied.
+fn stitch<T>(
+    parts: impl IntoIterator<Item = Result<(Vec<f32>, T), DpzError>>,
+    expected: usize,
+) -> Result<(Vec<f32>, Vec<T>), DpzError> {
+    let mut out = Vec::new();
+    let mut side = Vec::new();
+    for p in parts {
+        let (v, t) = p?;
+        if out.len() + v.len() > expected {
+            return Err(DpzError::Corrupt("stitched length mismatch"));
+        }
+        out.extend_from_slice(&v);
+        side.push(t);
+    }
+    if out.len() != expected {
+        return Err(DpzError::Corrupt("stitched length mismatch"));
+    }
+    Ok((out, side))
+}
+
+/// Aggregate (saturating) tANS section count across inner chunk streams.
+fn total_tans_sections(infos: &[ContainerInfo]) -> u8 {
+    infos
+        .iter()
+        .fold(0u8, |acc, info| acc.saturating_add(info.tans_sections))
+}
+
 /// Uncounted full decode shared by every entry point; dispatches on the
 /// container version byte.
 fn full_decode(bytes: &[u8]) -> Result<(Vec<f32>, Vec<usize>, ContainerInfo), DpzError> {
@@ -948,27 +926,14 @@ fn full_decode(bytes: &[u8]) -> Result<(Vec<f32>, Vec<usize>, ContainerInfo), Dp
                 Ok((v, info))
             })
             .collect();
-        let expected = checked_product(&index.dims, "dims overflow")?;
-        let mut out = Vec::new();
-        let mut tans = 0u8;
-        for p in parts {
-            let (v, info) = p?;
-            if out.len() + v.len() > expected {
-                return Err(DpzError::Corrupt("stitched length mismatch"));
-            }
-            out.extend_from_slice(&v);
-            tans = tans.saturating_add(info.tans_sections);
-        }
-        if out.len() != expected {
-            return Err(DpzError::Corrupt("stitched length mismatch"));
-        }
+        let (out, infos) = stitch(parts, checked_product(&index.dims, "dims overflow")?)?;
         Ok((
             out,
             index.dims,
             ContainerInfo {
                 version: VERSION_SEEKABLE,
                 checksummed: true,
-                tans_sections: tans,
+                tans_sections: total_tans_sections(&infos),
             },
         ))
     } else {
@@ -983,22 +948,9 @@ fn full_decode(bytes: &[u8]) -> Result<(Vec<f32>, Vec<usize>, ContainerInfo), Dp
                 Ok((v, info))
             })
             .collect();
-        let expected = checked_product(&dir.dims, "dims overflow")?;
-        let mut out = Vec::new();
-        let mut tans = 0u8;
-        for p in parts {
-            let (v, info) = p?;
-            if out.len() + v.len() > expected {
-                return Err(DpzError::Corrupt("stitched length mismatch"));
-            }
-            out.extend_from_slice(&v);
-            tans = tans.saturating_add(info.tans_sections);
-        }
-        if out.len() != expected {
-            return Err(DpzError::Corrupt("stitched length mismatch"));
-        }
+        let (out, infos) = stitch(parts, checked_product(&dir.dims, "dims overflow")?)?;
         let mut info = dir.info;
-        info.tans_sections = tans;
+        info.tans_sections = total_tans_sections(&infos);
         Ok((out, dir.dims, info))
     }
 }
@@ -1041,17 +993,7 @@ pub fn decompress_chunk(bytes: &[u8], index: usize) -> Result<(Vec<f32>, Vec<usi
             return Err(DpzError::Corrupt("bad chunk magic"));
         }
         if bytes[4] > VERSION_CRC {
-            let idx = SeekableIndex::from_bytes(bytes)?;
-            let e = *idx
-                .chunks
-                .get(index)
-                .ok_or(DpzError::BadInput("chunk index out of range"))?;
-            let s = &bytes[e.offset..e.offset + e.len];
-            if crc32(s) != e.crc {
-                return Err(DpzError::Corrupt("chunk checksum mismatch"));
-            }
-            let (v, d, _) = decode_stream(s)?;
-            Ok((v, d))
+            read_chunk_values(&mut Cursor::new(bytes), index)
         } else {
             let dir = parse_directory(bytes)?;
             let &(lo, hi) = dir
@@ -1070,12 +1012,20 @@ pub fn decompress_chunk_from<R: Read + Seek>(
     r: &mut R,
     index: usize,
 ) -> Result<(Vec<f32>, Vec<usize>), DpzError> {
-    counted(|| {
-        let idx = SeekableIndex::read(r)?;
-        let stream = idx.read_chunk(r, index)?;
-        let (v, d, _) = decode_stream(&stream)?;
-        Ok((v, d))
-    })
+    counted(|| read_chunk_values(r, index))
+}
+
+/// Uncounted body of the seekable single-chunk read shared by
+/// [`decompress_chunk`] and [`decompress_chunk_from`]: index, one chunk's
+/// CRC-verified bytes, decode.
+fn read_chunk_values<R: Read + Seek>(
+    r: &mut R,
+    index: usize,
+) -> Result<(Vec<f32>, Vec<usize>), DpzError> {
+    let idx = SeekableIndex::read(r)?;
+    let stream = idx.read_chunk(r, index)?;
+    let (v, d, _) = decode_stream(&stream)?;
+    Ok((v, d))
 }
 
 fn validate_region(dims: &[usize], region: &[Range<usize>]) -> Result<(), DpzError> {
@@ -1111,18 +1061,8 @@ fn stitch_region_parts(
     region: &[Range<usize>],
 ) -> Result<(Vec<f32>, Vec<usize>), DpzError> {
     let out_dims: Vec<usize> = region.iter().map(|r| r.end - r.start).collect();
-    let expected = checked_product(&out_dims, "dims overflow")?;
-    let mut out = Vec::new();
-    for p in parts {
-        let v = p?;
-        if out.len() + v.len() > expected {
-            return Err(DpzError::Corrupt("stitched length mismatch"));
-        }
-        out.extend_from_slice(&v);
-    }
-    if out.len() != expected {
-        return Err(DpzError::Corrupt("stitched length mismatch"));
-    }
+    let parts = parts.into_iter().map(|p| p.map(|v| (v, ())));
+    let (out, _) = stitch(parts, checked_product(&out_dims, "dims overflow")?)?;
     Ok((out, out_dims))
 }
 
@@ -1320,19 +1260,7 @@ pub fn decompress_progressive(
             })
             .collect();
         let expected = checked_product(&index.dims, "dims overflow")?;
-        let mut values = Vec::new();
-        let mut ranges = Vec::with_capacity(parts.len());
-        for p in parts {
-            let (v, range) = p?;
-            if values.len() + v.len() > expected {
-                return Err(DpzError::Corrupt("stitched length mismatch"));
-            }
-            values.extend_from_slice(&v);
-            ranges.push(range);
-        }
-        if values.len() != expected {
-            return Err(DpzError::Corrupt("stitched length mismatch"));
-        }
+        let (values, ranges) = stitch(parts, expected)?;
 
         let mut total_energy = 0.0;
         let mut included_energy = 0.0;

@@ -8,14 +8,11 @@
 //! all four so the figure (and the ablation bench) can regenerate the
 //! result that PCA∘DCT introduces the least error.
 //!
-//! Each pipeline is a [`StageGraph`] over a small [`ComboCtx`] — the same
-//! engine that drives the production pipeline — so a combo is literally its
-//! list of stages (see [`TransformCombo::graph`]), not a hand-written match
-//! arm, and the per-stage spans/timings come for free.
+//! Each pipeline is a short composition of lossless rotations around one
+//! selection step (see [`lossy_roundtrip`]).
 
 use crate::container::DpzError;
 use crate::decompose::{self, BlockShape};
-use crate::stage::{Stage, StageGraph};
 use dpz_linalg::{Dct1d, DctScratch, Matrix, Pca, PcaOptions};
 
 /// The four pipelines of Figure 4.
@@ -51,47 +48,6 @@ impl TransformCombo {
             TransformCombo::PcaOnDct => "PCA on DCT",
         }
     }
-
-    /// The combo's pipeline as a stage graph. Selection always sits in the
-    /// final transform's stage; everything before it is a lossless rotation.
-    pub fn graph(self) -> StageGraph<ComboCtx> {
-        match self {
-            TransformCombo::DctOnly => StageGraph::new()
-                .then(DctForward)
-                .then(KeepCoeffPrefix)
-                .then(DctInverse),
-            TransformCombo::PcaOnly => StageGraph::new()
-                .then(PcaFit { full: false })
-                .then(PcaSelect)
-                .then(PcaInverse),
-            TransformCombo::PcaOnDct => StageGraph::new()
-                .then(DctForward)
-                .then(PcaFit { full: false })
-                .then(PcaSelect)
-                .then(PcaInverse)
-                .then(DctInverse),
-            TransformCombo::DctOnPca => StageGraph::new()
-                .then(PcaFit { full: true })
-                .then(PcaRotate)
-                .then(RowDctSelect)
-                .then(PcaInverse),
-        }
-    }
-}
-
-/// Shared state for the combo stage graphs: the working `N × M` matrix
-/// (blocks in, reconstruction out), the keep fraction, and the fitted PCA
-/// model once the `combo.pca_fit` stage has run.
-pub struct ComboCtx {
-    mat: Option<Matrix>,
-    keep_fraction: f64,
-    pca: Option<Pca>,
-}
-
-impl ComboCtx {
-    fn take(&mut self) -> Matrix {
-        self.mat.take().expect("working matrix present")
-    }
 }
 
 /// Zero all but the first `keep` (lowest-frequency) entries of each column.
@@ -112,158 +68,35 @@ fn keep_top_per_column(mat: &mut Matrix, keep: usize) {
     }
 }
 
-/// Per-block DCT-II (lossless rotation).
-struct DctForward;
-
-impl Stage<ComboCtx> for DctForward {
-    fn name(&self) -> &'static str {
-        "combo.dct"
-    }
-    fn execute(&self, ctx: &mut ComboCtx) -> Result<(), DpzError> {
-        let mat = ctx.take();
-        ctx.mat = Some(decompose::dct_blocks(&mat));
-        Ok(())
-    }
+/// Fit the leading `k` components through the same rank-bounded fit the
+/// compression pipeline's stage 2 uses ([`Pca::fit_rank`]).
+fn fit_leading(mat: &Matrix, k: usize) -> Result<Pca, DpzError> {
+    let opts = PcaOptions::default();
+    Ok(Pca::fit_rank(mat, opts, k, &crate::pipeline::RF_OPTS, None, None)?.pca)
 }
 
-/// Per-block inverse DCT.
-struct DctInverse;
-
-impl Stage<ComboCtx> for DctInverse {
-    fn name(&self) -> &'static str {
-        "combo.idct"
-    }
-    fn execute(&self, ctx: &mut ComboCtx) -> Result<(), DpzError> {
-        let mat = ctx.take();
-        ctx.mat = Some(decompose::idct_blocks(&mat));
-        Ok(())
-    }
-}
-
-/// Frequency-domain selection: keep the leading `⌈n·f⌉` coefficients of
-/// every block.
-struct KeepCoeffPrefix;
-
-impl Stage<ComboCtx> for KeepCoeffPrefix {
-    fn name(&self) -> &'static str {
-        "combo.keep_prefix"
-    }
-    fn execute(&self, ctx: &mut ComboCtx) -> Result<(), DpzError> {
-        let mut mat = ctx.take();
-        let (n, _) = mat.shape();
-        let keep = ((n as f64 * ctx.keep_fraction).round() as usize).max(1);
-        keep_top_per_column(&mut mat, keep);
-        ctx.mat = Some(mat);
-        Ok(())
-    }
-}
-
-/// Fit the PCA model on the current matrix (no transformation yet).
-///
-/// `full` marks graphs whose later stages rotate onto *all* `m` components
-/// (`PcaRotate` is a lossless change of basis) — those need the complete
-/// eigenbasis and always use the dense solver. Selection-only graphs keep
-/// just the leading `⌈m·f⌉` components, so they go through the same
-/// rank-bounded fit the compression pipeline's stage 2 uses
-/// ([`Pca::fit_rank`]).
-struct PcaFit {
-    full: bool,
-}
-
-impl Stage<ComboCtx> for PcaFit {
-    fn name(&self) -> &'static str {
-        "combo.pca_fit"
-    }
-    fn execute(&self, ctx: &mut ComboCtx) -> Result<(), DpzError> {
-        let mat = ctx.mat.as_ref().expect("working matrix present");
-        let (_, m) = mat.shape();
-        let pca = if self.full {
-            Pca::fit(mat, PcaOptions::default())?
-        } else {
-            let want = ((m as f64 * ctx.keep_fraction).round() as usize).clamp(1, m);
-            let opts = PcaOptions::default();
-            Pca::fit_rank(mat, opts, want, &crate::pipeline::RF_OPTS, None, None)?.pca
-        };
-        ctx.pca = Some(pca);
-        Ok(())
-    }
-}
-
-/// Component selection: project onto the leading `⌈m·f⌉` components.
-struct PcaSelect;
-
-impl Stage<ComboCtx> for PcaSelect {
-    fn name(&self) -> &'static str {
-        "combo.pca_select"
-    }
-    fn execute(&self, ctx: &mut ComboCtx) -> Result<(), DpzError> {
-        let mat = ctx.take();
-        let (_, m) = mat.shape();
-        let k = ((m as f64 * ctx.keep_fraction).round() as usize).clamp(1, m);
-        let pca = ctx.pca.as_ref().expect("PcaFit ran");
-        ctx.mat = Some(pca.transform(&mat, k)?);
-        Ok(())
-    }
-}
-
-/// Full (lossless) rotation into the component basis — all `m` components.
-struct PcaRotate;
-
-impl Stage<ComboCtx> for PcaRotate {
-    fn name(&self) -> &'static str {
-        "combo.pca_rotate"
-    }
-    fn execute(&self, ctx: &mut ComboCtx) -> Result<(), DpzError> {
-        let mat = ctx.take();
-        let (_, m) = mat.shape();
-        let pca = ctx.pca.as_ref().expect("PcaFit ran");
-        ctx.mat = Some(pca.transform(&mat, m)?);
-        Ok(())
-    }
-}
-
-/// Rotate scores back out of the component basis.
-struct PcaInverse;
-
-impl Stage<ComboCtx> for PcaInverse {
-    fn name(&self) -> &'static str {
-        "combo.pca_inverse"
-    }
-    fn execute(&self, ctx: &mut ComboCtx) -> Result<(), DpzError> {
-        let mat = ctx.take();
-        let pca = ctx.pca.as_ref().expect("PcaFit ran");
-        ctx.mat = Some(pca.inverse_transform(&mat)?);
-        Ok(())
-    }
+/// Project onto the leading `k` components and rotate back (component
+/// selection).
+fn pca_select(pca: &Pca, mat: &Matrix, k: usize) -> Result<Matrix, DpzError> {
+    Ok(pca.inverse_transform(&pca.transform(mat, k)?)?)
 }
 
 /// DCT along each sample's *component vector* (the feature axis — the axis
-/// the stage-1 transform handed over), keep a coefficient prefix, and
+/// the stage-1 transform handed over), keep a `keep`-coefficient prefix, and
 /// invert. The PCA rotation leaves no smoothness along that axis, so the
 /// cosine basis — universal in the spatial domain — approximates poorly
 /// here: exactly the paper's argument for why this ordering loses.
-struct RowDctSelect;
-
-impl Stage<ComboCtx> for RowDctSelect {
-    fn name(&self) -> &'static str {
-        "combo.row_dct_select"
-    }
-    fn execute(&self, ctx: &mut ComboCtx) -> Result<(), DpzError> {
-        let mut scores = ctx.take();
-        let (n, m) = scores.shape();
-        let keep = ((m as f64 * ctx.keep_fraction).round() as usize).max(1);
-        let plan = Dct1d::new(m);
-        let mut scratch = DctScratch::new();
-        for r in 0..n {
-            let row = scores.row_mut(r);
-            plan.forward_with(row, &mut scratch);
-            for v in row.iter_mut().skip(keep) {
-                *v = 0.0;
-            }
-            plan.inverse_with(row, &mut scratch);
+fn row_dct_select(scores: &mut Matrix, keep: usize) {
+    let (n, m) = scores.shape();
+    let plan = Dct1d::new(m);
+    let mut scratch = DctScratch::new();
+    for r in 0..n {
+        let row = scores.row_mut(r);
+        plan.forward_with(row, &mut scratch);
+        for v in row.iter_mut().skip(keep) {
+            *v = 0.0;
         }
-        ctx.mat = Some(scores);
-        Ok(())
+        plan.inverse_with(row, &mut scratch);
     }
 }
 
@@ -284,13 +117,34 @@ pub fn lossy_roundtrip(
     }
     let shape: BlockShape = decompose::choose_shape(data.len());
     let blocks = decompose::to_blocks(data, shape); // n x m
-    let mut ctx = ComboCtx {
-        mat: Some(blocks),
-        keep_fraction,
-        pca: None,
+    let (n, m) = blocks.shape();
+    // Frequency-domain selection keeps the leading `⌈n·f⌉` coefficients of
+    // every block; component selection the leading `⌈m·f⌉` components.
+    let keep_coeffs = ((n as f64 * keep_fraction).round() as usize).max(1);
+    let keep_features = ((m as f64 * keep_fraction).round() as usize).max(1);
+    let k = keep_features.min(m);
+    let recon = match combo {
+        TransformCombo::DctOnly => {
+            let mut coeffs = decompose::dct_blocks(&blocks);
+            keep_top_per_column(&mut coeffs, keep_coeffs);
+            decompose::idct_blocks(&coeffs)
+        }
+        TransformCombo::PcaOnly => pca_select(&fit_leading(&blocks, k)?, &blocks, k)?,
+        TransformCombo::PcaOnDct => {
+            let coeffs = decompose::dct_blocks(&blocks);
+            let kept = pca_select(&fit_leading(&coeffs, k)?, &coeffs, k)?;
+            decompose::idct_blocks(&kept)
+        }
+        // The DCT step rotates onto *all* `m` components (a lossless change
+        // of basis), so it needs the complete eigenbasis from the dense
+        // solver.
+        TransformCombo::DctOnPca => {
+            let pca = Pca::fit(&blocks, PcaOptions::default())?;
+            let mut scores = pca.transform(&blocks, m)?;
+            row_dct_select(&mut scores, keep_features);
+            pca.inverse_transform(&scores)?
+        }
     };
-    combo.graph().run(&mut ctx)?;
-    let recon = ctx.take();
     Ok(decompose::from_blocks(&recon, shape, data.len()))
 }
 
@@ -391,30 +245,5 @@ mod tests {
         let labels: std::collections::HashSet<_> =
             TransformCombo::ALL.iter().map(|c| c.label()).collect();
         assert_eq!(labels.len(), 4);
-    }
-
-    #[test]
-    fn combo_graphs_match_their_definitions() {
-        assert_eq!(
-            TransformCombo::PcaOnDct.graph().stage_names(),
-            vec![
-                "combo.dct",
-                "combo.pca_fit",
-                "combo.pca_select",
-                "combo.pca_inverse",
-                "combo.idct"
-            ]
-        );
-        assert_eq!(
-            TransformCombo::DctOnPca.graph().stage_names(),
-            vec![
-                "combo.pca_fit",
-                "combo.pca_rotate",
-                "combo.row_dct_select",
-                "combo.pca_inverse"
-            ]
-        );
-        assert_eq!(TransformCombo::DctOnly.graph().len(), 3);
-        assert_eq!(TransformCombo::PcaOnly.graph().len(), 3);
     }
 }

@@ -79,8 +79,8 @@ pub fn to_blocks(data: &[f32], shape: BlockShape) -> Matrix {
 }
 
 /// [`to_blocks`] writing into caller-provided storage (resized as needed),
-/// so a [`crate::stage::BufferPool`] can recycle the block matrix — the
-/// pipeline's largest transient allocation — across executions.
+/// so the pipeline's scratch pool can recycle the block matrix — its
+/// largest transient allocation — across executions.
 pub fn to_blocks_in(data: &[f32], shape: BlockShape, mut storage: Vec<f64>) -> Matrix {
     assert_eq!(shape.m * shape.n, data.len() + shape.pad, "shape mismatch");
     let (m, n) = (shape.m, shape.n);

@@ -53,9 +53,9 @@ pub mod container;
 pub mod decompose;
 pub mod kpca;
 pub mod pipeline;
+mod pool;
 pub mod quantize;
 pub mod sampling;
-pub mod stage;
 pub mod target;
 
 pub use chunked::{
@@ -72,10 +72,9 @@ pub use decompose::extract_region;
 pub use pipeline::PSNR_SLACK_DB;
 pub use pipeline::{
     compress, compress_with_breakdown, decompress, decompress_with_info, Compressed,
-    CompressionBreakdown, CompressionStats, NumericOutcome, PipelinePlan, StageTimings,
+    CompressionBreakdown, CompressionStats, StageTimings,
 };
 pub use sampling::{SamplingEstimate, SamplingStrategy};
-pub use stage::{BufferPool, Stage, StageGraph, StageTrace};
 pub use target::{
     bound_for_psnr, psnr_for_bound, ratio_within, search_bound_for_ratio, QualityTarget,
     RatioOracle, SearchOutcome, TargetResolution, MAX_ORACLE_PROBES, PROBE_CAP, P_SEARCH_MAX,

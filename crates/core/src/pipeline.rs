@@ -2,30 +2,30 @@
 //! breakdown variant that reports per-stage ratios and accuracy (the data
 //! behind Tables III/IV and Figures 8/9 of the paper).
 //!
-//! Since the stage-graph refactor there is exactly **one** description of
-//! the compression chain — the five [`Stage`] impls in this module, composed
-//! by [`PipelinePlan`]:
+//! The compression chain is straight-line code. A plan runs the four numeric
+//! stages in order, then the lossless stage, each inside a telemetry span
+//! named after the stage:
 //!
 //! ```text
 //! stage1.decompose_dct → sampling → stage2.pca → stage3.quantize → lossless
 //! ```
 //!
-//! [`compress`] plans and executes that graph once; the chunked driver
-//! ([`crate::chunked`]) executes the same graph once per chunk through
-//! shared plans; [`compress_with_breakdown`] executes it with a tap that
-//! captures the stage-1 coefficients so per-stage accuracy can be measured
-//! without re-deriving any stage body.
+//! [`StageTimings`] is read off those spans. [`compress`] plans and runs the
+//! chain once; the chunked driver ([`crate::chunked`]) runs it once per slab
+//! through shared plans; [`compress_with_breakdown`] runs it once and
+//! re-runs the deterministic stage 1 to measure per-stage accuracy.
 
-use crate::config::{DpzConfig, KSelection, Stage1Transform, Standardize};
+use crate::config::{DpzConfig, KSelection, Scheme, Stage1Transform, Standardize};
 use crate::container::{self, ContainerData, ContainerInfo, DpzError, SectionSizes};
 use crate::decompose::{self, BlockShape};
 use crate::kpca::select_k;
+use crate::pool::BufferPool;
 use crate::quantize::{dequantize_scores, quantize_scores, QuantizedScores};
 use crate::sampling::{SamplingEstimate, SamplingStrategy};
-use crate::stage::{BufferPool, Stage, StageGraph, StageTrace};
-use crate::target::{self, QualityTarget, RatioOracle};
+use crate::target::{self, TargetArtifact};
 use dpz_linalg::{Matrix, Pca, PcaOptions, RangeFinderOptions, SubspaceSeed, RANDOMIZED_MIN_M};
 use dpz_telemetry::span;
+use dpz_telemetry::span::Span;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -48,16 +48,6 @@ impl StageTimings {
     /// Total compression time.
     pub fn total(&self) -> Duration {
         self.decompose_dct + self.sampling + self.pca + self.quantize + self.lossless
-    }
-
-    fn from_trace(trace: &StageTrace) -> Self {
-        StageTimings {
-            decompose_dct: trace.duration(STAGE1_NAME),
-            sampling: trace.duration(SAMPLING_NAME),
-            pca: trace.duration(STAGE2_NAME),
-            quantize: trace.duration(STAGE3_NAME),
-            lossless: trace.duration(LOSSLESS_NAME),
-        }
     }
 }
 
@@ -89,7 +79,8 @@ pub struct CompressionStats {
     /// Sampling estimate when the strategy ran.
     pub sampling: Option<SamplingEstimate>,
     /// Whether the emitted container carries per-section CRC-32 trailers
-    /// (true for the current version-2 writer).
+    /// (always true: the writer emits version 2, or version 3 when a
+    /// section uses tANS, and both carry them).
     pub checksummed: bool,
 }
 
@@ -100,6 +91,16 @@ pub struct Compressed {
     pub bytes: Vec<u8>,
     /// Instrumentation.
     pub stats: CompressionStats,
+}
+
+impl TargetArtifact for Compressed {
+    fn ratio(&self) -> f64 {
+        self.stats.cr_total
+    }
+
+    fn decode(&self) -> Result<Vec<f32>, DpzError> {
+        decompress(&self.bytes).map(|(values, _)| values)
+    }
 }
 
 /// Minimum and range of the data, with a range floor of 1 so constant
@@ -114,8 +115,9 @@ pub(crate) fn value_extent(data: &[f32]) -> (f64, f64) {
     (lo, if range > 0.0 { range } else { 1.0 })
 }
 
-/// Validate and flatten-check the input.
-fn check_input(data: &[f32], dims: &[usize]) -> Result<(), DpzError> {
+/// Validate and flatten-check the input of a public compression entry
+/// point (plans trust their callers).
+pub(crate) fn check_input(data: &[f32], dims: &[usize]) -> Result<(), DpzError> {
     if data.len() < 2 {
         return Err(DpzError::BadInput("need at least two values"));
     }
@@ -130,13 +132,22 @@ fn check_input(data: &[f32], dims: &[usize]) -> Result<(), DpzError> {
     Ok(())
 }
 
-// Stage names double as telemetry span names and StageTrace keys; the
-// chunked driver and telemetry tests rely on them, so they are constants.
+// Stage names double as telemetry span names; the chunked driver and the
+// telemetry tests rely on them, so they are constants.
 const STAGE1_NAME: &str = "stage1.decompose_dct";
 const SAMPLING_NAME: &str = "sampling";
 const STAGE2_NAME: &str = "stage2.pca";
 const STAGE3_NAME: &str = "stage3.quantize";
 const LOSSLESS_NAME: &str = "lossless";
+
+/// Run one stage inside a span named after it. The body annotates the span;
+/// the stage's time is read off the span just before it closes, so it never
+/// exceeds the duration the span itself records.
+fn in_span<T>(name: &'static str, body: impl FnOnce(&mut Span) -> T) -> (T, Duration) {
+    let mut span = span::span(name);
+    let out = body(&mut span);
+    (out, span.elapsed())
+}
 
 /// Fixed randomized range-finder configuration shared by every fit the
 /// pipeline routes through the sketched path. The seed is a compile-time
@@ -158,6 +169,10 @@ pub(crate) fn rank_with_margin(k: usize) -> usize {
     k + (k / 4).max(2)
 }
 
+/// A stage-2 fit: the model, the sketch scores when the randomized arm ran,
+/// and the converged basis to hand to the next similar buffer.
+type Stage2Fit = (Pca, Option<Matrix>, Option<SubspaceSeed>);
+
 /// Rank-bounded stage-2 fit of [`rank_with_margin`]`(k)` pairs through
 /// [`Pca::fit_rank`]'s solver policy. The warm seed (TVE-gated when
 /// `gate_tve` is given) goes in, and the converged basis is handed on
@@ -165,20 +180,17 @@ pub(crate) fn rank_with_margin(k: usize) -> usize {
 /// wave that fitted densely therefore keeps the chunked driver's prior
 /// seed.
 fn fit_rank_margin(
-    ctx: &mut PipelineCtx<'_>,
     coeffs: &Matrix,
     opts: PcaOptions,
     k: usize,
+    warm: Option<&SubspaceSeed>,
     gate_tve: Option<f64>,
-) -> Result<(Pca, Option<Matrix>), DpzError> {
+) -> Result<Stage2Fit, DpzError> {
     let want = rank_with_margin(k);
-    let fit = Pca::fit_rank(coeffs, opts, want, &RF_OPTS, ctx.warm_in, gate_tve)?;
+    let fit = Pca::fit_rank(coeffs, opts, want, &RF_OPTS, warm, gate_tve)?;
     let randomized = fit.scores.is_some();
-    record_pca_route(randomized, ctx.warm_in.is_some(), fit.warm_used);
-    if randomized {
-        ctx.warm_out = Some(fit.basis);
-    }
-    Ok((fit.pca, fit.scores))
+    record_pca_route(randomized, warm.is_some(), fit.warm_used);
+    Ok((fit.pca, fit.scores, randomized.then_some(fit.basis)))
 }
 
 /// Telemetry for the stage-2 solver routing: how often the randomized path
@@ -198,286 +210,26 @@ fn record_pca_route(randomized: bool, warm_offered: bool, warm_used: bool) {
     }
 }
 
-/// Mutable state threaded through the compression stage graph: the input
-/// (borrowed), the planned shape, and each stage's product.
-struct PipelineCtx<'a> {
-    // Input + plan (read-only for stages).
-    data: &'a [f32],
-    dims: &'a [usize],
-    cfg: &'a DpzConfig,
-    shape: BlockShape,
-    transform_tag: u8,
-    dwt_levels: u8,
-    pool: &'a BufferPool,
-    // Stage products.
-    norm_min: f64,
-    norm_range: f64,
-    coeffs: Option<Matrix>,
-    sampling_est: Option<SamplingEstimate>,
+/// What stage 2 hands on: the fitted model, the selected rank and the
+/// projected scores.
+struct Projection {
+    pca: Pca,
     standardize: bool,
-    pca: Option<Pca>,
     k: usize,
     tve_achieved: f64,
-    scores: Option<Matrix>,
-    quantized: Option<QuantizedScores>,
-    n_outliers: usize,
-    // Cross-chunk basis handoff: a converged sketch basis from a previous
-    // statistically-similar buffer seeds this fit (TVE-gated inside the
-    // fitter), and the basis this fit converged to flows out for the next.
-    warm_in: Option<&'a SubspaceSeed>,
-    warm_out: Option<SubspaceSeed>,
-}
-
-/// Stage 1: range normalization, decomposition + block transform.
-///
-/// Normalizing the flattened data to [-0.5, 0.5] (DCTZ heritage) makes the
-/// stage-3 error bound P range-relative, exactly like the paper's θ metric —
-/// without it, large-magnitude fields (e.g. HACC velocities) would overflow
-/// the quantizer range and escape every score as an outlier.
-struct Stage1Decompose;
-
-impl<'a> Stage<PipelineCtx<'a>> for Stage1Decompose {
-    fn name(&self) -> &'static str {
-        STAGE1_NAME
-    }
-
-    fn execute(&self, ctx: &mut PipelineCtx<'a>) -> Result<(), DpzError> {
-        let (norm_min, norm_range) = value_extent(ctx.data);
-        ctx.norm_min = norm_min;
-        ctx.norm_range = norm_range;
-        let storage = ctx.pool.acquire(ctx.shape.m * ctx.shape.n);
-        let coeffs = match ctx.transform_tag {
-            1 => {
-                let mut blocks = decompose::to_blocks_in(ctx.data, ctx.shape, storage);
-                for v in blocks.as_mut_slice() {
-                    *v = (*v - norm_min) / norm_range - 0.5;
-                }
-                let coeffs = decompose::dwt_blocks(&blocks, ctx.dwt_levels as usize);
-                ctx.pool.release(blocks.into_vec());
-                coeffs
-            }
-            _ => {
-                // Fused path: normalize + block + DCT + single transpose.
-                let (coeffs, scratch) = decompose::dct_blocks_from_raw(
-                    ctx.data, ctx.shape, norm_min, norm_range, storage,
-                );
-                ctx.pool.release(scratch);
-                coeffs
-            }
-        };
-        ctx.coeffs = Some(coeffs);
-        Ok(())
-    }
-
-    fn trace_args(&self, ctx: &PipelineCtx<'a>) -> Vec<(&'static str, f64)> {
-        // Coefficient matrix: the pipeline's largest transient buffer.
-        vec![
-            ("bytes", (ctx.shape.m * ctx.shape.n * 8) as f64),
-            ("blocks", ctx.shape.m as f64),
-        ]
-    }
-}
-
-/// Sampling strategy (optional): Algorithm 2's VIF probe + subset-k
-/// estimate, feeding both the truncated-solver routing in stage 2 and the
-/// predicted-ratio telemetry.
-struct SamplingStage;
-
-impl<'a> Stage<PipelineCtx<'a>> for SamplingStage {
-    fn name(&self) -> &'static str {
-        SAMPLING_NAME
-    }
-
-    fn execute(&self, ctx: &mut PipelineCtx<'a>) -> Result<(), DpzError> {
-        if !ctx.cfg.sampling {
-            return Ok(());
-        }
-        let tve = match ctx.cfg.selection {
-            KSelection::Tve(v) => v,
-            _ => SamplingStrategy::default().tve,
-        };
-        let strat = SamplingStrategy {
-            subsets: ctx.cfg.sampling_subsets,
-            picks: ctx.cfg.sampling_picks,
-            vif_sample_rate: ctx.cfg.vif_sample_rate,
-            tve,
-        };
-        let coeffs = ctx.coeffs.as_ref().expect("stage 1 ran");
-        ctx.sampling_est = Some(strat.estimate(coeffs)?);
-        Ok(())
-    }
-
-    fn trace_args(&self, ctx: &PipelineCtx<'a>) -> Vec<(&'static str, f64)> {
-        match &ctx.sampling_est {
-            Some(est) => vec![("k_estimate", est.k_estimate as f64)],
-            None => Vec::new(),
-        }
-    }
-}
-
-/// Stage 2: PCA (full, or truncated when sampling provided k_e), k
-/// selection, and projection to scores.
-struct Stage2Pca;
-
-impl<'a> Stage<PipelineCtx<'a>> for Stage2Pca {
-    fn name(&self) -> &'static str {
-        STAGE2_NAME
-    }
-
-    fn execute(&self, ctx: &mut PipelineCtx<'a>) -> Result<(), DpzError> {
-        let cfg = ctx.cfg;
-        let shape = ctx.shape;
-        let standardize = match cfg.standardize {
-            Standardize::On => true,
-            Standardize::Off => false,
-            Standardize::Auto => ctx.sampling_est.as_ref().is_some_and(|e| e.low_linearity),
-        };
-        ctx.standardize = standardize;
-        let coeffs = ctx.coeffs.take().expect("stage 1 ran");
-        let opts = PcaOptions { standardize };
-        let warm_in = ctx.warm_in;
-        // A saturated estimate (subset k pinned at the subset width) is only
-        // a lower bound on the true k; using it would silently degrade
-        // quality, so it falls through to the TVE path instead.
-        let sampled_k = ctx
-            .sampling_est
-            .as_ref()
-            .filter(|est| !est.saturated)
-            .map(|est| est.k_estimate);
-        let (pca, choice, sketch_scores) = match (sampled_k, cfg.selection) {
-            (Some(k_e), KSelection::Tve(tve)) => {
-                // Fast path: k comes from the sample; fit only k_e (+ margin)
-                // components, gating any warm seed against the configured
-                // TVE target.
-                let (pca, scores) = fit_rank_margin(ctx, &coeffs, opts, k_e, Some(tve))?;
-                let choice = select_k(&pca, KSelection::Fixed(k_e));
-                (pca, choice, scores)
-            }
-            // No sampling estimate, but the selection mode itself bounds the
-            // needed rank: route through the rank-bounded solvers instead of
-            // the full O(M³) decomposition whenever the bound is far below M.
-            (_, KSelection::Fixed(k_fixed)) => {
-                let (pca, scores) = fit_rank_margin(ctx, &coeffs, opts, k_fixed, None)?;
-                let choice = select_k(&pca, cfg.selection);
-                (pca, choice, scores)
-            }
-            (_, KSelection::Tve(tve)) => {
-                // The randomized range-finder sketches k0 + oversample probe
-                // vectors directly on the data matrix — no M×M Gram, no
-                // Householder reduction — then escalates the sketch until the
-                // Ritz spectrum certifies the TVE target (the Ritz TVE is
-                // exact for the produced basis, so the certificate is sound).
-                // Tiny M cannot amortize the sketch; keep the exact solver.
-                let (pca, scores) = if shape.m >= RANDOMIZED_MIN_M {
-                    let k0 = (shape.m / 8).max(8);
-                    let fit = Pca::fit_tve_randomized(&coeffs, opts, tve, k0, &RF_OPTS, warm_in)?;
-                    record_pca_route(true, warm_in.is_some(), fit.warm_used);
-                    ctx.warm_out = Some(fit.basis);
-                    (fit.pca, fit.scores)
-                } else {
-                    (Pca::fit_tve_exact(&coeffs, opts, tve)?, None)
-                };
-                let choice = select_k(&pca, cfg.selection);
-                (pca, choice, scores)
-            }
-            // Knee-point detection inspects the whole spectrum.
-            _ => {
-                let pca = Pca::fit(&coeffs, opts)?;
-                let choice = select_k(&pca, cfg.selection);
-                (pca, choice, None)
-            }
-        };
-        ctx.k = choice.k;
-        ctx.tve_achieved = choice.tve_achieved;
-        // The randomized fitter already produced the projected scores from
-        // its own sketch products; reuse them (trimmed to the selected
-        // rank) instead of paying the explicit n·m·k projection again.
-        ctx.scores = Some(match sketch_scores {
-            Some(s) if s.cols() == choice.k => s,
-            Some(s) if s.cols() > choice.k => s.leading_cols(choice.k),
-            _ => pca.transform(&coeffs, choice.k)?,
-        });
-        ctx.pool.release(coeffs.into_vec());
-        ctx.pca = Some(pca);
-        Ok(())
-    }
-
-    fn trace_args(&self, ctx: &PipelineCtx<'a>) -> Vec<(&'static str, f64)> {
-        // Score matrix size: what stage 3 will quantize.
-        vec![
-            ("k", ctx.k as f64),
-            ("bytes", (ctx.shape.n * ctx.k * 8) as f64),
-        ]
-    }
-}
-
-/// Stage 3: uniform symmetric quantization of the scores.
-struct Stage3Quantize;
-
-impl<'a> Stage<PipelineCtx<'a>> for Stage3Quantize {
-    fn name(&self) -> &'static str {
-        STAGE3_NAME
-    }
-
-    fn execute(&self, ctx: &mut PipelineCtx<'a>) -> Result<(), DpzError> {
-        let scores = ctx.scores.take().expect("stage 2 ran");
-        // The plan validated the config, so a static bound is guaranteed
-        // here; the error path survives as a defensive check.
-        let scheme = ctx.cfg.resolved_scheme()?;
-        let quantized = quantize_scores(scores.as_slice(), scheme);
-        ctx.pool.release(scores.into_vec());
-        ctx.n_outliers = quantized.outliers.len();
-        ctx.quantized = Some(quantized);
-        Ok(())
-    }
-
-    fn trace_args(&self, ctx: &PipelineCtx<'a>) -> Vec<(&'static str, f64)> {
-        vec![("outliers", ctx.n_outliers as f64)]
-    }
-}
-
-/// Model rounding: f32-round the PCA projection/means/scales and gather
-/// everything the container must persist. This closes the numeric phase —
-/// what follows (entropy coding) touches only bytes.
-fn assemble_payload(ctx: &mut PipelineCtx<'_>) -> ContainerData {
-    let pca = ctx.pca.as_ref().expect("stage 2 ran");
-    let k = ctx.k;
-    let projection = pca.projection(k);
-    let basis: Vec<f32> = projection.as_slice().iter().map(|&v| v as f32).collect();
-    let mean: Vec<f32> = pca.mean().iter().map(|&v| v as f32).collect();
-    let scale: Vec<f32> = pca
-        .feature_scale()
-        .map(|s| s.iter().map(|&v| v as f32).collect())
-        .unwrap_or_default();
-    let scores = ctx.quantized.take().expect("stage 3 ran");
-    ContainerData {
-        dims: ctx.dims.to_vec(),
-        orig_len: ctx.data.len(),
-        m: ctx.shape.m,
-        n: ctx.shape.n,
-        pad: ctx.shape.pad,
-        norm_min: ctx.norm_min,
-        norm_range: ctx.norm_range,
-        k,
-        transform_tag: ctx.transform_tag,
-        dwt_levels: ctx.dwt_levels,
-        p: scores.p,
-        standardized: ctx.standardize,
-        basis,
-        mean,
-        scale,
-        scores,
-    }
+    scores: Matrix,
+    /// Converged sketch basis for the next similar buffer (randomized arms
+    /// only).
+    basis: Option<SubspaceSeed>,
 }
 
 /// Everything stages 1–3 produce for one buffer, ready for entropy coding.
 ///
 /// The numeric/lossless split exists so the chunked driver can overlap
 /// chunk `i`'s entropy coding with chunk `i+1`'s DCT/PCA on the same
-/// thread pool — see [`crate::chunked::compress_chunked`]. Feed it to
-/// [`PipelinePlan::encode`]; the pair is exactly equivalent to
-/// [`PipelinePlan::execute`].
-pub struct NumericOutcome {
+/// thread pool — see [`crate::chunked::compress_chunked`]. Feeding it to
+/// `PipelinePlan::encode` is exactly equivalent to `PipelinePlan::execute`.
+pub(crate) struct NumericOutcome {
     payload: ContainerData,
     timings: StageTimings,
     tve_achieved: f64,
@@ -489,22 +241,23 @@ pub struct NumericOutcome {
 impl NumericOutcome {
     /// Hand the stage-1–3 payload to an alternative entropy coder — the
     /// chunked driver's progressive writer serializes it per-component
-    /// instead of through [`PipelinePlan::encode`].
+    /// instead of through `PipelinePlan::encode`.
     pub(crate) fn into_payload(self) -> ContainerData {
         self.payload
     }
 }
 
-/// A planned compression: shape and transform resolved once for a given
-/// `(length, config)`, executable against any number of equal-length
-/// buffers. Scratch storage is recycled through a shared [`BufferPool`], so
-/// repeated executions — one per chunk in the chunked driver, one per frame
-/// in a streaming caller — reach steady state without per-buffer
-/// allocation of the block matrix.
-pub struct PipelinePlan {
+/// A planned compression: shape, transform and quantizer scheme resolved
+/// once for a given `(length, config)`, executable against any number of
+/// equal-length buffers. Scratch storage is recycled through a shared
+/// `BufferPool`, so repeated executions — one per chunk in the chunked
+/// driver — reach steady state without per-buffer allocation of the block
+/// matrix.
+pub(crate) struct PipelinePlan {
     cfg: DpzConfig,
     len: usize,
     shape: BlockShape,
+    scheme: Scheme,
     transform_tag: u8,
     dwt_levels: u8,
     pool: Arc<BufferPool>,
@@ -513,21 +266,25 @@ pub struct PipelinePlan {
 impl PipelinePlan {
     /// Plan a compression of `len` values under `cfg`, with a private
     /// buffer pool.
-    pub fn new(len: usize, cfg: &DpzConfig) -> Result<Self, DpzError> {
+    pub(crate) fn new(len: usize, cfg: &DpzConfig) -> Result<Self, DpzError> {
         Self::with_pool(len, cfg, Arc::new(BufferPool::new()))
     }
 
     /// [`PipelinePlan::new`] with a caller-provided pool, so several plans
     /// (e.g. the chunked driver's full-slab and ragged-tail plans) share
     /// one free-list.
-    pub fn with_pool(len: usize, cfg: &DpzConfig, pool: Arc<BufferPool>) -> Result<Self, DpzError> {
+    pub(crate) fn with_pool(
+        len: usize,
+        cfg: &DpzConfig,
+        pool: Arc<BufferPool>,
+    ) -> Result<Self, DpzError> {
         if len < 2 {
             return Err(DpzError::BadInput("need at least two values"));
         }
-        // Validate up front: bad bounds are typed errors here, and
-        // data-dependent targets (`Ratio` / `Psnr`) must already have been
-        // resolved by `compress`'s control loop before a plan exists.
-        cfg.resolved_scheme()?;
+        // Bad bounds are typed errors here, and data-dependent targets
+        // (`Ratio` / `Psnr`) must already have been resolved by the
+        // control loop before a plan exists.
+        let scheme = cfg.resolved_scheme()?;
         let shape = decompose::choose_shape(len);
         let (transform_tag, dwt_levels) = match cfg.transform {
             Stage1Transform::Dct => (0u8, 0u8),
@@ -539,46 +296,20 @@ impl PipelinePlan {
             cfg: *cfg,
             len,
             shape,
+            scheme,
             transform_tag,
             dwt_levels,
             pool,
         })
     }
 
-    /// The block shape this plan resolved.
-    pub fn shape(&self) -> BlockShape {
-        self.shape
-    }
-
-    /// Planned input length.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the plan is for an empty input (never true: planning
-    /// requires at least two values).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The stage names of the compression graph, in execution order.
-    pub fn stage_names() -> [&'static str; 5] {
-        [
-            STAGE1_NAME,
-            SAMPLING_NAME,
-            STAGE2_NAME,
-            STAGE3_NAME,
-            LOSSLESS_NAME,
-        ]
-    }
-
     /// Execute the plan against one buffer. `data.len()` must equal the
     /// planned length and `dims` must describe it. Equivalent to
     /// [`PipelinePlan::project`] followed by [`PipelinePlan::encode`].
-    pub fn execute(&self, data: &[f32], dims: &[usize]) -> Result<Compressed, DpzError> {
+    pub(crate) fn execute(&self, data: &[f32], dims: &[usize]) -> Result<Compressed, DpzError> {
         let mut root = span!("compress");
         root.annotate("bytes", (data.len() * 4) as f64);
-        let (outcome, _, _) = self.project_inner(data, dims, false, None)?;
+        let (outcome, _) = self.project(data, dims, None)?;
         Ok(self.encode(outcome))
     }
 
@@ -586,91 +317,239 @@ impl PipelinePlan {
     /// return the artifacts the entropy coder needs. The chunked driver
     /// uses this to overlap one slab's [`PipelinePlan::encode`] with the
     /// next slab's numeric stages.
-    pub fn project(&self, data: &[f32], dims: &[usize]) -> Result<NumericOutcome, DpzError> {
-        self.project_inner(data, dims, false, None)
-            .map(|(o, _, _)| o)
-    }
-
-    /// [`PipelinePlan::project`] with a cross-buffer basis handoff: `warm`
-    /// seeds this buffer's PCA sketch (the fitter's TVE gate rejects it if
-    /// the data drifted), and the converged basis comes back for the next
-    /// statistically-similar buffer. Returns `None` for the basis when the
+    ///
+    /// `warm` seeds this buffer's PCA sketch (the fitter's TVE gate rejects
+    /// it if the data drifted), and the converged basis comes back for the
+    /// next statistically-similar buffer. The basis is `None` when the
     /// routing took a dense path (small M, knee-point selection, …).
-    pub fn project_warm(
+    pub(crate) fn project(
         &self,
         data: &[f32],
         dims: &[usize],
         warm: Option<&SubspaceSeed>,
     ) -> Result<(NumericOutcome, Option<SubspaceSeed>), DpzError> {
-        self.project_inner(data, dims, false, warm)
-            .map(|(o, _, basis)| (o, basis))
-    }
-
-    /// [`PipelinePlan::project`] that additionally captures the stage-1
-    /// coefficient matrix via a graph tap (for breakdown analyses).
-    fn project_inner(
-        &self,
-        data: &[f32],
-        dims: &[usize],
-        capture_coeffs: bool,
-        warm: Option<&SubspaceSeed>,
-    ) -> Result<(NumericOutcome, Option<Matrix>, Option<SubspaceSeed>), DpzError> {
-        check_input(data, dims)?;
         if data.len() != self.len {
             return Err(DpzError::BadInput("data length does not match plan"));
         }
-
-        let graph: StageGraph<PipelineCtx> = StageGraph::new()
-            .then(Stage1Decompose)
-            .then(SamplingStage)
-            .then(Stage2Pca)
-            .then(Stage3Quantize);
-        let mut ctx = PipelineCtx {
-            data,
-            dims,
-            cfg: &self.cfg,
-            shape: self.shape,
-            transform_tag: self.transform_tag,
-            dwt_levels: self.dwt_levels,
-            pool: &self.pool,
-            norm_min: 0.0,
-            norm_range: 1.0,
-            coeffs: None,
-            sampling_est: None,
-            standardize: false,
-            pca: None,
-            k: 0,
-            tve_achieved: 0.0,
-            scores: None,
-            quantized: None,
-            n_outliers: 0,
-            warm_in: warm,
-            warm_out: None,
-        };
-        let mut captured = None;
-        let trace = graph.run_with_tap(&mut ctx, |name, c| {
-            if capture_coeffs && name == STAGE1_NAME {
-                captured = c.coeffs.clone();
+        let shape = self.shape;
+        let ((coeffs, norm_min, norm_range), decompose_dct) = in_span(STAGE1_NAME, |span| {
+            let out = self.decompose_dct(data);
+            // Coefficient matrix: the pipeline's largest transient buffer.
+            span.annotate("bytes", (shape.m * shape.n * 8) as f64);
+            span.annotate("blocks", shape.m as f64);
+            out
+        });
+        let (sampling_est, sampling) = in_span(SAMPLING_NAME, |span| {
+            let est = self.sample(&coeffs)?;
+            if let Some(est) = &est {
+                span.annotate("k_estimate", est.k_estimate as f64);
             }
-        })?;
+            Ok::<_, DpzError>(est)
+        });
+        let sampling_est = sampling_est?;
+        let (proj, t_pca) = in_span(STAGE2_NAME, |span| {
+            let proj = self.fit_pca(coeffs, sampling_est.as_ref(), warm)?;
+            // Score matrix size: what stage 3 will quantize.
+            span.annotate("k", proj.k as f64);
+            span.annotate("bytes", (shape.n * proj.k * 8) as f64);
+            Ok::<_, DpzError>(proj)
+        });
+        let proj = proj?;
+        let (scores, quantize) = in_span(STAGE3_NAME, |span| {
+            let scores = self.quantize(proj.scores);
+            span.annotate("outliers", scores.outliers.len() as f64);
+            scores
+        });
 
-        let payload = assemble_payload(&mut ctx);
+        // Model rounding: f32-round the PCA projection/means/scales and
+        // gather everything the container must persist. This closes the
+        // numeric phase — what follows (entropy coding) touches only bytes.
+        let k = proj.k;
+        let model = &proj.pca;
+        let basis: Vec<f32> = model
+            .projection(k)
+            .as_slice()
+            .iter()
+            .map(|&v| v as f32)
+            .collect();
+        let mean: Vec<f32> = model.mean().iter().map(|&v| v as f32).collect();
+        let scale: Vec<f32> = model
+            .feature_scale()
+            .map(|s| s.iter().map(|&v| v as f32).collect())
+            .unwrap_or_default();
+        let n_outliers = scores.outliers.len();
         let outcome = NumericOutcome {
-            payload,
-            timings: StageTimings::from_trace(&trace),
-            tve_achieved: ctx.tve_achieved,
-            sampling_est: ctx.sampling_est.take(),
-            n_outliers: ctx.n_outliers,
+            payload: ContainerData {
+                dims: dims.to_vec(),
+                orig_len: data.len(),
+                m: shape.m,
+                n: shape.n,
+                pad: shape.pad,
+                norm_min,
+                norm_range,
+                k,
+                transform_tag: self.transform_tag,
+                dwt_levels: self.dwt_levels,
+                p: scores.p,
+                standardized: proj.standardize,
+                basis,
+                mean,
+                scale,
+                scores,
+            },
+            timings: StageTimings {
+                decompose_dct,
+                sampling,
+                pca: t_pca,
+                quantize,
+                lossless: Duration::ZERO,
+            },
+            tve_achieved: proj.tve_achieved,
+            sampling_est,
+            n_outliers,
             orig_bytes: data.len() * 4,
         };
-        let basis = ctx.warm_out.take();
-        Ok((outcome, captured, basis))
+        Ok((outcome, proj.basis))
+    }
+
+    /// Stage 1: range normalization, decomposition + block transform.
+    /// Returns the coefficient matrix and the `(min, range)` normalization.
+    ///
+    /// Normalizing the flattened data to [-0.5, 0.5] (DCTZ heritage) makes the
+    /// stage-3 error bound P range-relative, exactly like the paper's θ metric —
+    /// without it, large-magnitude fields (e.g. HACC velocities) would overflow
+    /// the quantizer range and escape every score as an outlier.
+    fn decompose_dct(&self, data: &[f32]) -> (Matrix, f64, f64) {
+        let (norm_min, norm_range) = value_extent(data);
+        let storage = self.pool.acquire(self.shape.m * self.shape.n);
+        let coeffs = match self.transform_tag {
+            1 => {
+                let mut blocks = decompose::to_blocks_in(data, self.shape, storage);
+                for v in blocks.as_mut_slice() {
+                    *v = (*v - norm_min) / norm_range - 0.5;
+                }
+                let coeffs = decompose::dwt_blocks(&blocks, self.dwt_levels as usize);
+                self.pool.release(blocks.into_vec());
+                coeffs
+            }
+            _ => {
+                // Fused path: normalize + block + DCT + single transpose.
+                let (coeffs, scratch) =
+                    decompose::dct_blocks_from_raw(data, self.shape, norm_min, norm_range, storage);
+                self.pool.release(scratch);
+                coeffs
+            }
+        };
+        (coeffs, norm_min, norm_range)
+    }
+
+    /// Sampling strategy (optional): Algorithm 2's VIF probe + subset-k
+    /// estimate, feeding both the truncated-solver routing in stage 2 and
+    /// the predicted-ratio telemetry. `None` when sampling is off.
+    fn sample(&self, coeffs: &Matrix) -> Result<Option<SamplingEstimate>, DpzError> {
+        let cfg = &self.cfg;
+        if !cfg.sampling {
+            return Ok(None);
+        }
+        let tve = match cfg.selection {
+            KSelection::Tve(v) => v,
+            _ => SamplingStrategy::default().tve,
+        };
+        let strat = SamplingStrategy {
+            subsets: cfg.sampling_subsets,
+            picks: cfg.sampling_picks,
+            vif_sample_rate: cfg.vif_sample_rate,
+            tve,
+        };
+        strat.estimate(coeffs).map(Some)
+    }
+
+    /// Stage 2: PCA (full, or rank-bounded when sampling provided k_e or the
+    /// selection fixes k), k selection, and projection to scores. Returns
+    /// the coefficient storage to the pool.
+    fn fit_pca(
+        &self,
+        coeffs: Matrix,
+        est: Option<&SamplingEstimate>,
+        warm: Option<&SubspaceSeed>,
+    ) -> Result<Projection, DpzError> {
+        let cfg = &self.cfg;
+        let standardize = match cfg.standardize {
+            Standardize::On => true,
+            Standardize::Off => false,
+            Standardize::Auto => est.is_some_and(|e| e.low_linearity),
+        };
+        let opts = PcaOptions { standardize };
+        // A saturated estimate (subset k pinned at the subset width) is only
+        // a lower bound on the true k; using it would silently degrade
+        // quality, so it falls through to the TVE path instead.
+        let sampled_k = est.filter(|e| !e.saturated).map(|e| e.k_estimate);
+        let ((pca, sketch_scores, basis), selection) = match (sampled_k, cfg.selection) {
+            // Fast path: k comes from the sample; fit only k_e (+ margin)
+            // components, gating any warm seed against the configured TVE
+            // target.
+            (Some(k_e), KSelection::Tve(tve)) => (
+                fit_rank_margin(&coeffs, opts, k_e, warm, Some(tve))?,
+                KSelection::Fixed(k_e),
+            ),
+            // No sampling estimate, but the selection mode itself bounds the
+            // needed rank: route through the rank-bounded solvers instead of
+            // the full O(M³) decomposition whenever the bound is far below M.
+            (_, KSelection::Fixed(k_fixed)) => (
+                fit_rank_margin(&coeffs, opts, k_fixed, warm, None)?,
+                cfg.selection,
+            ),
+            // The randomized range-finder sketches k0 + oversample probe
+            // vectors directly on the data matrix — no M×M Gram, no
+            // Householder reduction — then escalates the sketch until the
+            // Ritz spectrum certifies the TVE target (the Ritz TVE is exact
+            // for the produced basis, so the certificate is sound).
+            (_, KSelection::Tve(tve)) if self.shape.m >= RANDOMIZED_MIN_M => {
+                let k0 = (self.shape.m / 8).max(8);
+                let fit = Pca::fit_tve_randomized(&coeffs, opts, tve, k0, &RF_OPTS, warm)?;
+                record_pca_route(true, warm.is_some(), fit.warm_used);
+                ((fit.pca, fit.scores, Some(fit.basis)), cfg.selection)
+            }
+            // Tiny M cannot amortize the sketch; keep the exact solver.
+            (_, KSelection::Tve(tve)) => (
+                (Pca::fit_tve_exact(&coeffs, opts, tve)?, None, None),
+                cfg.selection,
+            ),
+            // Knee-point detection inspects the whole spectrum.
+            _ => ((Pca::fit(&coeffs, opts)?, None, None), cfg.selection),
+        };
+        let choice = select_k(&pca, selection);
+        // The randomized fitter already produced the projected scores from
+        // its own sketch products; reuse them (trimmed to the selected
+        // rank) instead of paying the explicit n·m·k projection again.
+        let scores = match sketch_scores {
+            Some(s) if s.cols() == choice.k => s,
+            Some(s) if s.cols() > choice.k => s.leading_cols(choice.k),
+            _ => pca.transform(&coeffs, choice.k)?,
+        };
+        self.pool.release(coeffs.into_vec());
+        Ok(Projection {
+            pca,
+            standardize,
+            k: choice.k,
+            tve_achieved: choice.tve_achieved,
+            scores,
+            basis,
+        })
+    }
+
+    /// Stage 3: uniform symmetric quantization of the scores. Returns the
+    /// score storage to the pool.
+    fn quantize(&self, scores: Matrix) -> QuantizedScores {
+        let quantized = quantize_scores(scores.as_slice(), self.scheme);
+        self.pool.release(scores.into_vec());
+        quantized
     }
 
     /// Entropy-code a numeric outcome into the final container (the
     /// lossless stage), producing byte-for-byte the same stream
     /// [`PipelinePlan::execute`] would have.
-    pub fn encode(&self, outcome: NumericOutcome) -> Compressed {
+    pub(crate) fn encode(&self, outcome: NumericOutcome) -> Compressed {
         let NumericOutcome {
             payload,
             mut timings,
@@ -679,12 +558,12 @@ impl PipelinePlan {
             n_outliers,
             orig_bytes,
         } = outcome;
-        let mut span = dpz_telemetry::span::span(LOSSLESS_NAME);
-        let start = std::time::Instant::now();
-        let (bytes, sections) = container::serialize_with_backend(&payload, self.cfg.lossless);
-        timings.lossless = start.elapsed();
-        span.annotate("bytes", bytes.len() as f64);
-        drop(span);
+        let ((bytes, sections), lossless) = in_span(LOSSLESS_NAME, |span| {
+            let out = container::serialize_with_backend(&payload, self.cfg.lossless);
+            span.annotate("bytes", out.0.len() as f64);
+            out
+        });
+        timings.lossless = lossless;
 
         let (m, n, k, standardize) = (payload.m, payload.n, payload.k, payload.standardized);
         // Per-stage ratio accounting (Table III semantics):
@@ -720,120 +599,29 @@ impl PipelinePlan {
 
 /// Compress `data` (shape `dims`) under `cfg`.
 ///
-/// Static targets (`ErrorBound` / `RelBound`) plan once and execute the
-/// stage graph once; callers compressing many equal-length buffers should
-/// hold a [`PipelinePlan`] instead and amortize the planning + scratch
-/// allocation. The control targets run their resolution loop first:
+/// Static targets (`ErrorBound` / `RelBound`) plan once and run the stage
+/// chain once. The control targets run their resolution loop
+/// ([`crate::target`]) around it first:
 ///
-/// * [`QualityTarget::Ratio`] — FRaZ-style bound search against the
-///   [`RatioOracle`] (≤ [`target::MAX_ORACLE_PROBES`] oracle calls),
-///   confirmed against the real artifact with one corrective, calibrated
-///   re-search allowed before failing typed.
-/// * [`QualityTarget::Psnr`] — closed-form bound, validated post-hoc
-///   against the real roundtrip with bounded tighten-and-retry.
+/// * [`QualityTarget::Ratio`](crate::QualityTarget::Ratio) — FRaZ-style
+///   bound search against the [`RatioOracle`](crate::RatioOracle)
+///   (≤ [`target::MAX_ORACLE_PROBES`] oracle calls), confirmed against the
+///   real artifact with one corrective, calibrated re-search allowed before
+///   failing typed.
+/// * [`QualityTarget::Psnr`](crate::QualityTarget::Psnr) — closed-form
+///   bound, validated post-hoc against the real roundtrip with bounded
+///   tighten-and-retry.
 pub fn compress(data: &[f32], dims: &[usize], cfg: &DpzConfig) -> Result<Compressed, DpzError> {
     check_input(data, dims)?;
     cfg.target.validate()?;
-    match cfg.target {
-        QualityTarget::Ratio { target, tol } => compress_fixed_ratio(data, dims, cfg, target, tol),
-        QualityTarget::Psnr(db) => compress_fixed_psnr(data, dims, cfg, db),
-        _ => PipelinePlan::new(data.len(), cfg)?.execute(data, dims),
-    }
+    target::compress_to_target(data, cfg, |resolved| {
+        PipelinePlan::new(data.len(), resolved)?.execute(data, dims)
+    })
 }
-
-/// Bounded retries of the post-hoc PSNR validation loop.
-const MAX_PSNR_ATTEMPTS: u32 = 3;
 
 /// Acceptance slack for fixed-PSNR mode: the final artifact may sit this
 /// far (dB) under the request before the mode fails typed.
 pub const PSNR_SLACK_DB: f64 = 0.5;
-
-/// Fixed-ratio control loop: search the bound space against the sampling
-/// oracle, compress once, and — if the real ratio misses the band — run one
-/// calibrated re-search (oracle scaled by measured/predicted) and one
-/// corrective compression before failing typed.
-fn compress_fixed_ratio(
-    data: &[f32],
-    dims: &[usize],
-    cfg: &DpzConfig,
-    target_cr: f64,
-    tol: f64,
-) -> Result<Compressed, DpzError> {
-    let reg = dpz_telemetry::global();
-    let oracle = RatioOracle::build(data, cfg)?;
-    let (resolved, res) = target::resolve_ratio(cfg, &oracle, target_cr, tol, 1.0)?;
-    let out = PipelinePlan::new(data.len(), &resolved)?.execute(data, dims)?;
-    reg.counter_with("dpz_target_confirm_total", &[("mode", "ratio")])
-        .inc();
-    if target::ratio_within(out.stats.cr_total, target_cr, tol) {
-        return Ok(out);
-    }
-
-    // The entropy model has dataset-dependent bias (DEFLATE matches, model
-    // packing); one measured point calibrates it out.
-    let predicted = res.predicted_cr.unwrap_or(out.stats.cr_total).max(1e-9);
-    let calibration = out.stats.cr_total / predicted;
-    let (resolved2, _) = target::resolve_ratio(cfg, &oracle, target_cr, tol, calibration)?;
-    let out2 = PipelinePlan::new(data.len(), &resolved2)?.execute(data, dims)?;
-    reg.counter_with("dpz_target_confirm_total", &[("mode", "ratio")])
-        .inc();
-    let dist = |cr: f64| (cr.max(1e-12) / target_cr).ln().abs();
-    let best = if dist(out2.stats.cr_total) <= dist(out.stats.cr_total) {
-        out2
-    } else {
-        out
-    };
-    if target::ratio_within(best.stats.cr_total, target_cr, tol) {
-        Ok(best)
-    } else {
-        Err(DpzError::TargetUnreachable {
-            requested: target_cr,
-            achievable: best.stats.cr_total,
-        })
-    }
-}
-
-/// Fixed-PSNR control loop: closed-form bound (with truncation headroom),
-/// post-hoc validation against the real roundtrip, and bounded
-/// tighten-and-retry (bound ÷ 4, one more TVE nine) when the measurement
-/// falls short.
-fn compress_fixed_psnr(
-    data: &[f32],
-    dims: &[usize],
-    cfg: &DpzConfig,
-    db: f64,
-) -> Result<Compressed, DpzError> {
-    let reg = dpz_telemetry::global();
-    let (mut resolved, res) = target::resolve_psnr(cfg, db);
-    let mut p = res.p;
-    let mut best: Option<(Compressed, f64)> = None;
-    for attempt in 0..MAX_PSNR_ATTEMPTS {
-        let out = PipelinePlan::new(data.len(), &resolved)?.execute(data, dims)?;
-        let (recon, _) = decompress(&out.bytes)?;
-        let measured = psnr(data, &recon);
-        if measured >= db {
-            return Ok(out);
-        }
-        if best.as_ref().is_none_or(|(_, m)| measured > *m) {
-            best = Some((out, measured));
-        }
-        if attempt + 1 < MAX_PSNR_ATTEMPTS {
-            reg.counter("dpz_target_psnr_retries_total").inc();
-            p *= 0.25;
-            resolved = resolved.with_resolved_bound(p);
-            resolved.selection = target::tighten_selection_once(resolved.selection);
-        }
-    }
-    let (out, measured) = best.expect("at least one attempt ran");
-    if measured >= db - PSNR_SLACK_DB {
-        Ok(out)
-    } else {
-        Err(DpzError::TargetUnreachable {
-            requested: db,
-            achievable: measured,
-        })
-    }
-}
 
 /// Publish one compression's activity to the global telemetry registry.
 /// `CompressionStats` stays the caller-facing view; this mirrors the same
@@ -1013,11 +801,11 @@ impl CompressionBreakdown {
 /// Compress and additionally measure where the error budget goes: the
 /// stage-1&2-only PSNR (unquantized scores) versus the final PSNR.
 ///
-/// This is the *same* stage graph as [`compress`] — a tap after
-/// `stage1.decompose_dct` captures the coefficient matrix, and the
-/// stage-1&2 reconstruction projects it through the *stored* (f32-rounded)
-/// model so basis rounding is attributed to stage 1&2, as in the paper
-/// where stage 3 only adds quantization noise.
+/// The container comes from the *same* plan as [`compress`]. Stage 1 is
+/// deterministic, so running it again yields bitwise the coefficients the
+/// compression used; the stage-1&2 reconstruction projects them through
+/// the *stored* (f32-rounded) model so basis rounding is attributed to
+/// stage 1&2, as in the paper where stage 3 only adds quantization noise.
 pub fn compress_with_breakdown(
     data: &[f32],
     dims: &[usize],
@@ -1025,9 +813,9 @@ pub fn compress_with_breakdown(
 ) -> Result<CompressionBreakdown, DpzError> {
     check_input(data, dims)?;
     let plan = PipelinePlan::new(data.len(), cfg)?;
-    let (outcome, coeffs, _) = plan.project_inner(data, dims, true, None)?;
+    let (outcome, _) = plan.project(data, dims, None)?;
     let compressed = plan.encode(outcome);
-    let coeffs = coeffs.expect("tap captured stage-1 coefficients");
+    let (coeffs, _, _) = plan.decompose_dct(data);
     let payload = container::deserialize(&compressed.bytes)?;
     let (reconstructed, _, _) = reconstruct(&payload)?;
 
@@ -1066,8 +854,7 @@ pub fn compress_with_breakdown(
 }
 
 /// Local PSNR helper (range-based, matching `dpz-data`'s definition without
-/// creating a dependency cycle). Shared with the chunked drivers' fixed-PSNR
-/// validation.
+/// creating a dependency cycle). Shared with the fixed-PSNR validation loop.
 pub(crate) fn psnr(original: &[f32], reconstructed: &[f32]) -> f64 {
     let n = original.len();
     let mut lo = f64::INFINITY;
@@ -1273,8 +1060,6 @@ mod tests {
             Err(DpzError::BadInput(_))
         ));
         let plan = PipelinePlan::new(64, &DpzConfig::loose()).unwrap();
-        assert_eq!(plan.len(), 64);
-        assert!(!plan.is_empty());
         let short = vec![1.0f32; 32];
         assert!(matches!(
             plan.execute(&short, &[32]),
@@ -1293,20 +1078,6 @@ mod tests {
         // And identical to the one-shot wrapper.
         let c = compress(&data, &[64, 64], &DpzConfig::loose()).unwrap();
         assert_eq!(a.bytes, c.bytes);
-    }
-
-    #[test]
-    fn stage_names_are_stable() {
-        assert_eq!(
-            PipelinePlan::stage_names(),
-            [
-                "stage1.decompose_dct",
-                "sampling",
-                "stage2.pca",
-                "stage3.quantize",
-                "lossless"
-            ]
-        );
     }
 
     #[test]

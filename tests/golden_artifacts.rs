@@ -1,14 +1,14 @@
 //! Byte-identity pins for the two DPZ container formats.
 //!
-//! The stage-graph refactor (and any future one) must not change a single
-//! emitted byte for a fixed input and config: DPZ1 and DPZC artifacts are
-//! archival formats, and deployments diff them across versions. These FNV-1a
-//! digests were captured from the pre-refactor pipeline; if an intentional
-//! format change ever lands, re-capture them in the same commit that bumps
-//! the container version.
+//! A refactor must not change a single emitted byte for a fixed input and
+//! config: DPZ1 and DPZC artifacts are archival formats, and deployments
+//! diff them across versions. These FNV-1a digests were captured before the
+//! refactors they guard; if an intentional format change ever lands,
+//! re-capture them in the same commit that bumps the container version.
 
 use dpz::prelude::*;
 use dpz_core::{compress_chunked, compress_progressive};
+use dpz_linalg::fit::FitKind;
 
 /// Legacy streams frozen from the retired v1/v2 writers, all of the 64×96
 /// field with the loose config (DPZC: 4 chunks). See `fixtures/legacy`.
@@ -60,6 +60,7 @@ fn golden_cases() -> Vec<(&'static str, Vec<u8>)> {
     let square = smooth_field(256, 256);
     let fixed = |k| DpzConfig::loose().with_selection(KSelection::Fixed(k));
     let sampled = DpzConfig::loose().with_sampling(true);
+    let psnr60 = DpzConfig::loose().with_target(QualityTarget::Psnr(60.0));
     vec![
         (
             "dpz1-loose-64x96",
@@ -129,7 +130,82 @@ fn golden_cases() -> Vec<(&'static str, Vec<u8>)> {
                 .unwrap()
                 .bytes,
         ),
+        // Quality targets: the fixed-PSNR validation loop and the
+        // fixed-ratio search + confirm, through every driver that runs them.
+        (
+            "dpz1-psnr60-64x96",
+            compress(&field, &[64, 96], &psnr60).unwrap().bytes,
+        ),
+        (
+            "dpz1-psnr60-256x256",
+            compress(&square, &[256, 256], &psnr60).unwrap().bytes,
+        ),
+        (
+            "dpzc-psnr60-4x-256x256",
+            compress_chunked(&square, &[256, 256], &psnr60, 4)
+                .unwrap()
+                .bytes,
+        ),
+        (
+            "dpzp-psnr60-4x-256x256",
+            compress_progressive(&square, &[256, 256], &psnr60, 4)
+                .unwrap()
+                .bytes,
+        ),
+        (
+            "dpz1-ratio15-64x96",
+            compress(&field, &[64, 96], &ratio(15.0)).unwrap().bytes,
+        ),
+        (
+            "dpz1-ratio40-256x256",
+            compress(&square, &[256, 256], &ratio(40.0)).unwrap().bytes,
+        ),
+        (
+            "dpzp-ratio40-4x-256x256",
+            compress_progressive(&square, &[256, 256], &ratio(40.0), 4)
+                .unwrap()
+                .bytes,
+        ),
+        (
+            "dpzc-ratio60-4x-256x256",
+            compress_chunked(&square, &[256, 256], &ratio(60.0), 4)
+                .unwrap()
+                .bytes,
+        ),
+        // The remaining stage-1 and stage-2 arms at M = 128: the DWT
+        // transform, knee-point selection (full spectrum), and the default
+        // TVE selection on the randomized range-finder without sampling.
+        (
+            "dpz1-dwt4-256x256",
+            compress(
+                &square,
+                &[256, 256],
+                &DpzConfig::loose().with_transform(Stage1Transform::Dwt { levels: 4 }),
+            )
+            .unwrap()
+            .bytes,
+        ),
+        (
+            "dpz1-knee-interp-256x256",
+            compress(
+                &square,
+                &[256, 256],
+                &DpzConfig::loose().with_selection(KSelection::KneePoint(FitKind::Interp1d)),
+            )
+            .unwrap()
+            .bytes,
+        ),
+        (
+            "dpz1-tve-randomized-256x256",
+            compress(&square, &[256, 256], &DpzConfig::loose())
+                .unwrap()
+                .bytes,
+        ),
     ]
+}
+
+fn ratio(target: f64) -> DpzConfig {
+    DpzConfig::loose().with_target(QualityTarget::Ratio { target, tol: 0.1 })
 }
 
 #[test]
@@ -156,9 +232,22 @@ fn dpz_artifacts_are_byte_identical_to_golden() {
         ("dpz1-fixed6-randomized-256x256", 0xbc19901237fca76f),
         ("dpz1-sampling-randomized-256x256", 0xb9cf13b76b3e2b0d),
         ("dpzc-sampling-warm-10x-1280x128", 0x03e169ed8aad9eea),
+        ("dpz1-psnr60-64x96", 0xfcdb074330b4efc8),
+        ("dpz1-psnr60-256x256", 0x5666f2b6805b9505),
+        ("dpzc-psnr60-4x-256x256", 0x25bd24d4b73d91db),
+        ("dpzp-psnr60-4x-256x256", 0xbdac86bef1aa2c37),
+        ("dpz1-ratio15-64x96", 0x6b3da6643181dca7),
+        ("dpz1-ratio40-256x256", 0x2f0d8cba6edbaf9d),
+        ("dpzp-ratio40-4x-256x256", 0x3b1c63ea0075c323),
+        ("dpzc-ratio60-4x-256x256", 0xf4027cfcc81e2ae4),
+        ("dpz1-dwt4-256x256", 0xc24ba94efe5c62cf),
+        ("dpz1-knee-interp-256x256", 0x60d9ecb10009bfa3),
+        ("dpz1-tve-randomized-256x256", 0xbcedfb361eee21f3),
     ];
+    let cases = golden_cases();
+    assert_eq!(cases.len(), expected.len());
     let mut failures = Vec::new();
-    for ((name, bytes), (ename, ehash)) in golden_cases().iter().zip(expected) {
+    for ((name, bytes), (ename, ehash)) in cases.iter().zip(expected) {
         assert_eq!(name, ename);
         let h = fnv1a(bytes);
         println!("golden {name}: {h:#018x} ({} bytes)", bytes.len());
@@ -198,4 +287,58 @@ fn v4_and_legacy_reencodes_decode_to_identical_values() {
     assert_eq!(info1.version, 1);
     assert_eq!(dims1, dims2);
     assert_eq!(vals1, vals2, "DPZ1 v1 fixture diverged");
+}
+
+#[test]
+fn unreachable_ratio_targets_report_pinned_achievable_ratio() {
+    // The confirm pass's measured ratio, bit for bit: the second oracle
+    // search, the corrective compression and the best-of-two pick all
+    // feed it.
+    let cases = [
+        (
+            "dpz1-64x96",
+            compress(&smooth_field(64, 96), &[64, 96], &ratio(40.0)).map(|c| c.bytes),
+            32.899598393574294f64,
+        ),
+        (
+            "dpzc-4x-256x256",
+            compress_chunked(&smooth_field(256, 256), &[256, 256], &ratio(40.0), 4)
+                .map(|c| c.bytes),
+            35.334142067664104,
+        ),
+    ];
+    for (name, result, pinned) in cases {
+        match result {
+            Err(DpzError::TargetUnreachable {
+                requested,
+                achievable,
+            }) => {
+                assert_eq!(requested, 40.0, "{name}");
+                assert_eq!(
+                    achievable.to_bits(),
+                    pinned.to_bits(),
+                    "{name}: achievable {achievable:?}, pinned {pinned:?}"
+                );
+            }
+            other => panic!("{name}: expected TargetUnreachable, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn breakdown_psnrs_are_pinned() {
+    let b =
+        compress_with_breakdown(&smooth_field(64, 96), &[64, 96], &DpzConfig::strict()).unwrap();
+    assert_eq!(
+        b.psnr_stage12.to_bits(),
+        0x4062_60ac_5565_2d3b,
+        "psnr_stage12 {:?}",
+        b.psnr_stage12
+    );
+    assert_eq!(
+        b.psnr_final.to_bits(),
+        0x4057_b45e_545d_333a,
+        "psnr_final {:?}",
+        b.psnr_final
+    );
 }
