@@ -2,10 +2,10 @@
 //! evaluation suite. The paper's observation: stages 2 (PCA) and 3
 //! (quantization + encoding) dominate.
 //!
-//! Stage timings come from the global telemetry registry
-//! (`dpz_stage_seconds{stage=…}` histogram sums, captured as a per-dataset
-//! snapshot delta), and the accumulated registry is written alongside the
-//! CSV as a Prometheus sidecar.
+//! Stage timings are each compression's own `StageTimings`, read off its
+//! stage spans; the same spans fill `dpz_span_seconds{span=<stage>}`, and
+//! the suite's registry delta is written alongside the CSV as a Prometheus
+//! sidecar.
 
 use dpz_bench::harness::{
     format_table, stage_seconds, write_csv, write_metrics_sidecar, write_trace_sidecar, Args,
@@ -32,11 +32,9 @@ fn main() {
     let mut rows = Vec::new();
     let run_start = dpz_telemetry::global().snapshot();
     for ds in standard_suite(args.scale) {
-        let before = dpz_telemetry::global().snapshot();
         match compress(&ds.data, &ds.dims, &cfg) {
-            Ok(_) => {
-                let delta = dpz_telemetry::global().snapshot().since(&before);
-                let stages = stage_seconds(&delta);
+            Ok(out) => {
+                let stages = stage_seconds(&out.stats.timings);
                 let total: f64 = stages.iter().sum::<f64>().max(1e-12);
                 let mut row = vec![ds.name.clone(), format!("{:.1}", total * 1e3)];
                 row.extend(stages.iter().map(|s| format!("{:.1}", 100.0 * s / total)));

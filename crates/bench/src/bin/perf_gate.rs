@@ -17,6 +17,7 @@
 //! emitted JSON records both under `host` and gating against a baseline
 //! from a mismatched host is refused unless `--allow-backend-mismatch`.
 
+use dpz_bench::harness::{stage_seconds, STAGES};
 use dpz_bench::quality::QualityReport;
 use dpz_core::{DpzConfig, TveLevel};
 use dpz_data::metrics::value_range;
@@ -33,25 +34,14 @@ struct Measurement {
     mb_per_s: f64,
 }
 
-/// Stage-level wall clock of a compress path's best run, in pipeline
-/// order. Emitted under `stages` in the gate JSON so a PR's effect on the
-/// *composition* of the time (eigensolve share vs entropy share, …) is
-/// visible in the checked-in baselines, not just the totals.
-const STAGE_NAMES: [&str; 5] = ["decompose_dct", "sampling", "pca", "quantize", "lossless"];
-
+/// Stage-level wall clock of a compress path's best run, in milliseconds,
+/// indexed like [`STAGES`]. Emitted under `stages` in the gate JSON so a
+/// PR's effect on the *composition* of the time (eigensolve share vs
+/// entropy share, …) is visible in the checked-in baselines, not just the
+/// totals.
 struct StageRow {
     name: &'static str,
     ms: [f64; 5],
-}
-
-fn stage_ms(t: &dpz_core::StageTimings) -> [f64; 5] {
-    [
-        t.decompose_dct.as_secs_f64() * 1e3,
-        t.sampling.as_secs_f64() * 1e3,
-        t.pca.as_secs_f64() * 1e3,
-        t.quantize.as_secs_f64() * 1e3,
-        t.lossless.as_secs_f64() * 1e3,
-    ]
 }
 
 /// Best-of-N wall-clock milliseconds of `f` (one warmup call first).
@@ -78,7 +68,7 @@ fn best_compress(samples: usize, data: &[f32], dims: &[usize], cfg: &DpzConfig) 
         let ms = t.elapsed().as_secs_f64() * 1e3;
         if ms < best {
             best = ms;
-            stages = stage_ms(&c.stats.timings);
+            stages = stage_seconds(&c.stats.timings).map(|s| s * 1e3);
         }
     }
     (best, stages)
@@ -233,7 +223,7 @@ fn to_json(
     s.push_str("  \"stages\": {\n");
     for (i, row) in stages.iter().enumerate() {
         let sep = if i + 1 == stages.len() { "" } else { "," };
-        let fields = STAGE_NAMES
+        let fields = STAGES
             .iter()
             .zip(row.ms)
             .map(|(stage, ms)| format!("\"{stage}\": {ms:.3}"))
@@ -384,7 +374,7 @@ fn main() {
         );
     }
     for row in &stages {
-        let fields = STAGE_NAMES
+        let fields = STAGES
             .iter()
             .zip(row.ms)
             .map(|(stage, ms)| format!("{stage} {ms:.2}"))
@@ -503,7 +493,7 @@ mod tests {
             .and_then(|s| s.get("compress_dpz_loose"))
             .expect("stages.compress_dpz_loose");
         assert_eq!(row.get("pca").and_then(JsonValue::as_f64), Some(2.0));
-        for stage in STAGE_NAMES {
+        for stage in STAGES {
             assert!(row.get(stage).is_some(), "missing stage {stage}");
         }
 

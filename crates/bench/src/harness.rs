@@ -1,6 +1,7 @@
 //! Shared experiment plumbing: argument parsing, CSV output, table printing
 //! and simple summary statistics.
 
+use dpz_core::StageTimings;
 use dpz_data::dataset::DEFAULT_SEED;
 use dpz_data::Scale;
 use dpz_telemetry::Snapshot;
@@ -145,20 +146,20 @@ pub fn histogram(values: &[f32], bins: usize) -> (Vec<f64>, Vec<usize>) {
     (centers, counts)
 }
 
-/// The DPZ pipeline stages as labelled in the `dpz_stage_seconds` histogram,
-/// in execution order.
+/// The DPZ pipeline stages, in execution order, named like the fields of
+/// [`StageTimings`].
 pub const STAGES: [&str; 5] = ["decompose_dct", "sampling", "pca", "quantize", "lossless"];
 
-/// Per-stage wall-clock seconds from a registry snapshot (or delta), indexed
-/// like [`STAGES`]. Stages absent from the snapshot report 0.
-pub fn stage_seconds(metrics: &Snapshot) -> [f64; 5] {
-    let mut out = [0.0; 5];
-    for (i, stage) in STAGES.iter().enumerate() {
-        if let Some(h) = metrics.histogram("dpz_stage_seconds", &[("stage", stage)]) {
-            out[i] = h.sum;
-        }
-    }
-    out
+/// Per-stage wall-clock seconds of one compression, indexed like [`STAGES`].
+pub fn stage_seconds(timings: &StageTimings) -> [f64; 5] {
+    [
+        timings.decompose_dct,
+        timings.sampling,
+        timings.pca,
+        timings.quantize,
+        timings.lossless,
+    ]
+    .map(|d| d.as_secs_f64())
 }
 
 /// Write a snapshot as a Prometheus exposition sidecar next to the CSVs:
@@ -258,22 +259,14 @@ mod tests {
     }
 
     #[test]
-    fn stage_seconds_reads_histogram_sums() {
-        let r = dpz_telemetry::Registry::new();
-        r.histogram_with(
-            "dpz_stage_seconds",
-            &[("stage", "pca")],
-            &dpz_telemetry::LATENCY_BUCKETS_S,
-        )
-        .observe(0.25);
-        r.histogram_with(
-            "dpz_stage_seconds",
-            &[("stage", "lossless")],
-            &dpz_telemetry::LATENCY_BUCKETS_S,
-        )
-        .observe(0.5);
-        let s = stage_seconds(&r.snapshot());
-        assert_eq!(s, [0.0, 0.0, 0.25, 0.0, 0.5]);
+    fn stage_seconds_follow_stage_order() {
+        use std::time::Duration;
+        let t = StageTimings {
+            pca: Duration::from_millis(250),
+            lossless: Duration::from_millis(500),
+            ..StageTimings::default()
+        };
+        assert_eq!(stage_seconds(&t), [0.0, 0.0, 0.25, 0.0, 0.5]);
     }
 
     #[test]

@@ -214,8 +214,8 @@ mod tests {
         );
         let pca = run
             .metrics
-            .histogram("dpz_stage_seconds", &[("stage", "pca")])
-            .expect("stage histogram in delta");
+            .histogram("dpz_span_seconds", &[("span", "stage2.pca")])
+            .expect("stage span histogram in delta");
         assert!(pca.count >= 1);
 
         let sz = run_sz(&ds, 1e-3).unwrap();

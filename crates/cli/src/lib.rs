@@ -26,6 +26,7 @@ use dpz_data::metrics;
 use dpz_data::{Dataset, DatasetKind, Scale};
 use dpz_linalg::fit::FitKind;
 use std::fmt::Write as _;
+use std::time::Instant;
 
 /// CLI failure: message for stderr plus a suggestion to use `--help`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,7 +79,8 @@ QUALITY TARGETS (any codec, mutually exclusive):
                      bound (sz, zfp)
 
 OBSERVABILITY:
-  --verbose      trace every pipeline span to stderr (same as DPZ_TRACE=1)
+  --verbose      record this run's spans and print a per-span digest (count,
+                 total, p50/p99, MB/s) to stderr after the run
   --metrics-out  dump this run's metrics; '.json' writes the JSON form,
                  anything else the Prometheus text exposition
   --trace-out    record an event trace of this run and write it as Chrome
@@ -140,13 +142,12 @@ fn apply_threads(args: &[String]) -> Result<usize, CliError> {
 }
 
 /// Per-run observability state: the registry snapshot backing
-/// `--metrics-out`, the scoped `--verbose` span tracing (restored on drop so
-/// it cannot leak into later runs in the same process), and the event
-/// journal backing `--trace-out`.
+/// `--metrics-out`, and whether this run records the event journal (for
+/// `--trace-out`, `--verbose` or both).
 struct RunTelemetry {
     before: dpz_telemetry::Snapshot,
+    journal: bool,
     trace_out: Option<String>,
-    _verbose: Option<dpz_telemetry::TraceGuard>,
 }
 
 impl Drop for RunTelemetry {
@@ -154,44 +155,51 @@ impl Drop for RunTelemetry {
         // An error between begin and finish must not leave the global
         // journal recording (stop is idempotent, so the normal path — which
         // already stopped it in `telemetry_finish` — is unaffected).
-        if self.trace_out.is_some() {
+        if self.journal {
             dpz_telemetry::trace::stop();
         }
     }
 }
 
-/// Honor `--verbose`/`--trace-out` and capture the registry state before the
-/// operation, so `--metrics-out` can export only this run's activity.
+/// Honor `--verbose`/`--trace-out` by starting the event journal, and
+/// capture the registry state before the operation, so `--metrics-out` can
+/// export only this run's activity.
 fn telemetry_begin(args: &[String]) -> Result<RunTelemetry, CliError> {
-    let _verbose = has_flag(args, "--verbose").then(|| dpz_telemetry::TraceGuard::set(true));
     let trace_out = match flag_value(args, "--trace-out") {
-        Some(path) => {
-            dpz_telemetry::trace::start();
-            Some(path.to_string())
-        }
+        Some(path) => Some(path.to_string()),
         None if has_flag(args, "--trace-out") => return Err(err("--trace-out needs a file path")),
         None => None,
     };
+    let journal = trace_out.is_some() || has_flag(args, "--verbose");
+    if journal {
+        dpz_telemetry::trace::start();
+    }
     Ok(RunTelemetry {
         before: dpz_telemetry::global().snapshot(),
+        journal,
         trace_out,
-        _verbose,
     })
 }
 
 /// Delta of global registry activity since `run` began; optionally written
 /// to the `--metrics-out` path (`.json` selects JSON, else Prometheus text).
-/// Drains the event journal to the `--trace-out` path as Chrome trace JSON.
+/// Drains the event journal: to the `--trace-out` path as Chrome trace
+/// JSON, and for `--verbose` as a per-span digest on stderr.
 fn telemetry_finish(
     args: &[String],
     run: RunTelemetry,
 ) -> Result<dpz_telemetry::Snapshot, CliError> {
     let delta = dpz_telemetry::global().snapshot().since(&run.before);
-    if let Some(path) = run.trace_out.as_deref() {
+    if run.journal {
         dpz_telemetry::trace::stop();
         let trace = dpz_telemetry::trace::drain();
-        std::fs::write(path, dpz_telemetry::trace::to_chrome_json(&trace))
-            .map_err(|e| err(format!("write {path}: {e}")))?;
+        if let Some(path) = run.trace_out.as_deref() {
+            std::fs::write(path, dpz_telemetry::trace::to_chrome_json(&trace))
+                .map_err(|e| err(format!("write {path}: {e}")))?;
+        }
+        if has_flag(args, "--verbose") {
+            eprint!("{}", span_digest(&dpz_telemetry::trace::summarize(&trace)));
+        }
     }
     if let Some(path) = flag_value(args, "--metrics-out") {
         let text = if path.ends_with(".json") {
@@ -206,8 +214,36 @@ fn telemetry_finish(
     Ok(delta)
 }
 
-/// One-line compression summary: ratio from the codec's own stats, model
-/// size (DPZ) and throughput read back from the metric deltas.
+/// The `--verbose` digest: one line per span name, busiest first, from the
+/// run's event journal.
+fn span_digest(summary: &dpz_telemetry::trace::TraceSummary) -> String {
+    let mut out = format!(
+        "spans: {} names on {} threads, {} events dropped\n  {:<24} {:>6} {:>11} {:>10} {:>10} {:>9}\n",
+        summary.spans.len(),
+        summary.threads,
+        summary.dropped,
+        "span",
+        "count",
+        "total_ms",
+        "p50_ms",
+        "p99_ms",
+        "MB/s"
+    );
+    for s in &summary.spans {
+        let mbps = s.mb_per_s.map_or("-".to_string(), |v| format!("{v:.1}"));
+        let _ = writeln!(
+            out,
+            "  {:<24} {:>6} {:>11.3} {:>10.3} {:>10.3} {mbps:>9}",
+            s.name, s.count, s.total_ms, s.p50_ms, s.p99_ms
+        );
+    }
+    out
+}
+
+/// One-line compression summary: ratio from the codec's own stats, `k`
+/// and TVE (DPZ) from the metric deltas, and throughput over `secs`, the
+/// wall clock of the codec call.
+#[allow(clippy::too_many_arguments)]
 fn compress_summary(
     args: &[String],
     input: &str,
@@ -216,6 +252,7 @@ fn compress_summary(
     stats: &CodecStats,
     threads: usize,
     delta: &dpz_telemetry::Snapshot,
+    secs: f64,
 ) -> String {
     // For `--codec auto` the label shows both the request and the backend
     // the selector actually ran.
@@ -224,15 +261,6 @@ fn compress_summary(
     } else {
         format!("{requested}:{}", stats.codec)
     };
-    let span_name = match stats.codec {
-        "sz" => "sz.compress",
-        "zfp" => "zfp.compress",
-        "dpzc" => "compress_chunked",
-        _ => "compress",
-    };
-    let secs = delta
-        .histogram("dpz_span_seconds", &[("span", span_name)])
-        .map_or(0.0, |h| h.sum);
     let mbps = if secs > 0.0 {
         stats.bytes_in as f64 / 1e6 / secs
     } else {
@@ -509,6 +537,7 @@ fn cmd_compress(args: &[String]) -> Result<String, CliError> {
     let target = target_from_args(args)?;
     let run = telemetry_begin(args)?;
     let mut bytes = Vec::new();
+    let start = Instant::now();
     // A quality target routes through the resolving entry point (identical
     // to compress_into for the DPZ codecs, whose config already carries the
     // target, but required for sz/zfp/auto which map it per input).
@@ -517,6 +546,7 @@ fn cmd_compress(args: &[String]) -> Result<String, CliError> {
         None => codec.compress_into(&data, &dims, &mut bytes),
     }
     .map_err(|e| err(e.to_string()))?;
+    let secs = start.elapsed().as_secs_f64();
     std::fs::write(output, &bytes).map_err(|e| err(format!("write {output}: {e}")))?;
     let delta = telemetry_finish(args, run)?;
     let crc = match &stats.dpz {
@@ -524,7 +554,10 @@ fn cmd_compress(args: &[String]) -> Result<String, CliError> {
         Some(_) => ", no-crc",
         None => "",
     };
-    Ok(compress_summary(args, input, output, &requested, &stats, threads, &delta) + crc + &suffix)
+    let summary = compress_summary(
+        args, input, output, &requested, &stats, threads, &delta, secs,
+    );
+    Ok(summary + crc + &suffix)
 }
 
 /// Human-readable checksum status for decode summaries.
@@ -715,9 +748,20 @@ fn cmd_eval(args: &[String]) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
 
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| x.to_string()).collect()
+    }
+
+    /// The event journal is process-global: tests whose runs record it
+    /// (`--verbose`, `--trace-out`) take turns, so one run's stop and drain
+    /// never cut into another's recording.
+    fn journal_turn() -> MutexGuard<'static, ()> {
+        static JOURNAL: Mutex<()> = Mutex::new(());
+        JOURNAL
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     #[test]
@@ -911,7 +955,7 @@ mod tests {
 
         let prom = std::fs::read_to_string(&prom_path).unwrap();
         assert!(
-            prom.contains("# TYPE dpz_stage_seconds histogram"),
+            prom.contains("dpz_span_seconds_count{span=\"stage2.pca\"}"),
             "{prom}"
         );
         assert!(
@@ -952,6 +996,7 @@ mod tests {
     #[test]
     fn trace_out_writes_chrome_trace_json() {
         use dpz_telemetry::json::JsonValue;
+        let _turn = journal_turn();
         let dir = std::env::temp_dir().join("dpz_cli_trace");
         std::fs::create_dir_all(&dir).unwrap();
         let raw = dir.join("t.f32").to_string_lossy().into_owned();
@@ -1006,9 +1051,8 @@ mod tests {
             }
         }
 
-        // All five pipeline stages show up as spans (paths are dotted:
-        // "compress_chunked.chunk.stage2.pca" on the caller thread,
-        // "chunk.stage2.pca" on pool workers, so match by suffix).
+        // All five pipeline stages show up as spans, under their own names
+        // on the caller thread and on pool workers alike.
         let spans: Vec<String> = events
             .iter()
             .filter(|ev| str_field(ev, "ph") == "X")
@@ -1022,7 +1066,7 @@ mod tests {
             "lossless",
         ] {
             assert!(
-                spans.iter().any(|n| n.ends_with(stage)),
+                spans.iter().any(|n| n == stage),
                 "missing stage span '{stage}' in {spans:?}"
             );
         }
@@ -1030,7 +1074,7 @@ mod tests {
         // Per-chunk spans are tagged with their chunk index and byte count.
         assert!(
             events.iter().any(|ev| {
-                str_field(ev, "name").ends_with("chunk")
+                str_field(ev, "name") == "chunk"
                     && ev
                         .get("args")
                         .and_then(|a| a.get("chunk"))
@@ -1101,6 +1145,7 @@ mod tests {
 
     #[test]
     fn verbose_summary_reports_kernel_backend() {
+        let _turn = journal_turn();
         let dir = std::env::temp_dir().join("dpz_cli_kernel");
         std::fs::create_dir_all(&dir).unwrap();
         let raw = dir.join("k.f32").to_string_lossy().into_owned();
@@ -1116,18 +1161,43 @@ mod tests {
             "--verbose",
         ]))
         .unwrap();
-        // --verbose holds a TraceGuard for the run's duration, so span
-        // tracing is restored (no hand-reset) before the next command.
         assert!(
             msg.contains(&format!("kernel={}", dpz_kernels::backend_name())),
             "{msg}"
         );
+        // The journal --verbose recorded is scoped to that run.
+        assert!(!dpz_telemetry::trace::journal_enabled());
 
         // Without --verbose the summary stays as terse as before.
         let msg = run(&s(&["compress", &raw, &packed, "--dims", "45x90"])).unwrap();
         assert!(!msg.contains("kernel="), "{msg}");
 
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn verbose_digest_has_one_row_per_span_name() {
+        use dpz_telemetry::trace::{SpanStats, TraceSummary};
+        let row = |name: &str, mb_per_s| SpanStats {
+            name: name.to_string(),
+            count: 4,
+            p50_ms: 1.0,
+            p99_ms: 2.0,
+            total_ms: 5.0,
+            mb_per_s,
+        };
+        let digest = span_digest(&TraceSummary {
+            spans: vec![row("stage2.pca", None), row("chunk", Some(12.5))],
+            counters: Vec::new(),
+            threads: 3,
+            dropped: 0,
+        });
+        let lines: Vec<&str> = digest.lines().collect();
+        assert_eq!(lines.len(), 4, "{digest}");
+        assert!(lines[0].contains("3 threads"), "{digest}");
+        assert!(lines[2].trim_start().starts_with("stage2.pca "), "{digest}");
+        assert!(lines[2].trim_end().ends_with('-'), "{digest}");
+        assert!(lines[3].trim_end().ends_with("12.5"), "{digest}");
     }
 
     #[test]
@@ -1187,6 +1257,7 @@ mod tests {
 
     #[test]
     fn chunked_and_auto_codecs_round_trip_via_cli() {
+        let _turn = journal_turn();
         let dir = std::env::temp_dir().join("dpz_cli_trait_codecs");
         std::fs::create_dir_all(&dir).unwrap();
         let raw = dir.join("a.f32").to_string_lossy().into_owned();

@@ -268,7 +268,7 @@ fn compress_chunked_resolved(
     // compressing each slab in isolation (the seed changes which basis the
     // sketch converges to; the TVE certificate is unchanged).
     let project_one = |(index, chunk): (usize, &[f32]), warm: Option<&SubspaceSeed>| {
-        let mut chunk_span = dpz_telemetry::span::span("chunk");
+        let mut chunk_span = span!("chunk");
         chunk_span.annotate("chunk", index as f64);
         chunk_span.annotate("bytes", (chunk.len() * 4) as f64);
         slabs.project(chunk, warm)
@@ -531,7 +531,9 @@ fn parse_footer(
         return Err(DpzError::Corrupt("unknown container flags"));
     }
     let total = checked_product(dims, "dims overflow")?;
-    let rest: usize = dims[1..].iter().product::<usize>().max(1);
+    // Checked separately: a zero slow axis keeps `total` small while the
+    // remaining dims alone overflow.
+    let rest = checked_product(&dims[1..], "dims overflow")?.max(1);
     let mut cur = FooterCursor {
         buf: footer,
         pos: 0,

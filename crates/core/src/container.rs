@@ -219,11 +219,7 @@ pub fn serialize_with_backend(
         LosslessBackend::Deflate => VERSION,
         LosslessBackend::Tans => VERSION_TANS,
     };
-    // Model section: basis ++ mean ++ scale.
-    let mut model = Vec::with_capacity((data.basis.len() + 2 * data.mean.len()) * 4);
-    for &v in data.basis.iter().chain(&data.mean).chain(&data.scale) {
-        model.extend_from_slice(&v.to_le_bytes());
-    }
+    let model = model_section(data);
     // DEFLATE sections are multi-member zlib: parallel strips, with small
     // sections falling back to a byte-identical single member (see
     // `dpz_deflate::compress_parallel`). tANS sections are one stream.
@@ -265,22 +261,7 @@ pub fn serialize_with_backend(
     let mut out = Vec::with_capacity(sizes.total_packed() + 128);
     out.extend_from_slice(MAGIC);
     out.push(version);
-    out.push(data.dims.len() as u8);
-    for &d in &data.dims {
-        push_u64(&mut out, d);
-    }
-    push_u64(&mut out, data.orig_len);
-    push_u64(&mut out, data.m);
-    push_u64(&mut out, data.n);
-    push_u64(&mut out, data.pad);
-    out.extend_from_slice(&data.norm_min.to_le_bytes());
-    out.extend_from_slice(&data.norm_range.to_le_bytes());
-    push_u64(&mut out, data.k);
-    out.push(data.transform_tag);
-    out.push(data.dwt_levels);
-    out.extend_from_slice(&data.p.to_le_bytes());
-    out.push(u8::from(data.scores.wide_index));
-    out.push(u8::from(data.standardized));
+    write_header(&mut out, data);
     section(&mut out, model_backend, model.len(), &model_packed);
     let n_indices = data.scores.indices.len();
     section(&mut out, indices_backend, n_indices, &indices_packed);
@@ -304,6 +285,164 @@ fn pack_section(raw: &[u8], backend: LosslessBackend) -> (Vec<u8>, LosslessBacke
             LosslessBackend::Deflate,
         ),
     }
+}
+
+/// Write the header fields DPZ1 and DPZP share, from `ndims` through the
+/// `standardized` flag (each format writes its own magic and version
+/// first).
+fn write_header(out: &mut Vec<u8>, data: &ContainerData) {
+    out.push(data.dims.len() as u8);
+    for &d in &data.dims {
+        push_u64(out, d);
+    }
+    push_u64(out, data.orig_len);
+    push_u64(out, data.m);
+    push_u64(out, data.n);
+    push_u64(out, data.pad);
+    out.extend_from_slice(&data.norm_min.to_le_bytes());
+    out.extend_from_slice(&data.norm_range.to_le_bytes());
+    push_u64(out, data.k);
+    out.push(data.transform_tag);
+    out.push(data.dwt_levels);
+    out.extend_from_slice(&data.p.to_le_bytes());
+    out.push(u8::from(data.scores.wide_index));
+    out.push(u8::from(data.standardized));
+}
+
+/// The raw model section both formats store: basis ++ mean ++ scale.
+fn model_section(data: &ContainerData) -> Vec<u8> {
+    let mut model = Vec::with_capacity((data.basis.len() + 2 * data.mean.len()) * 4);
+    for &v in data.basis.iter().chain(&data.mean).chain(&data.scale) {
+        model.extend_from_slice(&v.to_le_bytes());
+    }
+    model
+}
+
+/// Read the header fields DPZ1 and DPZP share (after magic and version)
+/// and validate them: every size they imply is consistent and
+/// overflow-free. Returns the payload with the model and the quantized
+/// scores still empty, plus the raw length of the model section the header
+/// implies.
+fn read_header(cur: &mut Cursor<'_>) -> Result<(ContainerData, usize), DpzError> {
+    let ndims = cur.u8()? as usize;
+    if ndims == 0 || ndims > 8 {
+        return Err(DpzError::Corrupt("implausible dimensionality"));
+    }
+    let mut dims = Vec::with_capacity(ndims);
+    for _ in 0..ndims {
+        dims.push(cur.u64()?);
+    }
+    let orig_len = cur.u64()?;
+    let m = cur.u64()?;
+    let n = cur.u64()?;
+    let pad = cur.u64()?;
+    let norm_min = cur.f64()?;
+    let norm_range = cur.f64()?;
+    let k = cur.u64()?;
+    let transform_tag = cur.u8()?;
+    let dwt_levels = cur.u8()?;
+    if transform_tag > 1 || (transform_tag == 0 && dwt_levels != 0) {
+        return Err(DpzError::Corrupt("unknown stage-1 transform"));
+    }
+    // The inverse DWT asserts a depth the block length supports.
+    if effective_dwt_levels(n, dwt_levels.into()) != usize::from(dwt_levels) {
+        return Err(DpzError::Corrupt("infeasible DWT depth"));
+    }
+    let p = cur.f64()?;
+    let wide_index = cur.u8()? != 0;
+    let standardized = cur.u8()? != 0;
+    // Every size that combines attacker-controlled header fields goes
+    // through checked arithmetic: the eight-large-dims header must land in
+    // `Corrupt`, not an `attempt to multiply with overflow` panic.
+    if checked_product(&dims, "dims overflow")? != orig_len {
+        return Err(DpzError::Corrupt("dims do not match length"));
+    }
+    if m == 0
+        || n == 0
+        || orig_len
+            .checked_add(pad)
+            .is_none_or(|padded| m.checked_mul(n) != Some(padded))
+    {
+        return Err(DpzError::Corrupt("inconsistent block shape"));
+    }
+    if k == 0 || k > m {
+        return Err(DpzError::Corrupt("invalid component count"));
+    }
+    // `!(x > 0.0)` rather than `x <= 0.0`: NaN must also be rejected.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    if !(p > 0.0) || !p.is_finite() {
+        return Err(DpzError::Corrupt("invalid error bound"));
+    }
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    if !norm_min.is_finite() || !(norm_range > 0.0) || !norm_range.is_finite() {
+        return Err(DpzError::Corrupt("invalid normalization"));
+    }
+    let model_len = checked_product(&[m, k], "model size overflow")?
+        .checked_add(m)
+        .and_then(|v| v.checked_add(if standardized { m } else { 0 }))
+        .and_then(|v| v.checked_mul(4))
+        .ok_or(DpzError::Corrupt("model size overflow"))?;
+    let bins = if wide_index {
+        u32::from(u16::MAX)
+    } else {
+        u32::from(u8::MAX)
+    };
+    let scores = QuantizedScores {
+        indices: Vec::new(),
+        wide_index,
+        outliers: Vec::new(),
+        p,
+        bins,
+        len: 0,
+    };
+    let data = ContainerData {
+        dims,
+        orig_len,
+        m,
+        n,
+        pad,
+        norm_min,
+        norm_range,
+        k,
+        transform_tag,
+        dwt_levels,
+        p,
+        standardized,
+        basis: Vec::new(),
+        mean: Vec::new(),
+        scale: Vec::new(),
+        scores,
+    };
+    Ok((data, model_len))
+}
+
+/// Read the model section (`raw len`, then the packed section) into
+/// `data`'s basis (all `k` stored components, `M×k` row-major), mean and
+/// scale. The raw length must be the `model_len` the header implies.
+fn read_model(
+    cur: &mut Cursor<'_>,
+    data: &mut ContainerData,
+    model_len: usize,
+    checksummed: bool,
+    backend: LosslessBackend,
+) -> Result<(), DpzError> {
+    if cur.u64()? != model_len {
+        return Err(DpzError::Corrupt("model section shape mismatch"));
+    }
+    let model = cur.section(
+        model_len,
+        checksummed,
+        backend,
+        "model section checksum mismatch",
+    )?;
+    // Split in place, leaving the basis where it was decoded: `read_header`
+    // checked that m·k fits, and the scale is empty unless standardized.
+    let mut basis = f32s_from(&model);
+    let mk = data.m * data.k;
+    data.scale = basis.split_off(mk + data.m);
+    data.mean = basis.split_off(mk);
+    data.basis = basis;
+    Ok(())
 }
 
 struct Cursor<'a> {
@@ -434,66 +573,9 @@ pub fn deserialize_with_info(bytes: &[u8]) -> Result<(ContainerData, ContainerIn
         return Err(DpzError::Corrupt("unsupported version"));
     }
     let checksummed = version >= 2;
-    let ndims = cur.u8()? as usize;
-    if ndims == 0 || ndims > 8 {
-        return Err(DpzError::Corrupt("implausible dimensionality"));
-    }
-    let mut dims = Vec::with_capacity(ndims);
-    for _ in 0..ndims {
-        dims.push(cur.u64()?);
-    }
-    let orig_len = cur.u64()?;
-    let m = cur.u64()?;
-    let n = cur.u64()?;
-    let pad = cur.u64()?;
-    let norm_min = cur.f64()?;
-    let norm_range = cur.f64()?;
-    let k = cur.u64()?;
-    let transform_tag = cur.u8()?;
-    let dwt_levels = cur.u8()?;
-    if transform_tag > 1 || (transform_tag == 0 && dwt_levels != 0) {
-        return Err(DpzError::Corrupt("unknown stage-1 transform"));
-    }
-    // The inverse DWT asserts a depth the block length supports.
-    if effective_dwt_levels(n, dwt_levels.into()) != usize::from(dwt_levels) {
-        return Err(DpzError::Corrupt("infeasible DWT depth"));
-    }
-    let p = cur.f64()?;
-    let wide_index = cur.u8()? != 0;
-    let standardized = cur.u8()? != 0;
-    // Every size that combines attacker-controlled header fields goes
-    // through checked arithmetic: the eight-large-dims header must land in
-    // `Corrupt`, not an `attempt to multiply with overflow` panic.
-    if checked_product(&dims, "dims overflow")? != orig_len {
-        return Err(DpzError::Corrupt("dims do not match length"));
-    }
-    if m == 0
-        || n == 0
-        || orig_len
-            .checked_add(pad)
-            .is_none_or(|padded| m.checked_mul(n) != Some(padded))
-    {
-        return Err(DpzError::Corrupt("inconsistent block shape"));
-    }
-    if k == 0 || k > m {
-        return Err(DpzError::Corrupt("invalid component count"));
-    }
-    // `!(x > 0.0)` rather than `x <= 0.0`: NaN must also be rejected.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    if !(p > 0.0) || !p.is_finite() {
-        return Err(DpzError::Corrupt("invalid error bound"));
-    }
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    if !norm_min.is_finite() || !(norm_range > 0.0) || !norm_range.is_finite() {
-        return Err(DpzError::Corrupt("invalid normalization"));
-    }
+    let (mut data, model_len) = read_header(&mut cur)?;
+    let (n, k) = (data.n, data.k);
 
-    let mk = checked_product(&[m, k], "model size overflow")?;
-    let expected_model = mk
-        .checked_add(m)
-        .and_then(|v| v.checked_add(if standardized { m } else { 0 }))
-        .and_then(|v| v.checked_mul(4))
-        .ok_or(DpzError::Corrupt("model size overflow"))?;
     let mut tans_sections = 0u8;
     let mut count_tans = |b: LosslessBackend| {
         tans_sections += u8::from(b == LosslessBackend::Tans);
@@ -501,26 +583,9 @@ pub fn deserialize_with_info(bytes: &[u8]) -> Result<(ContainerData, ContainerIn
     };
 
     let model_backend = count_tans(cur.backend(version)?);
-    let model_raw = cur.u64()?;
-    if model_raw != expected_model {
-        return Err(DpzError::Corrupt("model section shape mismatch"));
-    }
-    let model = cur.section(
-        expected_model,
-        checksummed,
-        model_backend,
-        "model section checksum mismatch",
-    )?;
-    let model_f = f32s_from(&model);
-    let basis = model_f[..mk].to_vec();
-    let mean = model_f[mk..mk + m].to_vec();
-    let scale = if standardized {
-        model_f[mk + m..].to_vec()
-    } else {
-        Vec::new()
-    };
+    read_model(&mut cur, &mut data, model_len, checksummed, model_backend)?;
 
-    let index_width = if wide_index { 2 } else { 1 };
+    let index_width = if data.scores.wide_index { 2 } else { 1 };
     let nk = checked_product(&[n, k], "index size overflow")?;
     let expected_indices = checked_product(&[nk, index_width], "index size overflow")?;
     let indices_backend = count_tans(cur.backend(version)?);
@@ -528,7 +593,7 @@ pub fn deserialize_with_info(bytes: &[u8]) -> Result<(ContainerData, ContainerIn
     if indices_raw != expected_indices {
         return Err(DpzError::Corrupt("index stream length mismatch"));
     }
-    let indices = cur.section(
+    data.scores.indices = cur.section(
         expected_indices,
         checksummed,
         indices_backend,
@@ -548,39 +613,9 @@ pub fn deserialize_with_info(bytes: &[u8]) -> Result<(ContainerData, ContainerIn
         outliers_backend,
         "outlier section checksum mismatch",
     )?;
-    let outliers = f32s_from(&outlier_bytes);
+    data.scores.outliers = f32s_from(&outlier_bytes);
+    data.scores.len = nk;
 
-    let bins = if wide_index {
-        u32::from(u16::MAX)
-    } else {
-        u32::from(u8::MAX)
-    };
-    let scores = QuantizedScores {
-        indices,
-        wide_index,
-        outliers,
-        p,
-        bins,
-        len: nk,
-    };
-    let data = ContainerData {
-        dims,
-        orig_len,
-        m,
-        n,
-        pad,
-        norm_min,
-        norm_range,
-        k,
-        transform_tag,
-        dwt_levels,
-        p,
-        standardized,
-        basis,
-        mean,
-        scale,
-        scores,
-    };
     Ok((
         data,
         ContainerInfo {
@@ -619,6 +654,14 @@ pub struct ProgressiveLayout {
     pub components: Vec<ComponentSpan>,
 }
 
+/// The quantizer code in one index cell (one byte, or two little-endian).
+fn index_code(cell: &[u8]) -> u16 {
+    match *cell {
+        [lo, hi] => u16::from_le_bytes([lo, hi]),
+        _ => u16::from(cell[0]),
+    }
+}
+
 /// Serialize to the progressive layout: the DPZ1 header fields under the
 /// `DPZP` magic, the whole model section first (mandatory for any decode),
 /// then one `(column id, indices, outliers)` section group per PCA
@@ -639,12 +682,7 @@ pub fn serialize_progressive(data: &ContainerData) -> (Vec<u8>, ProgressiveLayou
             let off = (row * k + col) * width;
             let cell = &data.scores.indices[off..off + width];
             col_indices[col].extend_from_slice(cell);
-            let code = if width == 2 {
-                u16::from_le_bytes([cell[0], cell[1]])
-            } else {
-                u16::from(cell[0])
-            };
-            if code == escape {
+            if index_code(cell) == escape {
                 if let Some(&v) = next_outlier.next() {
                     col_outliers[col].push(v);
                 }
@@ -683,27 +721,8 @@ pub fn serialize_progressive(data: &ContainerData) -> (Vec<u8>, ProgressiveLayou
     let mut out = Vec::new();
     out.extend_from_slice(PROGRESSIVE_MAGIC);
     out.push(PROGRESSIVE_VERSION);
-    out.push(data.dims.len() as u8);
-    for &d in &data.dims {
-        push_u64(&mut out, d);
-    }
-    push_u64(&mut out, data.orig_len);
-    push_u64(&mut out, data.m);
-    push_u64(&mut out, data.n);
-    push_u64(&mut out, data.pad);
-    out.extend_from_slice(&data.norm_min.to_le_bytes());
-    out.extend_from_slice(&data.norm_range.to_le_bytes());
-    push_u64(&mut out, data.k);
-    out.push(data.transform_tag);
-    out.push(data.dwt_levels);
-    out.extend_from_slice(&data.p.to_le_bytes());
-    out.push(u8::from(data.scores.wide_index));
-    out.push(u8::from(data.standardized));
-
-    let mut model = Vec::with_capacity((data.basis.len() + 2 * data.mean.len()) * 4);
-    for &v in data.basis.iter().chain(&data.mean).chain(&data.scale) {
-        model.extend_from_slice(&v.to_le_bytes());
-    }
+    write_header(&mut out, data);
+    let model = model_section(data);
     section(&mut out, model.len(), &model);
     let model_end = out.len();
 
@@ -745,89 +764,20 @@ pub fn deserialize_progressive(
     if cur.u8()? != PROGRESSIVE_VERSION {
         return Err(DpzError::Corrupt("unsupported version"));
     }
-    let ndims = cur.u8()? as usize;
-    if ndims == 0 || ndims > 8 {
-        return Err(DpzError::Corrupt("implausible dimensionality"));
-    }
-    let mut dims = Vec::with_capacity(ndims);
-    for _ in 0..ndims {
-        dims.push(cur.u64()?);
-    }
-    let orig_len = cur.u64()?;
-    let m = cur.u64()?;
-    let n = cur.u64()?;
-    let pad = cur.u64()?;
-    let norm_min = cur.f64()?;
-    let norm_range = cur.f64()?;
-    let k = cur.u64()?;
-    let transform_tag = cur.u8()?;
-    let dwt_levels = cur.u8()?;
-    if transform_tag > 1 || (transform_tag == 0 && dwt_levels != 0) {
-        return Err(DpzError::Corrupt("unknown stage-1 transform"));
-    }
-    // The inverse DWT asserts a depth the block length supports.
-    if effective_dwt_levels(n, dwt_levels.into()) != usize::from(dwt_levels) {
-        return Err(DpzError::Corrupt("infeasible DWT depth"));
-    }
-    let p = cur.f64()?;
-    let wide_index = cur.u8()? != 0;
-    let standardized = cur.u8()? != 0;
-    if checked_product(&dims, "dims overflow")? != orig_len {
-        return Err(DpzError::Corrupt("dims do not match length"));
-    }
-    if m == 0
-        || n == 0
-        || orig_len
-            .checked_add(pad)
-            .is_none_or(|padded| m.checked_mul(n) != Some(padded))
-    {
-        return Err(DpzError::Corrupt("inconsistent block shape"));
-    }
-    if k == 0 || k > m {
-        return Err(DpzError::Corrupt("invalid component count"));
-    }
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    if !(p > 0.0) || !p.is_finite() {
-        return Err(DpzError::Corrupt("invalid error bound"));
-    }
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    if !norm_min.is_finite() || !(norm_range > 0.0) || !norm_range.is_finite() {
-        return Err(DpzError::Corrupt("invalid normalization"));
-    }
-
-    let mk = checked_product(&[m, k], "model size overflow")?;
-    let expected_model = mk
-        .checked_add(m)
-        .and_then(|v| v.checked_add(if standardized { m } else { 0 }))
-        .and_then(|v| v.checked_mul(4))
-        .ok_or(DpzError::Corrupt("model size overflow"))?;
-    let model_raw = cur.u64()?;
-    if model_raw != expected_model {
-        return Err(DpzError::Corrupt("model section shape mismatch"));
-    }
-    let model = cur.section(
-        expected_model,
+    let (mut data, model_len) = read_header(&mut cur)?;
+    let (m, n, k) = (data.m, data.n, data.k);
+    read_model(
+        &mut cur,
+        &mut data,
+        model_len,
         true,
         LosslessBackend::Deflate,
-        "model section checksum mismatch",
     )?;
-    let model_f = f32s_from(&model);
-    let full_basis = &model_f[..mk];
-    let mean = model_f[mk..mk + m].to_vec();
-    let scale = if standardized {
-        model_f[mk + m..].to_vec()
-    } else {
-        Vec::new()
-    };
 
     let take_k = max_components.unwrap_or(k).min(k).max(1);
-    let width = if wide_index { 2 } else { 1 };
+    let width = if data.scores.wide_index { 2 } else { 1 };
     let per_col_indices = checked_product(&[n, width], "index size overflow")?;
-    let escape = if wide_index {
-        u16::MAX
-    } else {
-        u16::from(u8::MAX)
-    };
+    let escape = data.scores.bins as u16;
 
     let mut cols = Vec::with_capacity(take_k);
     let mut col_streams: Vec<Vec<u8>> = Vec::with_capacity(take_k);
@@ -851,14 +801,7 @@ pub fn deserialize_progressive(
         )?;
         let n_escapes = stream
             .chunks_exact(width)
-            .filter(|c| {
-                let code = if width == 2 {
-                    u16::from_le_bytes([c[0], c[1]])
-                } else {
-                    u16::from(c[0])
-                };
-                code == escape
-            })
+            .filter(|&c| index_code(c) == escape)
             .count();
         let n_out = cur.u64()?;
         if n_out != n_escapes {
@@ -883,12 +826,7 @@ pub fn deserialize_progressive(
         for (j, stream) in col_streams.iter().enumerate() {
             let cell = &stream[row * width..(row + 1) * width];
             indices.extend_from_slice(cell);
-            let code = if width == 2 {
-                u16::from_le_bytes([cell[0], cell[1]])
-            } else {
-                u16::from(cell[0])
-            };
-            if code == escape {
+            if index_code(cell) == escape {
                 // Count was validated against the escapes above.
                 outliers.push(
                     *next[j]
@@ -902,44 +840,15 @@ pub fn deserialize_progressive(
     let mut basis = Vec::with_capacity(m * take_k);
     for i in 0..m {
         for &c in &cols {
-            basis.push(full_basis[i * k + c]);
+            basis.push(data.basis[i * k + c]);
         }
     }
-
-    let bins = if wide_index {
-        u32::from(u16::MAX)
-    } else {
-        u32::from(u8::MAX)
-    };
-    let scores = QuantizedScores {
-        indices,
-        wide_index,
-        outliers,
-        p,
-        bins,
-        len: n * take_k,
-    };
-    Ok((
-        ContainerData {
-            dims,
-            orig_len,
-            m,
-            n,
-            pad,
-            norm_min,
-            norm_range,
-            k: take_k,
-            transform_tag,
-            dwt_levels,
-            p,
-            standardized,
-            basis,
-            mean,
-            scale,
-            scores,
-        },
-        take_k,
-    ))
+    data.basis = basis;
+    data.k = take_k;
+    data.scores.indices = indices;
+    data.scores.outliers = outliers;
+    data.scores.len = n * take_k;
+    Ok((data, take_k))
 }
 
 #[cfg(test)]

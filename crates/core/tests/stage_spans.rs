@@ -1,12 +1,15 @@
-//! The compression chain's telemetry contract: one span per stage, directly
-//! under `compress`, in chain order, with the stage's annotations, and
-//! `StageTimings` read off those spans.
+//! The compression chain's telemetry contract: one span per stage, inside
+//! `compress` on the caller's thread, in chain order, with the stage's
+//! annotations, and `StageTimings` read off those spans. Every span carries
+//! its own static name, whichever thread runs it: the chunked driver's
+//! stage and chunk spans are named the same on the caller and on pool
+//! workers.
 //!
 //! The event journal is process-global, so this file is its own test binary
 //! and holds a single test: nothing else may emit into the journal while it
 //! records.
 
-use dpz_core::{compress, Compressed, DpzConfig};
+use dpz_core::{compress, compress_chunked, Compressed, DpzConfig};
 use dpz_telemetry::trace::{self, EventKind, TraceEvent};
 use std::time::Duration;
 
@@ -28,11 +31,10 @@ fn smooth_field(rows: usize, cols: usize) -> Vec<f32> {
         .collect()
 }
 
-/// Compress once with the journal on; return the artifact and the spans.
-fn journaled_compress(cfg: &DpzConfig) -> (Compressed, Vec<TraceEvent>) {
-    let data = smooth_field(64, 96);
+/// Run `f` with the journal on; return its output and the spans it emitted.
+fn journaled<T>(f: impl FnOnce() -> T) -> (T, Vec<TraceEvent>) {
     trace::start();
-    let out = compress(&data, &[64, 96], cfg).unwrap();
+    let out = f();
     trace::stop();
     let spans = trace::drain()
         .events
@@ -40,6 +42,12 @@ fn journaled_compress(cfg: &DpzConfig) -> (Compressed, Vec<TraceEvent>) {
         .filter(|e| e.kind == EventKind::Span)
         .collect();
     (out, spans)
+}
+
+/// Compress once with the journal on; return the artifact and the spans.
+fn journaled_compress(cfg: &DpzConfig) -> (Compressed, Vec<TraceEvent>) {
+    let data = smooth_field(64, 96);
+    journaled(|| compress(&data, &[64, 96], cfg).unwrap())
 }
 
 fn arg_keys(ev: &TraceEvent) -> Vec<&str> {
@@ -63,9 +71,8 @@ fn stage_spans<'a>(out: &Compressed, spans: &'a [TraceEvent]) -> Vec<&'a TraceEv
     let stages: Vec<&TraceEvent> = STAGES
         .iter()
         .map(|stage| {
-            let path = format!("compress.{stage}");
-            let hits: Vec<&TraceEvent> = spans.iter().filter(|e| e.name == path).collect();
-            assert_eq!(hits.len(), 1, "one {path} span");
+            let hits: Vec<&TraceEvent> = spans.iter().filter(|e| e.name == *stage).collect();
+            assert_eq!(hits.len(), 1, "one {stage} span");
             hits[0]
         })
         .collect();
@@ -132,4 +139,28 @@ fn compress_emits_one_annotated_span_per_stage() {
     let est = out.stats.sampling.as_ref().expect("sampling ran");
     assert_eq!(arg_keys(stages[1]), ["k_estimate"]);
     assert_eq!(arg(stages[1], "k_estimate"), est.k_estimate as f64);
+
+    // Chunked: the stage chain runs once per slab, on the caller or on a
+    // pool worker. Every stage and chunk span, on every lane, carries
+    // exactly its static name, with no prefix from what enclosed it.
+    let chunks = 4;
+    let data = smooth_field(64, 96);
+    let (out, spans) =
+        journaled(|| compress_chunked(&data, &[64, 96], &DpzConfig::loose(), chunks).unwrap());
+    assert_eq!(out.chunk_stats.len(), chunks);
+    let names: Vec<&str> = STAGES.iter().copied().chain(["chunk"]).collect();
+    for ev in &spans {
+        if names.iter().any(|name| ev.name.ends_with(name)) {
+            assert!(
+                names.contains(&ev.name.as_str()),
+                "span {:?} on lane {} is not a static name",
+                ev.name,
+                ev.thread
+            );
+        }
+    }
+    for name in names {
+        let hits = spans.iter().filter(|e| e.name == name).count();
+        assert_eq!(hits, chunks, "one {name} span per chunk");
+    }
 }

@@ -104,7 +104,7 @@ impl Shared {
         if dpz_telemetry::trace::journal_enabled() {
             let t0 = std::time::Instant::now();
             task();
-            dpz_telemetry::trace::complete("pool.task", t0.elapsed().as_nanos() as u64, &[]);
+            dpz_telemetry::trace::complete("pool.task", t0, &[]);
         } else {
             task();
         }
@@ -248,11 +248,7 @@ fn worker_loop(shared: &Shared, id: usize) {
                     // Idle windows render as their own spans in the worker's
                     // timeline lane, so utilization gaps are visible.
                     if let Some(t0) = idle_from {
-                        dpz_telemetry::trace::complete(
-                            "pool.idle",
-                            t0.elapsed().as_nanos() as u64,
-                            &[],
-                        );
+                        dpz_telemetry::trace::complete("pool.idle", t0, &[]);
                     }
                 }
             }

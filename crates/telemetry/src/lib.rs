@@ -6,18 +6,19 @@
 //! ## Spans
 //!
 //! Wrap a region in a [`span!`] guard and its wall-clock duration lands in
-//! the `dpz_span_seconds{span="<path>"}` histogram of the [global
-//! registry](registry::global). Spans nest per thread into dotted paths:
+//! the `dpz_span_seconds{span="<name>"}` histogram of the [global
+//! registry](registry::global). The name is static: a span records under
+//! its own name on every thread, whatever span encloses it:
 //!
 //! ```
 //! let _compress = dpz_telemetry::span!("compress");
 //! {
-//!     let _pca = dpz_telemetry::span!("stage2.pca"); // path: compress.stage2.pca
+//!     let _pca = dpz_telemetry::span!("stage2.pca"); // series: stage2.pca
 //! }
 //! ```
 //!
-//! Setting `DPZ_TRACE=1` (or calling [`set_trace`]`(true)`, which the CLI's
-//! `--verbose` flag does) prints every span close to stderr.
+//! When the [event journal](trace) is on, every span close also lands
+//! there; [`trace::summarize`] digests it per span name.
 //!
 //! ## Metrics
 //!
@@ -51,11 +52,9 @@ pub mod span;
 pub mod trace;
 
 pub use export::{from_json, to_json, to_prometheus, JsonError};
-pub use registry::{
-    exponential_buckets, global, Counter, Gauge, Histogram, Key, Registry, LATENCY_BUCKETS_S,
-};
+pub use registry::{global, Counter, Gauge, Histogram, Key, Registry, LATENCY_BUCKETS_S};
 pub use snapshot::{HistogramSnapshot, Snapshot};
-pub use span::{set_trace, trace_enabled, Span, TraceGuard};
+pub use span::Span;
 
 /// Open a timed [`Span`]; bind it to keep the region alive:
 ///

@@ -6,7 +6,7 @@
 //!   outliers, compressions run),
 //! * [`Gauge`] — last-written `f64` (selected `k`, achieved TVE, VIF),
 //! * [`Histogram`] — fixed-bucket cumulative distribution with sum and
-//!   count (per-stage and per-span latencies).
+//!   count (span latencies).
 //!
 //! Instruments are identified by a [`Key`] (metric name plus sorted label
 //! pairs) and live behind `Arc`s, so handles can be cached and bumped from
@@ -19,20 +19,6 @@ use std::sync::{Arc, OnceLock, RwLock};
 
 /// Default latency buckets in seconds (1 µs … 30 s, roughly exponential).
 pub const LATENCY_BUCKETS_S: [f64; 10] = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 5.0, 30.0];
-
-/// `count` exponential bucket bounds: `start, start*factor, …`.
-///
-/// Panics if `start <= 0`, `factor <= 1`, or `count == 0` (the resulting
-/// bounds would not be strictly increasing).
-pub fn exponential_buckets(start: f64, factor: f64, count: usize) -> Vec<f64> {
-    assert!(
-        start > 0.0 && factor > 1.0 && count > 0,
-        "exponential buckets need start > 0, factor > 1, count > 0"
-    );
-    // powi rather than running product: less drift, so decade bounds come
-    // out exact (1e-6 * 10^3 == 1e-3).
-    (0..count).map(|i| start * factor.powi(i as i32)).collect()
-}
 
 /// Identity of one instrument: metric name + sorted label pairs.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -236,32 +222,6 @@ impl Registry {
         })
     }
 
-    /// Histogram with exponential bucket bounds (`start, start*factor, …`,
-    /// `count` finite buckets). Bounds apply only on first creation.
-    pub fn histogram_exponential(
-        &self,
-        name: &str,
-        start: f64,
-        factor: f64,
-        count: usize,
-    ) -> Arc<Histogram> {
-        self.histogram_exponential_with(name, &[], start, factor, count)
-    }
-
-    /// Labeled variant of [`Registry::histogram_exponential`].
-    pub fn histogram_exponential_with(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        start: f64,
-        factor: f64,
-        count: usize,
-    ) -> Arc<Histogram> {
-        get_or_insert(&self.histograms, Key::new(name, labels), || {
-            Histogram::new(&exponential_buckets(start, factor, count))
-        })
-    }
-
     /// Point-in-time copy of every instrument.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
@@ -358,28 +318,6 @@ mod tests {
     #[should_panic(expected = "strictly increasing")]
     fn unsorted_bounds_rejected() {
         Histogram::new(&[2.0, 1.0]);
-    }
-
-    #[test]
-    fn exponential_buckets_generate_geometric_bounds() {
-        let bounds = exponential_buckets(1e-6, 10.0, 4);
-        for (got, want) in bounds.iter().zip([1e-6, 1e-5, 1e-4, 1e-3]) {
-            assert!((got / want - 1.0).abs() < 1e-12, "{got} != {want}");
-        }
-        let r = Registry::new();
-        let h = r.histogram_exponential_with("lat_s", &[("stage", "pca")], 1e-6, 10.0, 8);
-        h.observe(0.5);
-        let snap = r.snapshot();
-        let hs = snap.histogram("lat_s", &[("stage", "pca")]).unwrap();
-        assert_eq!(hs.bounds.len(), 8);
-        assert!((hs.bounds[7] - 10.0).abs() < 1e-9);
-        assert_eq!(hs.count, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "exponential buckets")]
-    fn exponential_buckets_reject_shrinking_factor() {
-        exponential_buckets(1.0, 0.5, 3);
     }
 
     #[test]

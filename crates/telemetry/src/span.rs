@@ -1,124 +1,36 @@
 //! Lightweight span tracing: RAII guards that time a region of code into
-//! the global registry and, when tracing is enabled, print close events to
-//! stderr.
+//! the global registry and, when the event journal is on, into the journal.
 //!
-//! Spans nest per thread: a span opened while another is live becomes its
-//! child, and its metric label is the dotted path from the root
-//! (`compress.stage2.pca`). Durations land in the
-//! `dpz_span_seconds{span="<path>"}` histogram of the global registry.
-//!
-//! Tracing to stderr is off by default; it turns on when the `DPZ_TRACE`
-//! environment variable is set to anything but `0`/empty, or at runtime via
-//! [`set_trace`] (the CLI's `--verbose` flag).
+//! A span's name is a `&'static str` and is the whole of its identity: the
+//! duration lands in the `dpz_span_seconds{span="<name>"}` histogram of the
+//! global registry under that name, whichever thread runs the span and
+//! whatever encloses it. Nesting lives in the journal's timestamps instead
+//! (Perfetto nests same-thread spans by time).
 
 use crate::registry::{global, LATENCY_BUCKETS_S};
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicI8, Ordering};
-use std::sync::OnceLock;
 use std::time::Instant;
-
-/// Runtime override: -1 = unset (fall back to env), 0 = off, 1 = on.
-static TRACE_OVERRIDE: AtomicI8 = AtomicI8::new(-1);
-
-fn env_trace() -> bool {
-    static FROM_ENV: OnceLock<bool> = OnceLock::new();
-    *FROM_ENV.get_or_init(|| {
-        std::env::var("DPZ_TRACE")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false)
-    })
-}
-
-/// Force stderr tracing on or off, overriding `DPZ_TRACE`.
-pub fn set_trace(on: bool) {
-    TRACE_OVERRIDE.store(i8::from(on), Ordering::Relaxed);
-}
-
-/// RAII scoped form of [`set_trace`]: flips the override and restores the
-/// previous state (including "unset, fall back to env") on drop, so tests
-/// and CLI runs cannot leak tracing into unrelated code.
-#[derive(Debug)]
-pub struct TraceGuard {
-    prev: i8,
-}
-
-impl TraceGuard {
-    /// Set stderr tracing for the guard's lifetime.
-    pub fn set(on: bool) -> TraceGuard {
-        TraceGuard {
-            prev: TRACE_OVERRIDE.swap(i8::from(on), Ordering::Relaxed),
-        }
-    }
-}
-
-impl Drop for TraceGuard {
-    fn drop(&mut self) {
-        TRACE_OVERRIDE.store(self.prev, Ordering::Relaxed);
-    }
-}
-
-/// Whether span close events are printed to stderr.
-pub fn trace_enabled() -> bool {
-    match TRACE_OVERRIDE.load(Ordering::Relaxed) {
-        0 => false,
-        1 => true,
-        _ => env_trace(),
-    }
-}
-
-thread_local! {
-    /// Dotted paths of the spans currently open on this thread.
-    static STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
-}
 
 /// RAII guard for one timed region. Created by [`span`] (or the `span!`
 /// macro); records its duration when dropped.
 #[derive(Debug)]
 pub struct Span {
-    path: String,
-    depth: usize,
+    name: &'static str,
     start: Instant,
     args: [Option<(&'static str, f64)>; crate::trace::MAX_ARGS],
 }
 
-/// Open a span named `name`, nested under the thread's innermost live span.
-pub fn span(name: &str) -> Span {
-    let (path, depth) = STACK.with(|stack| {
-        let mut stack = stack.borrow_mut();
-        let path = match stack.last() {
-            Some(parent) => format!("{parent}.{name}"),
-            None => name.to_string(),
-        };
-        let depth = stack.len();
-        stack.push(path.clone());
-        (path, depth)
-    });
+/// Open a span named `name`.
+pub fn span(name: &'static str) -> Span {
     Span {
-        path,
-        depth,
+        name,
         start: Instant::now(),
         args: [None; crate::trace::MAX_ARGS],
     }
 }
 
 impl Span {
-    /// Dotted path from the root span (`compress.stage2.pca`).
-    pub fn path(&self) -> &str {
-        &self.path
-    }
-
-    /// Nesting depth (0 for a root span).
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Seconds elapsed since the span opened.
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
-    /// Time elapsed since the span opened, as a [`std::time::Duration`]
-    /// (for callers that keep duration-typed views like `StageTimings`).
+    /// Time elapsed since the span opened (for callers that keep
+    /// duration-typed views like `StageTimings`).
     pub fn elapsed(&self) -> std::time::Duration {
         self.start.elapsed()
     }
@@ -146,28 +58,16 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         let secs = self.start.elapsed().as_secs_f64();
-        STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            // Guards normally drop innermost-first; truncate (rather than
-            // pop) keeps the stack sane if one escapes its nesting order.
-            if let Some(idx) = stack.iter().rposition(|p| *p == self.path) {
-                stack.truncate(idx);
-            }
-        });
         global()
             .histogram_with(
                 "dpz_span_seconds",
-                &[("span", &self.path)],
+                &[("span", self.name)],
                 &LATENCY_BUCKETS_S,
             )
             .observe(secs);
         if crate::trace::journal_enabled() {
             let args: Vec<(&str, f64)> = self.args.iter().flatten().copied().collect();
-            crate::trace::complete(&self.path, self.start.elapsed().as_nanos() as u64, &args);
-        }
-        if trace_enabled() {
-            let indent = "  ".repeat(self.depth);
-            eprintln!("[dpz-trace] {indent}{path} {secs:.6}s", path = self.path);
+            crate::trace::complete(self.name, self.start, &args);
         }
     }
 }
@@ -177,57 +77,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn spans_nest_into_dotted_paths() {
-        let outer = span("compress");
-        assert_eq!(outer.path(), "compress");
-        assert_eq!(outer.depth(), 0);
-        {
-            let inner = span("stage2");
-            assert_eq!(inner.path(), "compress.stage2");
-            assert_eq!(inner.depth(), 1);
-            let leaf = span("pca");
-            assert_eq!(leaf.path(), "compress.stage2.pca");
-            assert_eq!(leaf.depth(), 2);
-        }
-        // Siblings opened after a child closed still nest under `outer`.
-        let next = span("stage3");
-        assert_eq!(next.path(), "compress.stage3");
-        drop(next);
+    fn nested_span_records_under_its_own_name() {
+        let series = |name| {
+            global()
+                .snapshot()
+                .histogram("dpz_span_seconds", &[("span", name)])
+                .map_or(0, |h| h.count)
+        };
+        let before = series("span_test_inner");
+        let outer = span("span_test_outer");
+        drop(span("span_test_inner"));
         drop(outer);
-
-        let snap = global().snapshot();
-        for path in [
-            "compress",
-            "compress.stage2",
-            "compress.stage2.pca",
-            "compress.stage3",
-        ] {
-            let h = snap
-                .histogram("dpz_span_seconds", &[("span", path)])
-                .unwrap_or_else(|| panic!("missing span series {path}"));
-            assert!(h.count >= 1, "span {path} never recorded");
-        }
-    }
-
-    #[test]
-    fn set_trace_overrides_env() {
-        set_trace(true);
-        assert!(trace_enabled());
-        set_trace(false);
-        assert!(!trace_enabled());
-        // The scoped guard restores whatever was set before it, including
-        // the "unset, fall back to env" state.
-        {
-            let _on = TraceGuard::set(true);
-            assert!(trace_enabled());
-            {
-                let _off = TraceGuard::set(false);
-                assert!(!trace_enabled());
-            }
-            assert!(trace_enabled());
-        }
-        assert!(!trace_enabled());
-        TRACE_OVERRIDE.store(-1, Ordering::Relaxed);
+        assert_eq!(series("span_test_inner"), before + 1);
+        assert!(series("span_test_outer") >= 1);
+        let dotted = global()
+            .snapshot()
+            .histogram(
+                "dpz_span_seconds",
+                &[("span", "span_test_outer.span_test_inner")],
+            )
+            .is_none();
+        assert!(
+            dotted,
+            "the enclosing span leaked into the inner span's name"
+        );
     }
 
     #[test]

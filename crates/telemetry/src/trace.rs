@@ -76,7 +76,7 @@ pub struct TraceEvent {
     pub thread: u64,
     /// Event kind.
     pub kind: EventKind,
-    /// Event name (dotted span path, counter name, …).
+    /// Event name (span name, counter name, …).
     pub name: String,
     /// Up to [`MAX_ARGS`] key/value annotations.
     pub args: Vec<(String, f64)>,
@@ -377,13 +377,15 @@ fn emit(kind: EventKind, name: &str, ts: u64, payload: u64, args: &[(&str, f64)]
     with_lane(|lane| lane.ring.push(ts, payload, meta, bits));
 }
 
-/// Record a completed timed region that ended now and lasted `dur_ns`.
-pub fn complete(name: &str, dur_ns: u64, args: &[(&str, f64)]) {
+/// Record a completed timed region that began at `start` and ended now.
+/// Its timestamp is `start` itself on the journal clock, so a span opened
+/// inside another on the same thread never appears to start before it.
+pub fn complete(name: &str, start: Instant, args: &[(&str, f64)]) {
     if !journal_enabled() {
         return;
     }
-    let start = now_ns().saturating_sub(dur_ns);
-    emit(EventKind::Span, name, start, dur_ns, args);
+    let ts = start.saturating_duration_since(journal().epoch).as_nanos() as u64;
+    emit(EventKind::Span, name, ts, now_ns().saturating_sub(ts), args);
 }
 
 /// Record a point-in-time marker.
@@ -460,7 +462,7 @@ pub fn drain() -> Trace {
 /// Latency/throughput digest for one span name.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanStats {
-    /// Span name (dotted path).
+    /// Span name.
     pub name: String,
     /// Number of completed spans.
     pub count: u64,

@@ -113,8 +113,8 @@ fn spans_counters_and_drain_watermark_round_trip() {
     let child = first
         .events
         .iter()
-        .find(|e| e.name == "journal_root.journal_child")
-        .expect("child span nests under root path");
+        .find(|e| e.name == "journal_child")
+        .expect("child span recorded under its own name");
     // The child completes within the root's window.
     assert!(child.ts_ns >= root.ts_ns);
     assert!(child.ts_ns + child.dur_ns <= root.ts_ns + root.dur_ns);

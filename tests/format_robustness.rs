@@ -127,6 +127,44 @@ fn forged_v4_footers_are_rejected_on_every_entry_point() {
 }
 
 #[test]
+fn overflowing_trailing_dims_in_v4_footer_are_rejected() {
+    // Regression: the footer parser checked the product of all dims, then
+    // multiplied the trailing dims unchecked. A zero slow axis keeps the
+    // full product at 0 while 2^40 · 2^40 overflows. The footer CRC is
+    // valid, so only the checked product can reject it.
+    let mut bytes = b"DPZC".to_vec();
+    bytes.extend_from_slice(&[4, 3]); // version, ndims
+    for d in [0, 1 << 40, 1 << 40] {
+        push_u64(&mut bytes, d);
+    }
+    bytes.push(0); // flags
+    let mut footer = Vec::new();
+    // Chunk count 1, then its entry: offset, len, rows, values, crc32.
+    for v in [1, bytes.len() as u64, 0, 0, 0] {
+        push_u64(&mut footer, v);
+    }
+    footer.extend_from_slice(&0u32.to_le_bytes());
+    bytes.extend_from_slice(&footer);
+    push_u64(&mut bytes, footer.len() as u64);
+    bytes.extend_from_slice(&dpz::deflate::crc32(&footer).to_le_bytes());
+    bytes.extend_from_slice(b"DPZF");
+
+    assert!(matches!(
+        dpz::core::SeekableIndex::from_bytes(&bytes),
+        Err(DpzError::Corrupt(_))
+    ));
+    assert!(matches!(
+        dpz::core::decompress_chunked(&bytes),
+        Err(DpzError::Corrupt(_))
+    ));
+    let region = [0..1, 0..1, 0..1];
+    assert!(matches!(
+        dpz::core::decompress_region_from(&mut std::io::Cursor::new(&bytes), &region),
+        Err(DpzError::Corrupt(_))
+    ));
+}
+
+#[test]
 fn max_ndims_header_is_rejected() {
     // ndims = 255 with a stream far too short to hold 255 dim fields.
     let mut stream = b"DPZ1".to_vec();
