@@ -15,10 +15,11 @@
 #![warn(missing_docs)]
 
 use dpz_codec::{
-    AutoCodec, Codec, CodecStats, DpzChunkedCodec, DpzCodec, Registry, SzCodec, ZfpCodec,
+    AutoCodec, Codec, CodecStats, DpzChunkedCodec, DpzCodec, Format, Registry, SzCodec, ZfpCodec,
 };
 use dpz_core::{
-    ContainerInfo, DpzConfig, KSelection, LosslessBackend, QualityTarget, Stage1Transform, TveLevel,
+    ContainerInfo, DpzConfig, KSelection, LosslessBackend, QualityTarget, SeekableIndex,
+    Stage1Transform, TveLevel,
 };
 use dpz_data::dataset::DEFAULT_SEED;
 use dpz_data::io::{read_f32_file, write_f32_file};
@@ -61,7 +62,7 @@ USAGE:
                [--trace-out <trace.json>]
   dpz decompress <in.dpz> <out.f32> [--threads N] [--verbose] [--metrics-out <file>]
                  [--trace-out <trace.json>]
-                 [--chunk N | --region A..B[,C..D,...] | --budget BYTES (dpzc v4)]
+                 [--chunk N | --region A..B[,C..D,...] | --budget BYTES (dpzc)]
   dpz info <in.dpz>
   dpz eval <orig.f32> <recon.f32> [--compressed <file>]
 
@@ -90,7 +91,7 @@ PARALLELISM:
   --threads N    size of the work-stealing pool (default: DPZ_THREADS env,
                  then the machine's core count); N=1 forces sequential runs
 
-RANDOM ACCESS (dpzc v4 containers):
+RANDOM ACCESS (dpzc containers):
   --chunk N      decode only chunk N; reads and CRC-verifies just its bytes
   --region R     decode an axis-aligned region, one half-open range per
                  dimension (e.g. --region 0..100,250..300)
@@ -181,14 +182,11 @@ fn telemetry_begin(args: &[String]) -> Result<RunTelemetry, CliError> {
     })
 }
 
-/// Delta of global registry activity since `run` began; optionally written
-/// to the `--metrics-out` path (`.json` selects JSON, else Prometheus text).
-/// Drains the event journal: to the `--trace-out` path as Chrome trace
+/// Write the delta of global registry activity since `run` began to the
+/// `--metrics-out` path, if any (`.json` selects JSON, else Prometheus
+/// text). Drains the event journal: to the `--trace-out` path as Chrome trace
 /// JSON, and for `--verbose` as a per-span digest on stderr.
-fn telemetry_finish(
-    args: &[String],
-    run: RunTelemetry,
-) -> Result<dpz_telemetry::Snapshot, CliError> {
+fn telemetry_finish(args: &[String], run: RunTelemetry) -> Result<(), CliError> {
     let delta = dpz_telemetry::global().snapshot().since(&run.before);
     if run.journal {
         dpz_telemetry::trace::stop();
@@ -211,7 +209,7 @@ fn telemetry_finish(
     } else if has_flag(args, "--metrics-out") {
         return Err(err("--metrics-out needs a file path"));
     }
-    Ok(delta)
+    Ok(())
 }
 
 /// The `--verbose` digest: one line per span name, busiest first, from the
@@ -240,10 +238,9 @@ fn span_digest(summary: &dpz_telemetry::trace::TraceSummary) -> String {
     out
 }
 
-/// One-line compression summary: ratio from the codec's own stats, `k`
-/// and TVE (DPZ) from the metric deltas, and throughput over `secs`, the
+/// One-line compression summary from the codec's own stats: ratio, `k` and
+/// TVE (DPZ; for dpzc the first chunk's), and throughput over `secs`, the
 /// wall clock of the codec call.
-#[allow(clippy::too_many_arguments)]
 fn compress_summary(
     args: &[String],
     input: &str,
@@ -251,7 +248,6 @@ fn compress_summary(
     requested: &str,
     stats: &CodecStats,
     threads: usize,
-    delta: &dpz_telemetry::Snapshot,
     secs: f64,
 ) -> String {
     // For `--codec auto` the label shows both the request and the backend
@@ -270,11 +266,8 @@ fn compress_summary(
         "compressed {input} -> {output} [{display}] {:.2}x",
         stats.ratio()
     );
-    if let (Some(k), Some(tve)) = (
-        delta.gauge("dpz_k_selected", &[]),
-        delta.gauge("dpz_tve_achieved", &[]),
-    ) {
-        let _ = write!(msg, ", k={k:.0} tve={tve:.8}");
+    if let Some(dpz) = &stats.dpz {
+        let _ = write!(msg, ", k={} tve={:.8}", dpz.k, dpz.tve_achieved);
     }
     let _ = write!(msg, ", {mbps:.1} MB/s, threads={threads}");
     if has_flag(args, "--verbose") {
@@ -548,15 +541,13 @@ fn cmd_compress(args: &[String]) -> Result<String, CliError> {
     .map_err(|e| err(e.to_string()))?;
     let secs = start.elapsed().as_secs_f64();
     std::fs::write(output, &bytes).map_err(|e| err(format!("write {output}: {e}")))?;
-    let delta = telemetry_finish(args, run)?;
+    telemetry_finish(args, run)?;
     let crc = match &stats.dpz {
         Some(s) if s.checksummed => ", crc32",
         Some(_) => ", no-crc",
         None => "",
     };
-    let summary = compress_summary(
-        args, input, output, &requested, &stats, threads, &delta, secs,
-    );
+    let summary = compress_summary(args, input, output, &requested, &stats, threads, secs);
     Ok(summary + crc + &suffix)
 }
 
@@ -609,33 +600,39 @@ fn cmd_decompress(args: &[String]) -> Result<String, CliError> {
     let threads = apply_threads(args)?;
     let bytes = std::fs::read(input).map_err(|e| err(format!("read {input}: {e}")))?;
     let run = telemetry_begin(args)?;
-    let registry = Registry::builtin();
-    // Partial retrieval goes through the seekable view; everything else
-    // through the registry's magic-sniffing full decode.
+    // Partial reads go straight to dpz-core's DPZC reader, and their summary
+    // reports the version and checksum state of the container's index;
+    // everything else is the registry's magic-sniffing full decode.
+    let index_info = |flag: &str| -> Result<Option<ContainerInfo>, CliError> {
+        if !bytes.starts_with(Format::DpzChunked.magic()) {
+            return Err(err(format!("{flag} requires a seekable container (dpzc)")));
+        }
+        let index = SeekableIndex::from_bytes(&bytes).map_err(|e| err(e.to_string()))?;
+        Ok(Some(ContainerInfo {
+            version: index.version,
+            checksummed: index.chunks.iter().all(|c| c.crc.is_some()),
+            tans_sections: 0,
+        }))
+    };
     let (values, dims, info, what) = if let Some(v) = flag_value(args, "--chunk") {
         let n: usize = v
             .parse()
             .map_err(|_| err(format!("--chunk expects an integer, got '{v}'")))?;
-        let seek = registry
-            .seekable_for(&bytes)
-            .ok_or_else(|| err("--chunk requires a seekable container (dpzc)"))?;
-        let d = seek
-            .decompress_chunk(&bytes, n)
-            .map_err(|e| err(e.to_string()))?;
-        (d.values, d.dims, d.info, format!("chunk {n} of "))
+        let info = index_info("--chunk")?;
+        let (values, dims) =
+            dpz_core::decompress_chunk(&bytes, n).map_err(|e| err(e.to_string()))?;
+        (values, dims, info, format!("chunk {n} of "))
     } else if let Some(v) = flag_value(args, "--region") {
         let region = parse_region(v)?;
-        let seek = registry
-            .seekable_for(&bytes)
-            .ok_or_else(|| err("--region requires a seekable container (dpzc)"))?;
-        let d = seek
-            .decompress_region(&bytes, &region)
-            .map_err(|e| err(e.to_string()))?;
-        (d.values, d.dims, d.info, format!("region {v} of "))
+        let info = index_info("--region")?;
+        let (values, dims) =
+            dpz_core::decompress_region(&bytes, &region).map_err(|e| err(e.to_string()))?;
+        (values, dims, info, format!("region {v} of "))
     } else if let Some(v) = flag_value(args, "--budget") {
         let budget: usize = v
             .parse()
             .map_err(|_| err(format!("--budget expects a byte count, got '{v}'")))?;
+        let info = index_info("--budget")?;
         let p = dpz_core::decompress_progressive(&bytes, budget).map_err(|e| err(e.to_string()))?;
         let what = format!(
             "progressive ({} of {} bytes, {} components, TVE {:.4}, PSNR est {:.1} dB) of ",
@@ -645,14 +642,9 @@ fn cmd_decompress(args: &[String]) -> Result<String, CliError> {
             p.tve_achieved,
             p.psnr_estimate,
         );
-        let info = Some(ContainerInfo {
-            version: 4,
-            checksummed: true,
-            tans_sections: 0,
-        });
         (p.values, p.dims, info, what)
     } else {
-        let decoded = registry
+        let decoded = Registry::builtin()
             .decompress(&bytes)
             .map_err(|e| err(e.to_string()))?;
         (decoded.values, decoded.dims, decoded.info, String::new())
@@ -1310,6 +1302,36 @@ mod tests {
     }
 
     #[test]
+    fn chunked_summary_reports_the_first_chunks_k_and_tve() {
+        // Every chunk sets the k/TVE gauges from whichever worker encodes
+        // it, so the summary reads the codec's stats: for dpzc, the first
+        // chunk's.
+        let dir = std::env::temp_dir().join("dpz_cli_chunk_stats");
+        std::fs::create_dir_all(&dir).unwrap();
+        let raw = dir.join("a.f32").to_string_lossy().into_owned();
+        let packed = dir.join("a.dpzc").to_string_lossy().into_owned();
+        run(&s(&["gen", "CLDHGH", &raw, "--scale", "tiny"])).unwrap();
+        let msg = run(&s(&[
+            "compress", &raw, &packed, "--dims", "45x90", "--codec", "dpzc", "--chunks", "3",
+        ]))
+        .unwrap();
+
+        let data = read_f32_file(&raw).unwrap();
+        let out = dpz_core::compress_chunked(&data, &[45, 90], &DpzConfig::loose(), 3).unwrap();
+        let first = &out.chunk_stats[0];
+        let expect = format!(", k={} tve={:.8},", first.k, first.tve_achieved);
+        assert!(msg.contains(&expect), "{msg} lacks {expect}");
+        let last = out.chunk_stats.last().unwrap();
+        assert_ne!(
+            (first.k, format!("{:.8}", first.tve_achieved)),
+            (last.k, format!("{:.8}", last.tve_achieved)),
+            "the chunks must differ for this test to bite"
+        );
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn seekable_retrieval_flags_work_via_cli() {
         let dir = std::env::temp_dir().join("dpz_cli_seekable");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1329,6 +1351,7 @@ mod tests {
             msg.contains("chunk 1 of") && msg.contains("1350 values") && msg.contains("dims 15x90"),
             "{msg}"
         );
+        assert!(msg.contains("crc=verified"), "{msg}");
 
         // Region crossing a chunk boundary.
         let out = dir.join("region.f32").to_string_lossy().into_owned();
@@ -1345,6 +1368,26 @@ mod tests {
             "{msg}"
         );
         assert!(msg.contains("dims 10x30"), "{msg}");
+        assert!(msg.contains("crc=verified"), "{msg}");
+
+        // Legacy containers serve partial reads too, and the summary reports
+        // the checksum state their index parsed.
+        let legacy = |v: u8| {
+            format!(
+                "{}/../../tests/fixtures/legacy/dpzc-v{v}-loose-4x-64x96.bin",
+                env!("CARGO_MANIFEST_DIR")
+            )
+        };
+        for (v, read, crc) in [
+            (1, ["--chunk", "1"], "crc=absent (v1 container)"),
+            (1, ["--region", "3..17,5..25"], "crc=absent (v1 container)"),
+            (2, ["--chunk", "1"], "crc=verified"),
+        ] {
+            let mut argv = s(&["decompress", &legacy(v), &out]);
+            argv.extend(s(&read));
+            let msg = run(&argv).unwrap();
+            assert!(msg.contains(crc), "v{v} {read:?}: {msg}");
+        }
 
         // Retrieval flags are mutually exclusive and validated.
         let e = run(&s(&[
@@ -1361,11 +1404,19 @@ mod tests {
         let e = run(&s(&["decompress", &packed, &out, "--region", "10-20"])).unwrap_err();
         assert!(e.0.contains("--region"), "{}", e.0);
 
-        // Single-stream containers have no seekable view.
+        // Single-stream containers have no chunk index.
         let plain = dir.join("a.dpz").to_string_lossy().into_owned();
         run(&s(&["compress", &raw, &plain, "--dims", "45x90"])).unwrap();
-        let e = run(&s(&["decompress", &plain, &out, "--chunk", "0"])).unwrap_err();
-        assert!(e.0.contains("seekable"), "{}", e.0);
+        for read in [
+            ["--chunk", "0"],
+            ["--region", "0..1,0..1"],
+            ["--budget", "99"],
+        ] {
+            let mut argv = s(&["decompress", &plain, &out]);
+            argv.extend(s(&read));
+            let e = run(&argv).unwrap_err();
+            assert!(e.0.contains("requires a seekable container"), "{}", e.0);
+        }
 
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -22,6 +22,11 @@
 //!   target the selection is rate-distortion-optimal (Tao et al.'s online
 //!   SZ-vs-ZFP style): best predicted PSNR at a fixed ratio, best
 //!   predicted ratio at a fixed quality.
+//!
+//! Partial reads are not part of the contract: a DPZC container's chunk,
+//! region and budgeted reads are `dpz_core`'s `decompress_chunk`,
+//! `decompress_region` and `decompress_progressive` (and their
+//! `Read + Seek` forms), which serve every container version.
 
 #![warn(missing_docs)]
 
@@ -37,7 +42,6 @@ pub use registry::{Format, Registry};
 pub use wrappers::{DpzChunkedCodec, DpzCodec, SzCodec, ZfpCodec};
 
 use std::io::{Read, Write};
-use std::ops::Range;
 
 /// What one compression produced, uniformly across backends.
 #[derive(Debug, Clone)]
@@ -154,13 +158,6 @@ pub trait Codec: Send + Sync {
     /// for any positive answer) begins a stream this codec decodes, and if
     /// so which format.
     fn sniff(&self, header: &[u8]) -> Option<Format>;
-
-    /// The random-access view of this codec, when its container format
-    /// supports retrieving parts of a stream without a full decode.
-    /// Defaults to `None`; seekable formats override it.
-    fn as_seekable(&self) -> Option<&dyn Seekable> {
-        None
-    }
 }
 
 /// Measured PSNR of a probe roundtrip (range-normalized, matching the
@@ -186,25 +183,6 @@ pub(crate) fn probe_psnr(original: &[f32], reconstructed: &[f32]) -> f64 {
     } else {
         20.0 * range.log10() - 10.0 * mse.log10()
     }
-}
-
-/// Random access into a compressed stream: decode one chunk or an
-/// axis-aligned region, touching (and CRC-verifying) only the bytes those
-/// parts need. Obtained through [`Codec::as_seekable`] or
-/// [`Registry::seekable_for`]; a `Some` answer still depends on the stream
-/// itself carrying an index (for DPZC, a v4 footer — legacy v1/v2 streams
-/// return [`DpzError::BadInput`]).
-pub trait Seekable: Send + Sync {
-    /// Number of independently retrievable chunks in `bytes`.
-    fn chunk_count(&self, bytes: &[u8]) -> Result<usize, DpzError>;
-
-    /// Decode chunk `index` alone. `dims` in the result are chunk-local.
-    fn decompress_chunk(&self, bytes: &[u8], index: usize) -> Result<Decoded, DpzError>;
-
-    /// Decode an axis-aligned region (half-open per-axis ranges, one per
-    /// dimension). Only chunks overlapping the region are read.
-    fn decompress_region(&self, bytes: &[u8], region: &[Range<usize>])
-        -> Result<Decoded, DpzError>;
 }
 
 /// Map an I/O error into the shared error type.

@@ -1,7 +1,7 @@
 //! Format sniffing and codec dispatch.
 
 use crate::wrappers::{DpzChunkedCodec, DpzCodec, SzCodec, ZfpCodec};
-use crate::{Codec, Decoded, DpzError, Seekable};
+use crate::{Codec, Decoded, DpzError};
 use std::io::Read;
 
 /// The container formats the workspace understands, keyed by their 4-byte
@@ -112,16 +112,6 @@ impl Registry {
     pub fn decompress_from(&self, src: &mut dyn Read) -> Result<Decoded, DpzError> {
         let bytes = crate::read_all(src)?;
         self.decompress(&bytes)
-    }
-
-    /// The random-access view of the codec owning a stream that begins with
-    /// `header`, when that codec has one. `None` means either no codec
-    /// claims the magic or the owning codec is not seekable; a `Some`
-    /// answer can still fail per-stream (legacy containers without an
-    /// index footer).
-    pub fn seekable_for(&self, header: &[u8]) -> Option<&dyn Seekable> {
-        self.sniff(header)
-            .and_then(|(codec, _)| codec.as_seekable())
     }
 }
 

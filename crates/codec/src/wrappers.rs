@@ -1,13 +1,10 @@
 //! [`Codec`] implementations for the four concrete backends.
 
-use crate::{
-    check_dims, io_err, read_all, Codec, CodecProbe, CodecStats, Decoded, Format, Seekable,
-};
-use dpz_core::{ContainerInfo, DpzConfig, DpzError, QualityTarget, RatioOracle};
+use crate::{check_dims, io_err, read_all, Codec, CodecProbe, CodecStats, Decoded, Format};
+use dpz_core::{DpzConfig, DpzError, QualityTarget, RatioOracle};
 use dpz_sz::{SzConfig, SzError};
 use dpz_zfp::{ZfpError, ZfpMode};
 use std::io::{Read, Write};
-use std::ops::Range;
 
 fn write_stream(dst: &mut dyn Write, bytes: &[u8]) -> Result<(), DpzError> {
     dst.write_all(bytes).map_err(io_err)
@@ -291,53 +288,6 @@ impl Codec for DpzChunkedCodec {
 
     fn sniff(&self, header: &[u8]) -> Option<Format> {
         sniff(header, Format::DpzChunked)
-    }
-
-    fn as_seekable(&self) -> Option<&dyn Seekable> {
-        Some(self)
-    }
-}
-
-/// Random access rides on the v4 index footer; the chunk info reported in
-/// [`Decoded::info`] mirrors what a full decode would have said about the
-/// container (v4, checksummed).
-impl Seekable for DpzChunkedCodec {
-    fn chunk_count(&self, bytes: &[u8]) -> Result<usize, DpzError> {
-        dpz_core::chunked::chunk_count(bytes)
-    }
-
-    fn decompress_chunk(&self, bytes: &[u8], index: usize) -> Result<Decoded, DpzError> {
-        let (values, dims) = dpz_core::decompress_chunk(bytes, index)?;
-        Ok(Decoded {
-            values,
-            dims,
-            format: Format::DpzChunked,
-            info: Some(seekable_info()),
-        })
-    }
-
-    fn decompress_region(
-        &self,
-        bytes: &[u8],
-        region: &[Range<usize>],
-    ) -> Result<Decoded, DpzError> {
-        let (values, dims) = dpz_core::decompress_region(bytes, region)?;
-        Ok(Decoded {
-            values,
-            dims,
-            format: Format::DpzChunked,
-            info: Some(seekable_info()),
-        })
-    }
-}
-
-/// Container info for partial v4 retrievals: the index footer is only
-/// present (and only parses) on checksummed v4 streams.
-fn seekable_info() -> ContainerInfo {
-    ContainerInfo {
-        version: 4,
-        checksummed: true,
-        tans_sections: 0,
     }
 }
 

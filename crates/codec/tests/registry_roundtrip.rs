@@ -107,53 +107,6 @@ fn baseline_codecs_reject_bad_geometry_instead_of_panicking() {
 }
 
 #[test]
-fn registry_exposes_seekable_view_for_chunked_streams_only() {
-    let registry = Registry::builtin();
-    let data = smooth_field(4096);
-    let dims = [64usize, 64];
-
-    let chunked = registry.get("dpzc").unwrap();
-    let mut bytes = Vec::new();
-    chunked.compress_into(&data, &dims, &mut bytes).unwrap();
-
-    // Only the chunked codec advertises random access; the seekable view is
-    // reached through the stream's own magic.
-    let seek = registry.seekable_for(&bytes).expect("dpzc is seekable");
-    let n = seek.chunk_count(&bytes).expect("chunk count");
-    assert_eq!(n, 4, "default codec writes 4 slabs");
-
-    let chunk = seek.decompress_chunk(&bytes, 1).expect("chunk 1");
-    assert_eq!(chunk.dims, [16, 64]);
-    assert_eq!(chunk.format, Format::DpzChunked);
-    assert_eq!(chunk.info.as_ref().map(|i| i.version), Some(4));
-    assert!(max_abs_err(&data[16 * 64..32 * 64], &chunk.values) <= 0.16);
-
-    let region = seek
-        .decompress_region(&bytes, &[8..40, 10..30])
-        .expect("region");
-    assert_eq!(region.dims, [32, 20]);
-    let mut expect = Vec::new();
-    for r in 8..40 {
-        expect.extend_from_slice(&data[r * 64 + 10..r * 64 + 30]);
-    }
-    assert!(max_abs_err(&expect, &region.values) <= 0.16);
-
-    // Out-of-range chunk indices surface as errors, not panics.
-    assert!(seek.decompress_chunk(&bytes, n).is_err());
-
-    // Single-stream DPZ and the baselines have no seekable view.
-    for name in ["dpz", "sz", "zfp"] {
-        let codec = registry.get(name).unwrap();
-        let mut other = Vec::new();
-        codec.compress_into(&data, &dims, &mut other).unwrap();
-        assert!(
-            registry.seekable_for(&other).is_none(),
-            "{name} must not advertise random access"
-        );
-    }
-}
-
-#[test]
 fn progressive_codec_round_trips_and_supports_budgets() {
     let registry = Registry::builtin();
     let data = smooth_field(4096);

@@ -50,14 +50,17 @@
 //! guarded by the whole-chunk CRC, so progressive sections each carry their
 //! own CRC-32 trailer instead.
 //!
-//! Legacy v1/v2 containers still decode through every full-stream entry
-//! point; [`decompress_chunked_with_info`] reports which form was seen.
+//! Every version is read through one [`SeekableIndex`]: the v4 footer, or
+//! for a legacy v1/v2 container the front directory plus each chunk
+//! stream's own header (for its rows). So legacy containers serve chunk and
+//! region reads too, from a slice or a `Read + Seek` source alike, and
+//! [`decompress_chunked_with_info`] reports which version was seen.
 
 use crate::config::DpzConfig;
 use crate::container::{self, checked_product, ContainerInfo, DpzError, ProgressiveLayout};
 use crate::decompose::extract_region;
 use crate::pipeline::{
-    decompress, decompress_with_info, Compressed, CompressionStats, NumericOutcome, PipelinePlan,
+    decompress_with_info, Compressed, CompressionStats, NumericOutcome, PipelinePlan,
 };
 use crate::pool::BufferPool;
 use crate::target::{self, TargetArtifact};
@@ -424,7 +427,7 @@ fn assemble_seekable(
     out
 }
 
-/// One chunk's entry in the v4 index footer.
+/// One chunk's entry in the container index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkEntry {
     /// Absolute byte offset of the chunk stream within the container.
@@ -435,8 +438,19 @@ pub struct ChunkEntry {
     pub rows: usize,
     /// Raw value count (`rows ×` product of the remaining dims).
     pub values: usize,
-    /// CRC-32 of the chunk stream bytes.
-    pub crc: u32,
+    /// CRC-32 of the chunk stream bytes; `None` in version-1 containers,
+    /// which store none.
+    pub crc: Option<u32>,
+}
+
+impl ChunkEntry {
+    /// Check a whole chunk stream against the stored CRC-32, if any.
+    fn verify(&self, stream: &[u8]) -> Result<(), DpzError> {
+        match self.crc {
+            Some(crc) if crc32(stream) != crc => Err(DpzError::Corrupt("chunk checksum mismatch")),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// Byte range of one energy-ordered component (footer copy of
@@ -460,16 +474,21 @@ pub struct ProgressiveEntry {
     pub components: Vec<ComponentEntry>,
 }
 
-/// Parsed v4 index: everything a seekable reader needs to locate, size, and
-/// verify chunks without touching the payload. [`SeekableIndex::read`]
-/// fetches only the header, tail, and footer from a `Read + Seek` source.
+/// The index of a DPZC container, of any version: everything a reader
+/// needs to locate, size, and verify chunks without touching the payload.
+/// [`SeekableIndex::read`] fetches only the header and the v4 footer (or
+/// the legacy directory and each chunk's stream header) from a
+/// `Read + Seek` source.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeekableIndex {
+    /// Container version byte (1, 2 or 4).
+    pub version: u8,
     /// Array dimensions.
     pub dims: Vec<usize>,
-    /// Container flag byte (bit 0 = progressive).
+    /// Container flag byte (bit 0 = progressive; always 0 before v4).
     pub flags: u8,
-    /// Byte length of the fixed header (= offset of the first chunk).
+    /// Byte length of everything before the first chunk stream (the
+    /// header, plus the directory in v1/v2).
     pub header_len: usize,
     /// Total container length in bytes.
     pub total_len: usize,
@@ -483,106 +502,113 @@ fn io_error(e: std::io::Error) -> DpzError {
     DpzError::Io(e.to_string())
 }
 
-/// Bounded little-endian cursor over the footer bytes.
-struct FooterCursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// Read `len` bytes at `offset` of a source whose bytes end at `end`. A
+/// span past `end` is `Corrupt(what)` before anything is allocated, so no
+/// read can allocate more than the source holds.
+fn read_at<R: Read + Seek>(
+    r: &mut R,
+    offset: usize,
+    len: usize,
+    end: usize,
+    what: &'static str,
+) -> Result<Vec<u8>, DpzError> {
+    if offset.checked_add(len).is_none_or(|stop| stop > end) {
+        return Err(DpzError::Corrupt(what));
+    }
+    r.seek(SeekFrom::Start(offset as u64)).map_err(io_error)?;
+    let mut buf = vec![0u8; len];
+    r.read_exact(&mut buf).map_err(io_error)?;
+    Ok(buf)
 }
 
-impl<'a> FooterCursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DpzError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or(DpzError::Corrupt("truncated chunk footer"))?;
-        if end > self.buf.len() {
-            return Err(DpzError::Corrupt("truncated chunk footer"));
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u64(&mut self) -> Result<usize, DpzError> {
-        let b = self.take(8)?;
-        usize::try_from(u64::from_le_bytes(b.try_into().unwrap()))
-            .map_err(|_| DpzError::Corrupt("size overflows usize"))
-    }
-
-    fn u32(&mut self) -> Result<u32, DpzError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, DpzError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-}
-
-/// Validate and parse the footer body against the header-derived geometry.
-/// `payload_end` is the absolute offset one past the last chunk stream.
-fn parse_footer(
-    footer: &[u8],
+/// Check that index entries tile the container: chunk streams back to back
+/// from `start` to `end` (an entry pointing anywhere else, or overlapping,
+/// is a forgery, not a variant), each a slab of whole rows, together
+/// covering `dims` exactly. `rest` is the value count of one row.
+fn check_tiling(
+    chunks: &[ChunkEntry],
     dims: &[usize],
+    rest: usize,
+    start: usize,
+    end: usize,
+) -> Result<(), DpzError> {
+    const SHAPE: DpzError = DpzError::Corrupt("chunk shape inconsistent");
+    let mut next = start;
+    let (mut rows, mut values) = (0usize, 0usize);
+    for e in chunks {
+        if e.offset != next {
+            return Err(DpzError::Corrupt("chunk offsets not contiguous"));
+        }
+        next = e
+            .offset
+            .checked_add(e.len)
+            .ok_or(DpzError::Corrupt("chunk lengths overflow"))?;
+        if e.rows == 0 || e.rows.checked_mul(rest) != Some(e.values) {
+            return Err(SHAPE);
+        }
+        rows = rows.checked_add(e.rows).ok_or(SHAPE)?;
+        values = values.checked_add(e.values).ok_or(SHAPE)?;
+    }
+    if next != end {
+        return Err(DpzError::Corrupt("chunk payload length mismatch"));
+    }
+    if rows != dims[0] || values != checked_product(dims, "dims overflow")? {
+        return Err(SHAPE);
+    }
+    Ok(())
+}
+
+/// Read and verify the v4 tail and footer, and parse the footer against the
+/// header-derived geometry.
+fn read_footer<R: Read + Seek>(
+    r: &mut R,
+    dims: &[usize],
+    rest: usize,
     flags: u8,
     header_len: usize,
-    payload_end: usize,
+    total_len: usize,
 ) -> Result<(Vec<ChunkEntry>, Option<Vec<ProgressiveEntry>>), DpzError> {
+    const TRUNCATED: &str = "truncated chunk footer";
+    if total_len < header_len + TAIL_LEN {
+        return Err(DpzError::Corrupt(TRUNCATED));
+    }
+    let tail = read_at(r, total_len - TAIL_LEN, TAIL_LEN, total_len, TRUNCATED)?;
+    if &tail[12..] != TAIL_MAGIC {
+        return Err(DpzError::Corrupt("bad footer magic"));
+    }
+    let mut cur = container::Cursor::new(&tail, TRUNCATED);
+    let footer_len = cur.u64()?;
+    let stored_crc = cur.u32()?;
+    if footer_len > total_len - header_len - TAIL_LEN {
+        return Err(DpzError::Corrupt(TRUNCATED));
+    }
+    let footer_start = total_len - TAIL_LEN - footer_len;
+    let footer = read_at(r, footer_start, footer_len, total_len, TRUNCATED)?;
+    if crc32(&footer) != stored_crc {
+        return Err(DpzError::Corrupt("footer checksum mismatch"));
+    }
     if flags & !FLAG_PROGRESSIVE != 0 {
         return Err(DpzError::Corrupt("unknown container flags"));
     }
-    let total = checked_product(dims, "dims overflow")?;
-    // Checked separately: a zero slow axis keeps `total` small while the
-    // remaining dims alone overflow.
-    let rest = checked_product(&dims[1..], "dims overflow")?.max(1);
-    let mut cur = FooterCursor {
-        buf: footer,
-        pos: 0,
-    };
+    let mut cur = container::Cursor::new(&footer, TRUNCATED);
     let count = cur.u64()?;
     if count == 0 || count > 1 << 20 {
         return Err(DpzError::Corrupt("implausible chunk count"));
     }
-    let mut chunks = Vec::with_capacity(count);
-    let mut next_offset = header_len;
-    let mut rows_sum = 0usize;
-    let mut values_sum = 0usize;
-    for _ in 0..count {
-        let offset = cur.u64()?;
-        let len = cur.u64()?;
-        let rows = cur.u64()?;
-        let values = cur.u64()?;
-        let crc = cur.u32()?;
-        // Chunk streams are written back-to-back; an index entry pointing
-        // anywhere else (or overlapping) is a forgery, not a variant.
-        if offset != next_offset {
-            return Err(DpzError::Corrupt("chunk offsets not contiguous"));
-        }
-        next_offset = offset
-            .checked_add(len)
-            .ok_or(DpzError::Corrupt("chunk lengths overflow"))?;
-        if rows == 0
-            || rows.checked_mul(rest) != Some(values)
-            || rows_sum.checked_add(rows).is_none()
-            || values_sum.checked_add(values).is_none()
-        {
-            return Err(DpzError::Corrupt("chunk shape inconsistent"));
-        }
-        rows_sum += rows;
-        values_sum += values;
-        chunks.push(ChunkEntry {
-            offset,
-            len,
-            rows,
-            values,
-            crc,
-        });
-    }
-    if next_offset != payload_end {
-        return Err(DpzError::Corrupt("chunk payload length mismatch"));
-    }
-    if rows_sum != dims[0] || values_sum != total {
-        return Err(DpzError::Corrupt("chunk shape inconsistent"));
-    }
+    // Collected, not preallocated: the entries parsed are bounded by the
+    // footer bytes read, not by the declared count.
+    let chunks = (0..count)
+        .map(|_| {
+            Ok(ChunkEntry {
+                offset: cur.u64()?,
+                len: cur.u64()?,
+                rows: cur.u64()?,
+                values: cur.u64()?,
+                crc: Some(cur.u32()?),
+            })
+        })
+        .collect::<Result<Vec<_>, DpzError>>()?;
+    check_tiling(&chunks, dims, rest, header_len, footer_start)?;
     let progressive = if flags & FLAG_PROGRESSIVE != 0 {
         let mut entries = Vec::with_capacity(count);
         for e in &chunks {
@@ -621,79 +647,133 @@ fn parse_footer(
     } else {
         None
     };
-    if cur.pos != footer.len() {
+    if !cur.at_end() {
         return Err(DpzError::Corrupt("footer length mismatch"));
     }
     Ok((chunks, progressive))
 }
 
+/// Build the legacy (v1/v2) index from the front directory that starts at
+/// `dir_start`: `count` chunk lengths, then (v2) as many CRC-32s, then the
+/// streams. The directory stores no shape, so each chunk's rows are read
+/// from its own DPZ1 header. Returns the entries and the offset of the
+/// first stream.
+fn read_directory<R: Read + Seek>(
+    r: &mut R,
+    version: u8,
+    count: usize,
+    dims: &[usize],
+    rest: usize,
+    dir_start: usize,
+    total_len: usize,
+) -> Result<(Vec<ChunkEntry>, usize), DpzError> {
+    /// A DPZ1 header up to its slowest dim: magic, version, ndims, dims[0].
+    const STREAM_HEAD: usize = 14;
+    const TRUNCATED: &str = "truncated chunk directory";
+    if count == 0 || count > 1 << 20 {
+        return Err(DpzError::Corrupt("implausible chunk count"));
+    }
+    let crc_len = if version >= VERSION_CRC { 4 } else { 0 };
+    let dir = read_at(r, dir_start, count * (8 + crc_len), total_len, TRUNCATED)?;
+    let mut cur = container::Cursor::new(&dir, TRUNCATED);
+    let lens = (0..count)
+        .map(|_| cur.u64())
+        .collect::<Result<Vec<_>, _>>()?;
+    let payload_start = dir_start + dir.len();
+    // Checked fold: near-usize::MAX lengths must not wrap into a bogus total
+    // that aliases the payload length.
+    let payload_len = lens
+        .iter()
+        .try_fold(0usize, |acc, &l| acc.checked_add(l))
+        .ok_or(DpzError::Corrupt("chunk lengths overflow"))?;
+    if payload_len != total_len - payload_start {
+        return Err(DpzError::Corrupt("chunk payload length mismatch"));
+    }
+    let mut chunks = Vec::with_capacity(count);
+    let mut offset = payload_start;
+    for len in lens {
+        let crc = if crc_len > 0 { Some(cur.u32()?) } else { None };
+        let head = read_at(
+            r,
+            offset,
+            STREAM_HEAD,
+            offset + len,
+            "unreadable chunk header",
+        )?;
+        let rows = container::Cursor::new(&head[6..], "unreadable chunk header").u64()?;
+        chunks.push(ChunkEntry {
+            offset,
+            len,
+            rows,
+            values: rows
+                .checked_mul(rest)
+                .ok_or(DpzError::Corrupt("chunk shape inconsistent"))?,
+            crc,
+        });
+        offset += len;
+    }
+    check_tiling(&chunks, dims, rest, payload_start, total_len)?;
+    Ok((chunks, payload_start))
+}
+
 impl SeekableIndex {
-    /// Parse a whole in-memory v4 container's index.
+    /// Parse a whole in-memory container's index.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DpzError> {
-        SeekableIndex::read(&mut std::io::Cursor::new(bytes))
+        SeekableIndex::read(&mut Cursor::new(bytes))
     }
 
-    /// Read the index from a seekable source, touching **only** the header,
-    /// tail, and footer bytes — the point of the v4 layout. Legacy (v1/v2)
-    /// containers are rejected with [`DpzError::BadInput`]; decode those
-    /// through the full-stream entry points instead.
+    /// Read the index from a seekable source, touching **only** the header
+    /// and the v4 footer — the point of the v4 layout — or, for a legacy
+    /// v1/v2 container, the header, the directory and the first bytes of
+    /// every chunk stream.
     pub fn read<R: Read + Seek>(r: &mut R) -> Result<Self, DpzError> {
         let total_len = usize::try_from(r.seek(SeekFrom::End(0)).map_err(io_error)?)
             .map_err(|_| DpzError::Corrupt("size overflows usize"))?;
-        r.seek(SeekFrom::Start(0)).map_err(io_error)?;
-        let mut head = [0u8; 6];
-        r.read_exact(&mut head).map_err(io_error)?;
+        let head = read_at(r, 0, 6, total_len, "bad chunk magic")?;
         if &head[..4] != MAGIC {
             return Err(DpzError::Corrupt("bad chunk magic"));
         }
         let version = head[4];
-        if version != VERSION_SEEKABLE {
-            return Err(if (MIN_VERSION..=VERSION_CRC).contains(&version) {
-                DpzError::BadInput("seekable retrieval requires a v4 container")
-            } else {
-                DpzError::Corrupt("unsupported chunk version")
-            });
+        let legacy = (MIN_VERSION..=VERSION_CRC).contains(&version);
+        if !legacy && version != VERSION_SEEKABLE {
+            return Err(DpzError::Corrupt("unsupported chunk version"));
         }
-        let ndims = head[5] as usize;
+        let ndims = usize::from(head[5]);
         if ndims == 0 || ndims > 8 {
             return Err(DpzError::Corrupt("implausible dimensionality"));
         }
-        let mut rest_hdr = vec![0u8; 8 * ndims + 1];
-        r.read_exact(&mut rest_hdr).map_err(io_error)?;
-        let mut dims = Vec::with_capacity(ndims);
-        for c in rest_hdr[..8 * ndims].chunks_exact(8) {
-            let v = u64::from_le_bytes(c.try_into().unwrap());
-            dims.push(usize::try_from(v).map_err(|_| DpzError::Corrupt("size overflows usize"))?);
-        }
-        let flags = rest_hdr[8 * ndims];
-        let header_len = 6 + 8 * ndims + 1;
-        if total_len < header_len + TAIL_LEN {
-            return Err(DpzError::Corrupt("truncated chunk footer"));
-        }
-
-        r.seek(SeekFrom::End(-(TAIL_LEN as i64)))
-            .map_err(io_error)?;
-        let mut tail = [0u8; TAIL_LEN];
-        r.read_exact(&mut tail).map_err(io_error)?;
-        if &tail[12..] != TAIL_MAGIC {
-            return Err(DpzError::Corrupt("bad footer magic"));
-        }
-        let footer_len = usize::try_from(u64::from_le_bytes(tail[..8].try_into().unwrap()))
-            .map_err(|_| DpzError::Corrupt("size overflows usize"))?;
-        let stored_crc = u32::from_le_bytes(tail[8..12].try_into().unwrap());
-        if footer_len > total_len - header_len - TAIL_LEN {
-            return Err(DpzError::Corrupt("truncated chunk footer"));
-        }
-        let footer_start = total_len - TAIL_LEN - footer_len;
-        r.seek(SeekFrom::Start(footer_start as u64))
-            .map_err(io_error)?;
-        let mut footer = vec![0u8; footer_len];
-        r.read_exact(&mut footer).map_err(io_error)?;
-        if crc32(&footer) != stored_crc {
-            return Err(DpzError::Corrupt("footer checksum mismatch"));
-        }
-        let (chunks, progressive) = parse_footer(&footer, &dims, flags, header_len, footer_start)?;
+        // The dims, then the v4 flag byte or the legacy chunk count.
+        let fields = read_at(
+            r,
+            6,
+            8 * ndims + if legacy { 8 } else { 1 },
+            total_len,
+            "truncated chunk header",
+        )?;
+        let mut cur = container::Cursor::new(&fields, "truncated chunk header");
+        let dims = (0..ndims)
+            .map(|_| cur.u64())
+            .collect::<Result<Vec<_>, _>>()?;
+        // Checked up front: eight huge dims must be a decode error, not a
+        // multiply-overflow panic. The trailing dims are checked on their
+        // own: a zero slow axis keeps the full product small while they
+        // alone overflow.
+        checked_product(&dims, "dims overflow")?;
+        let rest = checked_product(&dims[1..], "dims overflow")?.max(1);
+        let end_of_fields = 6 + fields.len();
+        let (flags, header_len, chunks, progressive) = if legacy {
+            let count = cur.u64()?;
+            let (chunks, header_len) =
+                read_directory(r, version, count, &dims, rest, end_of_fields, total_len)?;
+            (0, header_len, chunks, None)
+        } else {
+            let flags = cur.u8()?;
+            let (chunks, progressive) =
+                read_footer(r, &dims, rest, flags, end_of_fields, total_len)?;
+            (flags, end_of_fields, chunks, progressive)
+        };
         Ok(SeekableIndex {
+            version,
             dims,
             flags,
             header_len,
@@ -713,129 +793,32 @@ impl SeekableIndex {
         self.progressive.is_some()
     }
 
-    /// Fetch one chunk's stream bytes from a seekable source and verify its
-    /// CRC. Reads exactly `chunks[i].len` bytes.
-    pub fn read_chunk<R: Read + Seek>(&self, r: &mut R, i: usize) -> Result<Vec<u8>, DpzError> {
-        let e = self
-            .chunks
+    fn entry(&self, i: usize) -> Result<&ChunkEntry, DpzError> {
+        self.chunks
             .get(i)
-            .ok_or(DpzError::BadInput("chunk index out of range"))?;
-        r.seek(SeekFrom::Start(e.offset as u64)).map_err(io_error)?;
-        let mut buf = vec![0u8; e.len];
-        r.read_exact(&mut buf).map_err(io_error)?;
-        if crc32(&buf) != e.crc {
-            return Err(DpzError::Corrupt("chunk checksum mismatch"));
-        }
-        Ok(buf)
+            .ok_or(DpzError::BadInput("chunk index out of range"))
     }
-}
 
-/// Parsed legacy (v1/v2) chunk directory.
-struct Directory<'a> {
-    dims: Vec<usize>,
-    /// Byte range of each chunk stream within `payload`.
-    ranges: Vec<(usize, usize)>,
-    /// Stored per-chunk CRC-32 values (empty for version-1 containers).
-    crcs: Vec<u32>,
-    payload: &'a [u8],
-    info: ContainerInfo,
-}
+    /// One seek-and-read of a chunk's stream bytes.
+    fn fetch<R: Read + Seek>(&self, r: &mut R, e: &ChunkEntry) -> Result<Vec<u8>, DpzError> {
+        read_at(
+            r,
+            e.offset,
+            e.len,
+            self.total_len,
+            "truncated chunk payload",
+        )
+    }
 
-impl Directory<'_> {
-    /// Verify the stored CRC of chunk `i` against its payload bytes.
-    /// Version-1 directories have no checksums and trivially pass.
-    fn check_chunk(&self, i: usize) -> Result<(), DpzError> {
-        if let Some(&stored) = self.crcs.get(i) {
-            let (lo, hi) = self.ranges[i];
-            if crc32(&self.payload[lo..hi]) != stored {
-                return Err(DpzError::Corrupt("chunk checksum mismatch"));
-            }
-        }
-        Ok(())
+    /// Fetch one chunk's stream bytes from a seekable source and verify its
+    /// CRC, when the container stores one. Reads exactly `chunks[i].len`
+    /// bytes.
+    pub fn read_chunk<R: Read + Seek>(&self, r: &mut R, i: usize) -> Result<Vec<u8>, DpzError> {
+        let e = self.entry(i)?;
+        let stream = self.fetch(r, e)?;
+        e.verify(&stream)?;
+        Ok(stream)
     }
-}
-
-fn parse_directory(bytes: &[u8]) -> Result<Directory<'_>, DpzError> {
-    let need = |ok: bool| {
-        if ok {
-            Ok(())
-        } else {
-            Err(DpzError::Corrupt("truncated chunk directory"))
-        }
-    };
-    need(bytes.len() >= 6)?;
-    if &bytes[..4] != MAGIC {
-        return Err(DpzError::Corrupt("bad chunk magic"));
-    }
-    let version = bytes[4];
-    if !(MIN_VERSION..=VERSION_CRC).contains(&version) {
-        return Err(DpzError::Corrupt("unsupported chunk version"));
-    }
-    let checksummed = version >= 2;
-    let ndims = bytes[5] as usize;
-    if ndims == 0 || ndims > 8 {
-        return Err(DpzError::Corrupt("implausible dimensionality"));
-    }
-    let mut pos = 6;
-    let u64_at = |p: &mut usize| -> Result<usize, DpzError> {
-        need(bytes.len() >= p.checked_add(8).ok_or(DpzError::Corrupt("size overflow"))?)?;
-        let v = u64::from_le_bytes(bytes[*p..*p + 8].try_into().unwrap());
-        *p += 8;
-        usize::try_from(v).map_err(|_| DpzError::Corrupt("size overflow"))
-    };
-    let mut dims = Vec::with_capacity(ndims);
-    for _ in 0..ndims {
-        dims.push(u64_at(&mut pos)?);
-    }
-    // Validate the dims product up front (checked: eight huge dims must be a
-    // decode error, not a multiply-overflow panic in the stitch step).
-    checked_product(&dims, "dims overflow")?;
-    let count = u64_at(&mut pos)?;
-    if count == 0 || count > 1 << 20 {
-        return Err(DpzError::Corrupt("implausible chunk count"));
-    }
-    let mut lens = Vec::with_capacity(count);
-    for _ in 0..count {
-        lens.push(u64_at(&mut pos)?);
-    }
-    let mut crcs = Vec::new();
-    if checksummed {
-        crcs.reserve(count);
-        for _ in 0..count {
-            need(bytes.len() >= pos + 4)?;
-            crcs.push(u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()));
-            pos += 4;
-        }
-    }
-    let payload = &bytes[pos..];
-    // Checked fold: a directory of near-usize::MAX lengths used to wrap the
-    // plain `iter().sum()` and alias a bogus total onto the payload length.
-    let total = lens
-        .iter()
-        .try_fold(0usize, |acc, &l| acc.checked_add(l))
-        .ok_or(DpzError::Corrupt("chunk lengths overflow"))?;
-    if total != payload.len() {
-        return Err(DpzError::Corrupt("chunk payload length mismatch"));
-    }
-    let mut ranges = Vec::with_capacity(count);
-    let mut offset = 0;
-    for len in lens {
-        ranges.push((offset, offset + len));
-        offset += len;
-    }
-    Ok(Directory {
-        dims,
-        ranges,
-        crcs,
-        payload,
-        info: ContainerInfo {
-            version,
-            checksummed,
-            // Placeholder; the decode paths aggregate the inner streams'
-            // per-section backend flags into this field.
-            tans_sections: 0,
-        },
-    })
 }
 
 /// Count a decode failure against the dpzc reject series. Every public
@@ -871,90 +854,74 @@ fn decode_stream(stream: &[u8]) -> Result<(Vec<f32>, Vec<usize>, ContainerInfo),
     }
 }
 
-/// Append decoded parts, in chunk order, into one buffer of exactly
-/// `expected` values, collecting each part's side value. The first failed
-/// part's error wins, and overflow is rejected before it is copied.
-fn stitch<T>(
-    parts: impl IntoIterator<Item = Result<(Vec<f32>, T), DpzError>>,
-    expected: usize,
-) -> Result<(Vec<f32>, Vec<T>), DpzError> {
+/// The one step every DPZC read takes per chunk. `stream` is the chunk's
+/// bytes (a slice of the in-memory container, or one seek-and-read), or a
+/// progressive prefix of them. A whole stream is checked against the
+/// entry's CRC-32 when there is one (a prefix is not covered by it; its
+/// sections carry their own). Then `decode` runs, and the slab must match
+/// the entry: its rows, the container's trailing dims, its value count.
+fn decode_chunk<T>(
+    dims: &[usize],
+    e: &ChunkEntry,
+    stream: &[u8],
+    decode: impl FnOnce(&[u8]) -> Result<(Vec<f32>, Vec<usize>, T), DpzError>,
+) -> Result<(Vec<f32>, Vec<usize>, T), DpzError> {
+    if stream.len() == e.len {
+        e.verify(stream)?;
+    }
+    let (values, slab_dims, side) = decode(stream)?;
+    if slab_dims.first() != Some(&e.rows) || slab_dims[1..] != dims[1..] || values.len() != e.values
+    {
+        return Err(DpzError::Corrupt("chunk dims inconsistent with index"));
+    }
+    Ok((values, slab_dims, side))
+}
+
+/// Concatenate decoded parts in chunk order, collecting each part's side
+/// value. The first failed part's error wins. (Growing one buffer part by
+/// part measured faster on full decodes than collecting the parts and
+/// calling `concat`.)
+fn stitch<T>(parts: Vec<Result<(Vec<f32>, T), DpzError>>) -> Result<(Vec<f32>, Vec<T>), DpzError> {
     let mut out = Vec::new();
     let mut side = Vec::new();
     for p in parts {
         let (v, t) = p?;
-        if out.len() + v.len() > expected {
-            return Err(DpzError::Corrupt("stitched length mismatch"));
-        }
         out.extend_from_slice(&v);
         side.push(t);
-    }
-    if out.len() != expected {
-        return Err(DpzError::Corrupt("stitched length mismatch"));
     }
     Ok((out, side))
 }
 
-/// Aggregate (saturating) tANS section count across inner chunk streams.
-fn total_tans_sections(infos: &[ContainerInfo]) -> u8 {
-    infos
-        .iter()
-        .fold(0u8, |acc, info| acc.saturating_add(info.tans_sections))
-}
-
-/// Uncounted full decode shared by every entry point; dispatches on the
-/// container version byte.
+/// Uncounted full decode: every chunk, as a slice of `bytes`, through
+/// [`decode_chunk`] in parallel.
 fn full_decode(bytes: &[u8]) -> Result<(Vec<f32>, Vec<usize>, ContainerInfo), DpzError> {
     let _root = span!("decompress_chunked");
-    if bytes.len() < 6 || &bytes[..4] != MAGIC {
-        return Err(DpzError::Corrupt("bad chunk magic"));
-    }
-    if bytes[4] > VERSION_CRC {
-        let index = SeekableIndex::from_bytes(bytes)?;
-        // CRC verification rides inside the same parallel pass as the
-        // decode; results are examined in chunk order, so a corrupt stream
-        // fails deterministically regardless of worker scheduling.
-        let parts: Vec<Result<(Vec<f32>, ContainerInfo), DpzError>> = index
-            .chunks
-            .par_iter()
-            .map(|e| {
-                let s = &bytes[e.offset..e.offset + e.len];
-                if crc32(s) != e.crc {
-                    return Err(DpzError::Corrupt("chunk checksum mismatch"));
-                }
-                let (v, _, info) = decode_stream(s)?;
-                if v.len() != e.values {
-                    return Err(DpzError::Corrupt("stitched length mismatch"));
-                }
-                Ok((v, info))
-            })
-            .collect();
-        let (out, infos) = stitch(parts, checked_product(&index.dims, "dims overflow")?)?;
-        Ok((
-            out,
-            index.dims,
-            ContainerInfo {
-                version: VERSION_SEEKABLE,
-                checksummed: true,
-                tans_sections: total_tans_sections(&infos),
-            },
-        ))
-    } else {
-        let dir = parse_directory(bytes)?;
-        let indexed: Vec<(usize, (usize, usize))> =
-            dir.ranges.iter().copied().enumerate().collect();
-        let parts: Vec<Result<(Vec<f32>, ContainerInfo), DpzError>> = indexed
-            .par_iter()
-            .map(|&(i, (lo, hi))| {
-                dir.check_chunk(i)?;
-                let (v, _, info) = decompress_with_info(&dir.payload[lo..hi])?;
-                Ok((v, info))
-            })
-            .collect();
-        let (out, infos) = stitch(parts, checked_product(&dir.dims, "dims overflow")?)?;
-        let mut info = dir.info;
-        info.tans_sections = total_tans_sections(&infos);
-        Ok((out, dir.dims, info))
-    }
+    let index = SeekableIndex::from_bytes(bytes)?;
+    // CRC verification rides inside the same parallel pass as the decode;
+    // results are examined in chunk order, so a corrupt stream fails
+    // deterministically regardless of worker scheduling.
+    let parts: Vec<Result<(Vec<f32>, ContainerInfo), DpzError>> = index
+        .chunks
+        .par_iter()
+        .map(|e| {
+            let stream = &bytes[e.offset..e.offset + e.len];
+            let (v, _, info) = decode_chunk(&index.dims, e, stream, decode_stream)?;
+            Ok((v, info))
+        })
+        .collect();
+    let (values, infos) = stitch(parts)?;
+    let tans_sections = infos
+        .iter()
+        .fold(0u8, |acc, info| acc.saturating_add(info.tans_sections));
+    Ok((
+        values,
+        index.dims,
+        ContainerInfo {
+            version: index.version,
+            checksummed: index.version >= VERSION_CRC,
+            tans_sections,
+        },
+    ))
 }
 
 /// Decompress a chunked container (chunks in parallel), returning the full
@@ -974,60 +941,29 @@ pub fn decompress_chunked_with_info(
 
 /// Number of chunks in a chunked container.
 pub fn chunk_count(bytes: &[u8]) -> Result<usize, DpzError> {
-    counted(|| {
-        if bytes.len() < 6 || &bytes[..4] != MAGIC {
-            return Err(DpzError::Corrupt("bad chunk magic"));
-        }
-        if bytes[4] > VERSION_CRC {
-            Ok(SeekableIndex::from_bytes(bytes)?.chunks.len())
-        } else {
-            Ok(parse_directory(bytes)?.ranges.len())
-        }
-    })
+    counted(|| SeekableIndex::from_bytes(bytes).map(|index| index.chunks.len()))
 }
 
 /// Decompress a single chunk (random access). Returns the slab's values and
 /// its dims (slowest axis shrunk to the slab height). Only the requested
 /// chunk's bytes are CRC-verified — the point of random access.
 pub fn decompress_chunk(bytes: &[u8], index: usize) -> Result<(Vec<f32>, Vec<usize>), DpzError> {
-    counted(|| {
-        if bytes.len() < 6 || &bytes[..4] != MAGIC {
-            return Err(DpzError::Corrupt("bad chunk magic"));
-        }
-        if bytes[4] > VERSION_CRC {
-            read_chunk_values(&mut Cursor::new(bytes), index)
-        } else {
-            let dir = parse_directory(bytes)?;
-            let &(lo, hi) = dir
-                .ranges
-                .get(index)
-                .ok_or(DpzError::BadInput("chunk index out of range"))?;
-            dir.check_chunk(index)?;
-            decompress(&dir.payload[lo..hi])
-        }
-    })
+    decompress_chunk_from(&mut Cursor::new(bytes), index)
 }
 
-/// [`decompress_chunk`] against a seekable source: reads only the header,
-/// footer, and the requested chunk's bytes. v4 containers only.
+/// [`decompress_chunk`] against a seekable source: reads only the index
+/// (see [`SeekableIndex::read`]) and the requested chunk's bytes.
 pub fn decompress_chunk_from<R: Read + Seek>(
     r: &mut R,
     index: usize,
 ) -> Result<(Vec<f32>, Vec<usize>), DpzError> {
-    counted(|| read_chunk_values(r, index))
-}
-
-/// Uncounted body of the seekable single-chunk read shared by
-/// [`decompress_chunk`] and [`decompress_chunk_from`]: index, one chunk's
-/// CRC-verified bytes, decode.
-fn read_chunk_values<R: Read + Seek>(
-    r: &mut R,
-    index: usize,
-) -> Result<(Vec<f32>, Vec<usize>), DpzError> {
-    let idx = SeekableIndex::read(r)?;
-    let stream = idx.read_chunk(r, index)?;
-    let (v, d, _) = decode_stream(&stream)?;
-    Ok((v, d))
+    counted(|| {
+        let idx = SeekableIndex::read(r)?;
+        let e = idx.entry(index)?;
+        let stream = idx.fetch(r, e)?;
+        let (values, dims, _) = decode_chunk(&idx.dims, e, &stream, decode_stream)?;
+        Ok((values, dims))
+    })
 }
 
 fn validate_region(dims: &[usize], region: &[Range<usize>]) -> Result<(), DpzError> {
@@ -1044,90 +980,35 @@ fn validate_region(dims: &[usize], region: &[Range<usize>]) -> Result<(), DpzErr
 
 /// Chunks overlapping `rows` along axis 0, with the overlap rebased to each
 /// chunk's local row coordinates.
-fn overlapping_chunks(chunks: &[ChunkEntry], rows: &Range<usize>) -> Vec<(usize, Range<usize>)> {
+fn overlapping_chunks<'a>(
+    chunks: &'a [ChunkEntry],
+    rows: &Range<usize>,
+) -> Vec<(&'a ChunkEntry, Range<usize>)> {
     let mut selected = Vec::new();
     let mut row0 = 0usize;
-    for (i, e) in chunks.iter().enumerate() {
+    for e in chunks {
         let lo = rows.start.max(row0);
         let hi = rows.end.min(row0 + e.rows);
         if lo < hi {
-            selected.push((i, lo - row0..hi - row0));
+            selected.push((e, lo - row0..hi - row0));
         }
         row0 += e.rows;
     }
     selected
 }
 
-fn stitch_region_parts(
-    parts: Vec<Result<Vec<f32>, DpzError>>,
-    region: &[Range<usize>],
-) -> Result<(Vec<f32>, Vec<usize>), DpzError> {
-    let out_dims: Vec<usize> = region.iter().map(|r| r.end - r.start).collect();
-    let parts = parts.into_iter().map(|p| p.map(|v| (v, ())));
-    let (out, _) = stitch(parts, checked_product(&out_dims, "dims overflow")?)?;
-    Ok((out, out_dims))
-}
-
-/// Extract the slab-local sub-region from one decoded chunk.
-fn crop_chunk(
-    values: &[f32],
-    slab_dims: &[usize],
-    entry: &ChunkEntry,
-    local_rows: Range<usize>,
-    region: &[Range<usize>],
-) -> Result<Vec<f32>, DpzError> {
-    if slab_dims.len() != region.len() || slab_dims[0] != entry.rows || values.len() != entry.values
-    {
-        return Err(DpzError::Corrupt("chunk dims inconsistent with footer"));
-    }
-    let mut local: Vec<Range<usize>> = Vec::with_capacity(region.len());
-    local.push(local_rows);
-    local.extend(region[1..].iter().cloned());
-    Ok(extract_region(values, slab_dims, &local))
-}
-
-/// Decompress an axis-aligned sub-region (`lo..hi` per axis). On a v4
-/// container only the chunks overlapping the region along the slowest axis
-/// are CRC-verified and decoded; legacy containers fall back to a full
-/// decode plus crop. Returns the region's values and its dims.
+/// Decompress an axis-aligned sub-region (`lo..hi` per axis). Only the
+/// chunks overlapping the region along the slowest axis are CRC-verified
+/// and decoded. Returns the region's values and its dims.
 pub fn decompress_region(
     bytes: &[u8],
     region: &[Range<usize>],
 ) -> Result<(Vec<f32>, Vec<usize>), DpzError> {
-    counted(|| {
-        if bytes.len() < 6 || &bytes[..4] != MAGIC {
-            return Err(DpzError::Corrupt("bad chunk magic"));
-        }
-        if bytes[4] > VERSION_CRC {
-            let index = SeekableIndex::from_bytes(bytes)?;
-            validate_region(&index.dims, region)?;
-            let selected = overlapping_chunks(&index.chunks, &region[0]);
-            let parts: Vec<Result<Vec<f32>, DpzError>> = selected
-                .par_iter()
-                .map(|(i, local_rows)| {
-                    let e = &index.chunks[*i];
-                    let s = &bytes[e.offset..e.offset + e.len];
-                    if crc32(s) != e.crc {
-                        return Err(DpzError::Corrupt("chunk checksum mismatch"));
-                    }
-                    let (v, slab_dims, _) = decode_stream(s)?;
-                    crop_chunk(&v, &slab_dims, e, local_rows.clone(), region)
-                })
-                .collect();
-            stitch_region_parts(parts, region)
-        } else {
-            // Legacy streams have no index: decode everything, then crop.
-            let (values, dims, _) = full_decode(bytes)?;
-            validate_region(&dims, region)?;
-            let out = extract_region(&values, &dims, region);
-            let out_dims: Vec<usize> = region.iter().map(|r| r.end - r.start).collect();
-            Ok((out, out_dims))
-        }
-    })
+    decompress_region_from(&mut Cursor::new(bytes), region)
 }
 
-/// [`decompress_region`] against a seekable source: reads only the header,
-/// footer, and the overlapping chunks' bytes. v4 containers only.
+/// [`decompress_region`] against a seekable source: reads only the index
+/// (see [`SeekableIndex::read`]) and the overlapping chunks' bytes.
 pub fn decompress_region_from<R: Read + Seek>(
     r: &mut R,
     region: &[Range<usize>],
@@ -1135,19 +1016,24 @@ pub fn decompress_region_from<R: Read + Seek>(
     counted(|| {
         let index = SeekableIndex::read(r)?;
         validate_region(&index.dims, region)?;
-        let selected = overlapping_chunks(&index.chunks, &region[0]);
-        // Sequential fetch (one seek per chunk), decode as we go: a Read +
-        // Seek source is stateful, so the parallel in-memory path doesn't
-        // apply here.
-        let mut parts = Vec::with_capacity(selected.len());
-        for (i, local_rows) in selected {
-            let e = index.chunks[i];
-            let stream = index.read_chunk(r, i)?;
-            let part = decode_stream(&stream)
-                .and_then(|(v, slab_dims, _)| crop_chunk(&v, &slab_dims, &e, local_rows, region));
-            parts.push(part);
+        // A reader is stateful, so the overlapping chunks are fetched in
+        // order, one seek-and-read each; they then decode and crop in
+        // parallel.
+        let mut fetched = Vec::new();
+        for (e, local_rows) in overlapping_chunks(&index.chunks, &region[0]) {
+            fetched.push((e, local_rows, index.fetch(r, e)?));
         }
-        stitch_region_parts(parts, region)
+        let parts: Vec<Result<(Vec<f32>, ()), DpzError>> = fetched
+            .par_iter()
+            .map(|(e, local_rows, stream)| {
+                let (values, slab_dims, _) = decode_chunk(&index.dims, e, stream, decode_stream)?;
+                let mut local = region.to_vec();
+                local[0] = local_rows.clone();
+                Ok((extract_region(&values, &slab_dims, &local), ()))
+            })
+            .collect();
+        let (values, _) = stitch(parts)?;
+        Ok((values, region.iter().map(|r| r.end - r.start).collect()))
     })
 }
 
@@ -1250,19 +1136,17 @@ pub fn decompress_progressive(
         let parts: Vec<Result<(Vec<f32>, f64), DpzError>> = work
             .par_iter()
             .map(|&(e, p, k)| {
-                let prefix_len = p.components[k - 1].end;
-                let s = &bytes[e.offset..e.offset + prefix_len];
-                let (payload, _) = container::deserialize_progressive(s, Some(k))?;
-                let range = payload.norm_range;
-                let (v, _) = crate::pipeline::reconstruct_values(&payload)?;
-                if v.len() != e.values {
-                    return Err(DpzError::Corrupt("stitched length mismatch"));
-                }
+                let prefix = &bytes[e.offset..e.offset + p.components[k - 1].end];
+                let (v, _, range) = decode_chunk(&index.dims, e, prefix, |s| {
+                    let (payload, _) = container::deserialize_progressive(s, Some(k))?;
+                    let (v, dims) = crate::pipeline::reconstruct_values(&payload)?;
+                    Ok((v, dims, payload.norm_range))
+                })?;
                 Ok((v, range))
             })
             .collect();
-        let expected = checked_product(&index.dims, "dims overflow")?;
-        let (values, ranges) = stitch(parts, expected)?;
+        let (values, ranges) = stitch(parts)?;
+        let expected = values.len();
 
         let mut total_energy = 0.0;
         let mut included_energy = 0.0;
@@ -1721,11 +1605,13 @@ mod tests {
         let (in_mem, in_dims) = decompress_region(&out.bytes, &region).unwrap();
         assert_eq!(vals, in_mem);
         assert_eq!(dims, in_dims);
-        // Legacy containers refuse the seekable entry points.
-        assert!(matches!(
-            decompress_region_from(&mut counting(LEGACY_V2), &region),
-            Err(DpzError::BadInput(_))
-        ));
+        // A legacy container serves the same read as the v4 container of
+        // its field.
+        let v4 = compress_chunked(&golden_field(), &[64, 96], &DpzConfig::loose(), 4).unwrap();
+        assert_eq!(
+            decompress_region_from(&mut counting(LEGACY_V2), &region).unwrap(),
+            decompress_region_from(&mut counting(&v4.bytes), &region).unwrap()
+        );
     }
 
     #[test]
@@ -1773,14 +1659,85 @@ mod tests {
     }
 
     #[test]
-    fn legacy_region_falls_back_to_full_decode() {
-        let data = golden_field();
-        let out = compress_chunked(&data, &[64, 96], &DpzConfig::loose(), 4).unwrap();
+    fn legacy_containers_serve_partial_reads() {
+        let v4 = compress_chunked(&golden_field(), &[64, 96], &DpzConfig::loose(), 4).unwrap();
         let region = vec![3..17, 5..25];
-        let (a, da) = decompress_region(LEGACY_V2, &region).unwrap();
-        let (b, db) = decompress_region(&out.bytes, &region).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(da, db);
+        for (version, legacy) in [(1u8, LEGACY_V1), (2, LEGACY_V2)] {
+            let idx = SeekableIndex::from_bytes(legacy).unwrap();
+            assert_eq!(idx.version, version);
+            assert!(idx.chunks.iter().all(|e| e.crc.is_some() == (version >= 2)));
+            assert!(idx
+                .chunks
+                .iter()
+                .all(|e| e.rows == 16 && e.values == 16 * 96));
+            for i in 0..4 {
+                assert_eq!(
+                    decompress_chunk_from(&mut counting(legacy), i).unwrap(),
+                    decompress_chunk(&v4.bytes, i).unwrap(),
+                    "v{version} chunk {i}"
+                );
+            }
+            // Rows 3..17 touch chunks 0 and 1 only, so the read stays well
+            // short of the whole container.
+            let mut r = counting(legacy);
+            let got = decompress_region_from(&mut r, &region).unwrap();
+            assert_eq!(got, decompress_region(&v4.bytes, &region).unwrap());
+            assert_eq!(got, decompress_region(legacy, &region).unwrap());
+            assert!(
+                r.read_bytes < legacy.len() - idx.chunks[3].len,
+                "v{version}: read {} of {} bytes",
+                r.read_bytes,
+                legacy.len()
+            );
+        }
+    }
+
+    #[test]
+    fn damaged_legacy_chunk_header_fails_every_read() {
+        // The legacy index takes each chunk's rows from its stream header,
+        // so a damaged header in the last chunk fails reads of the first.
+        let idx = SeekableIndex::from_bytes(LEGACY_V1).unwrap();
+        let mut bad = LEGACY_V1.to_vec();
+        bad[idx.chunks[3].offset + 6] ^= 0x01; // rows 16 -> 17
+        assert!(matches!(
+            decompress_chunk(&bad, 0),
+            Err(DpzError::Corrupt("chunk shape inconsistent"))
+        ));
+        assert!(decompress_region(&bad, &[0..2, 0..2]).is_err());
+    }
+
+    #[test]
+    fn forged_row_counts_are_rejected_by_every_read() {
+        // A footer that splits 16 rows as 7 + 9 (values 112 + 144) still
+        // tiles the array, and its CRC is recomputed, so only the check of
+        // each decoded [8, 16] slab against its entry can catch it.
+        let data = field(16, 16);
+        let out = compress_chunked(&data, &[16, 16], &DpzConfig::loose(), 2).unwrap();
+        let n = out.bytes.len();
+        let footer_len = usize::try_from(u64::from_le_bytes(
+            out.bytes[n - 16..n - 8].try_into().unwrap(),
+        ))
+        .unwrap();
+        let footer_start = n - TAIL_LEN - footer_len;
+        let mut bad = out.bytes.clone();
+        for (i, (rows, values)) in [(7u64, 112u64), (9, 144)].into_iter().enumerate() {
+            let at = footer_start + 8 + 36 * i + 16;
+            bad[at..at + 8].copy_from_slice(&rows.to_le_bytes());
+            bad[at + 8..at + 16].copy_from_slice(&values.to_le_bytes());
+        }
+        let crc = crc32(&bad[footer_start..n - TAIL_LEN]);
+        bad[n - 8..n - 4].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(SeekableIndex::from_bytes(&bad).unwrap().chunks[0].rows, 7);
+
+        let forged = Err(DpzError::Corrupt("chunk dims inconsistent with index"));
+        let region = [0..16, 0..16];
+        for i in 0..2 {
+            assert_eq!(decompress_chunk(&bad, i), forged, "chunk {i}");
+            assert_eq!(decompress_chunk_from(&mut counting(&bad), i), forged);
+        }
+        assert_eq!(decompress_region(&bad, &region), forged);
+        assert_eq!(decompress_region_from(&mut counting(&bad), &region), forged);
+        assert_eq!(decompress_chunked(&bad), forged);
     }
 
     #[test]

@@ -167,10 +167,6 @@ pub struct DpzConfig {
     pub sampling: bool,
     /// Number of subsets `S` for sampling (10 by default).
     pub sampling_subsets: usize,
-    /// Subsets actually examined, `T` (3 by default: first/middle/last).
-    pub sampling_picks: usize,
-    /// Sampling rate for the VIF compressibility probe.
-    pub vif_sample_rate: f64,
     /// Entropy backend for the container's lossless sections (stage 4).
     pub lossless: LosslessBackend,
 }
@@ -186,8 +182,6 @@ impl DpzConfig {
             standardize: Standardize::Auto,
             sampling: false,
             sampling_subsets: 10,
-            sampling_picks: 3,
-            vif_sample_rate: 0.01,
             lossless: LosslessBackend::Deflate,
         }
     }

@@ -445,41 +445,57 @@ fn read_model(
     Ok(())
 }
 
-struct Cursor<'a> {
+/// Bounded little-endian reader over a byte slice: the one parser for the
+/// DPZ1/DPZP headers and the DPZC header, index footer and legacy
+/// directory. A read past the end is `Corrupt(truncated)`, so each format
+/// keeps its own truncation message.
+pub(crate) struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
+    truncated: &'static str,
 }
 
 impl<'a> Cursor<'a> {
+    pub(crate) fn new(buf: &'a [u8], truncated: &'static str) -> Self {
+        Cursor {
+            buf,
+            pos: 0,
+            truncated,
+        }
+    }
+
+    /// Whether every byte has been read.
+    pub(crate) fn at_end(&self) -> bool {
+        self.pos == self.buf.len()
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], DpzError> {
         let end = self
             .pos
             .checked_add(n)
-            .ok_or(DpzError::Corrupt("truncated stream"))?;
-        if end > self.buf.len() {
-            return Err(DpzError::Corrupt("truncated stream"));
-        }
+            .filter(|&end| end <= self.buf.len())
+            .ok_or(DpzError::Corrupt(self.truncated))?;
         let s = &self.buf[self.pos..end];
         self.pos = end;
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, DpzError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, DpzError> {
         Ok(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32, DpzError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, DpzError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes(b.try_into().unwrap()))
     }
 
-    fn u64(&mut self) -> Result<usize, DpzError> {
+    pub(crate) fn u64(&mut self) -> Result<usize, DpzError> {
         let b = self.take(8)?;
         let v = u64::from_le_bytes(b.try_into().unwrap());
         usize::try_from(v).map_err(|_| DpzError::Corrupt("size overflows usize"))
     }
 
-    fn f64(&mut self) -> Result<f64, DpzError> {
+    pub(crate) fn f64(&mut self) -> Result<f64, DpzError> {
         let b = self.take(8)?;
         Ok(f64::from_le_bytes(b.try_into().unwrap()))
     }
@@ -564,7 +580,7 @@ pub fn deserialize(bytes: &[u8]) -> Result<ContainerData, DpzError> {
 
 /// Parse a container, also reporting the format version and checksum status.
 pub fn deserialize_with_info(bytes: &[u8]) -> Result<(ContainerData, ContainerInfo), DpzError> {
-    let mut cur = Cursor { buf: bytes, pos: 0 };
+    let mut cur = Cursor::new(bytes, "truncated stream");
     if cur.take(4)? != MAGIC {
         return Err(DpzError::Corrupt("bad magic"));
     }
@@ -757,7 +773,7 @@ pub fn deserialize_progressive(
     bytes: &[u8],
     max_components: Option<usize>,
 ) -> Result<(ContainerData, usize), DpzError> {
-    let mut cur = Cursor { buf: bytes, pos: 0 };
+    let mut cur = Cursor::new(bytes, "truncated stream");
     if cur.take(4)? != PROGRESSIVE_MAGIC {
         return Err(DpzError::Corrupt("bad magic"));
     }

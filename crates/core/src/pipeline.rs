@@ -460,8 +460,6 @@ impl PipelinePlan {
         };
         let strat = SamplingStrategy {
             subsets: cfg.sampling_subsets,
-            picks: cfg.sampling_picks,
-            vif_sample_rate: cfg.vif_sample_rate,
             tve,
         };
         strat.estimate(coeffs).map(Some)
@@ -654,11 +652,6 @@ fn record_compress_metrics(
     // fallback; see dpz_kernels::Backend::id for the mapping).
     reg.gauge("dpz_kernel_backend")
         .set(f64::from(dpz_kernels::backend().id()));
-    if let Some(est) = &stats.sampling {
-        reg.gauge("dpz_sampling_vif").set(est.vif);
-        reg.gauge("dpz_sampling_k_estimate")
-            .set(est.k_estimate as f64);
-    }
 }
 
 /// Decompress a DPZ container, returning values and dimensions.

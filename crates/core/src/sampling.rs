@@ -2,13 +2,13 @@
 //! compressibility (VIF), pick `k` from a few block subsets, and predict
 //! the final compression ratio before compressing.
 //!
-//! * **VIF probe** (steps 1-2): a deterministic row sample at rate `SR`
-//!   feeds variance-inflation-factor regressions; `VIF < 5` (the common
+//! * **VIF probe** (steps 1-2): a deterministic row sample at rate
+//!   `SR = 0.01` feeds variance-inflation-factor regressions; `VIF < 5` (the common
 //!   collinearity cutoff) marks *low-linearity* data, which both triggers
 //!   standardization and predicts poor stage-2 compression.
 //! * **k estimation** (steps 3-5): the `M` blocks are divided into `S`
-//!   consecutive subsets; PCA runs on `T` of them (first/middle/last by
-//!   default — the paper's locality-guided pick) and the per-subset `k`s
+//!   consecutive subsets; PCA runs on `T = 3` of them (first/middle/last
+//!   — the paper's locality-guided pick) and the per-subset `k`s
 //!   for the requested TVE are averaged into `k_e`.
 //! * **CR prediction** (step 6): `CR_p = CR_stage1&2 × CR'_stage3 ×
 //!   CR'_zlib` with the paper's empirical stage constants
@@ -28,16 +28,17 @@ pub const ZLIB_FACTOR: f64 = 1.25;
 const VIF_REGRESSORS: usize = 12;
 /// Number of target features probed for VIF.
 const VIF_TARGETS: usize = 8;
+/// Subsets examined, `T`: the first, middle and last (the paper's
+/// locality-guided pick).
+const SUBSET_PICKS: usize = 3;
+/// Row sampling rate `SR` for the VIF probe.
+const VIF_SAMPLE_RATE: f64 = 0.01;
 
 /// Sampling configuration (Algorithm 2 inputs).
 #[derive(Debug, Clone, Copy)]
 pub struct SamplingStrategy {
     /// Number of subsets `S` (10 by default).
     pub subsets: usize,
-    /// Number of subsets examined, `T` (3 by default).
-    pub picks: usize,
-    /// Row sampling rate `SR` for the VIF probe.
-    pub vif_sample_rate: f64,
     /// TVE threshold used for per-subset k selection.
     pub tve: f64,
 }
@@ -46,8 +47,6 @@ impl Default for SamplingStrategy {
     fn default() -> Self {
         SamplingStrategy {
             subsets: 10,
-            picks: 3,
-            vif_sample_rate: 0.01,
             tve: 0.99999,
         }
     }
@@ -123,7 +122,7 @@ impl SamplingStrategy {
     /// Steps 1-2: VIF of a sampled row subset, averaged over a handful of
     /// target features regressed on a bounded regressor set.
     fn probe_vif(&self, coeffs: &Matrix) -> Result<f64, DpzError> {
-        let profile = vif_profile(coeffs, self.vif_sample_rate, VIF_TARGETS)?;
+        let profile = vif_profile(coeffs, VIF_SAMPLE_RATE, VIF_TARGETS)?;
         Ok(profile.iter().sum::<f64>() / profile.len() as f64)
     }
 
@@ -139,9 +138,9 @@ impl SamplingStrategy {
             .subsets
             .clamp(1, m)
             .min((m / MIN_SUBSET_FEATURES).max(1));
-        let t = self.picks.clamp(1, s);
-        // Paper: first, middle and last subsets track locality best; for
-        // other T values spread the picks evenly.
+        let t = SUBSET_PICKS.clamp(1, s);
+        // Paper: first, middle and last subsets track locality best (with
+        // fewer subsets, every one is examined).
         let picks: Vec<usize> = if t == 1 {
             vec![0]
         } else {
@@ -301,7 +300,6 @@ mod tests {
         // 170 features comfortably hold 5 subsets of >= 32 features each.
         let strat = SamplingStrategy {
             subsets: 5,
-            picks: 3,
             ..Default::default()
         };
         let est = strat.estimate(&collinear_blocks(360, 170)).unwrap();
@@ -314,20 +312,9 @@ mod tests {
         // to a single (full) subset rather than bias k_e down.
         let strat = SamplingStrategy {
             subsets: 10,
-            picks: 3,
             ..Default::default()
         };
         let est = strat.estimate(&collinear_blocks(200, 50)).unwrap();
-        assert_eq!(est.subset_ks.len(), 1);
-    }
-
-    #[test]
-    fn single_pick_works() {
-        let strat = SamplingStrategy {
-            picks: 1,
-            ..Default::default()
-        };
-        let est = strat.estimate(&collinear_blocks(100, 30)).unwrap();
         assert_eq!(est.subset_ks.len(), 1);
     }
 

@@ -10,6 +10,7 @@
 use dpz_core::decompose::{choose_shape, dct_blocks, idct_blocks};
 use dpz_linalg::Matrix;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -17,9 +18,22 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// This thread's allocations, for measurements of work that never
+    /// leaves the calling thread (other threads' allocations, such as an
+    /// idle pool's, cannot land in them). Const-initialized and without a
+    /// destructor, so the allocator can read it without allocating.
+    static THREAD_ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
 
@@ -28,7 +42,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -77,37 +91,48 @@ fn transform_blocks_is_alloc_free_after_warmup() {
 }
 
 #[test]
-fn dct_2d_with_scratch_is_alloc_free_after_warmup() {
+fn dct_scratch_is_alloc_free_across_alternating_lengths() {
     let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    use dpz_linalg::dct::{dct2_2d_with, dct3_2d_with, Dct2dScratch};
+    use dpz_linalg::{Dct1d, DctScratch};
 
-    // Non-power-of-two row length exercises the Bluestein FFT path; the
-    // power-of-two column length interleaves the direct radix-2 path through
-    // the same cached scratch, so this also proves the twiddle/chirp caches
-    // tolerate alternating transform sizes without reallocating.
-    let (rows, cols) = (64usize, 96usize);
-    let mut buf: Vec<f64> = (0..rows * cols).map(|i| (i as f64 * 0.013).cos()).collect();
-    let orig = buf.clone();
-    let mut scratch = Dct2dScratch::new();
+    // Length 64 runs the radix-2 FFT and 96 (= 2^5 * 3) the mixed-radix
+    // engine; alternating them through one scratch proves its FFT and DCT
+    // buffers tolerate switching transform sizes without reallocating.
+    let plans = [Dct1d::new(64), Dct1d::new(96)];
+    let mut bufs: Vec<Vec<f64>> = plans
+        .iter()
+        .map(|p| (0..p.len()).map(|i| (i as f64 * 0.013).cos()).collect())
+        .collect();
+    let orig = bufs.clone();
+    let mut scratch = DctScratch::new();
+    let round = |bufs: &mut [Vec<f64>], scratch: &mut DctScratch| {
+        for (plan, buf) in plans.iter().zip(bufs.iter_mut()) {
+            plan.forward_with(buf, scratch);
+            plan.inverse_with(buf, scratch);
+        }
+    };
 
-    // Warm-up builds both 1-D plans and every FFT/DCT buffer.
-    dct2_2d_with(&mut buf, rows, cols, &mut scratch);
-    dct3_2d_with(&mut buf, rows, cols, &mut scratch);
+    // Warm-up grows every FFT/DCT buffer for both lengths.
+    round(&mut bufs, &mut scratch);
 
-    let before = ALLOCS.load(Ordering::Relaxed);
-    dct2_2d_with(&mut buf, rows, cols, &mut scratch);
-    dct3_2d_with(&mut buf, rows, cols, &mut scratch);
-    let delta = ALLOCS.load(Ordering::Relaxed) - before;
+    // The transforms run on this thread alone, so count only its
+    // allocations.
+    let before = THREAD_ALLOCS.with(Cell::get);
+    round(&mut bufs, &mut scratch);
+    round(&mut bufs, &mut scratch);
+    let delta = THREAD_ALLOCS.with(Cell::get) - before;
     assert_eq!(
         delta, 0,
-        "2-D DCT with warm scratch performed {delta} allocations"
+        "1-D DCT with warm scratch performed {delta} allocations"
     );
 
-    // Two forward/inverse round trips must still reproduce the input.
-    let err = buf
-        .iter()
-        .zip(&orig)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f64, f64::max);
-    assert!(err < 1e-9, "2-D round-trip error {err}");
+    // Three forward/inverse round trips must still reproduce the input.
+    for (buf, orig) in bufs.iter().zip(&orig) {
+        let err = buf
+            .iter()
+            .zip(orig)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0f64, f64::max);
+        assert!(err < 1e-9, "round-trip error {err}");
+    }
 }

@@ -31,7 +31,9 @@
 //!    version byte forged instead.
 //!
 //! Every mutated stream is fed to the real decoder under
-//! `std::panic::catch_unwind`; a panic fails the run with the format, seed
+//! `std::panic::catch_unwind` (a DPZC stream to its partial reads as well:
+//! chunk, region and progressive, in memory and over a `Read + Seek`
+//! cursor); a panic fails the run with the format, seed
 //! and iteration number so the case can be replayed exactly. Decoders are
 //! allowed to *succeed* on a mutation (e.g. a flip inside an unchecked v1
 //! payload) — the contract is "no panic", not "always reject".
@@ -44,6 +46,8 @@
 
 use dpz_data::rng::Xoshiro256;
 use dpz_deflate::crc32;
+use std::io::Cursor;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
@@ -160,12 +164,16 @@ fn try_decode(format: Format, bytes: &[u8]) -> Outcome {
                     .map_err(drop)
             }
         };
-        registry()
+        let full = registry()
             .get(codec_name)
             .expect("builtin registry covers every container format")
             .decompress_from(&mut &bytes[..])
             .map(drop)
-            .map_err(drop)
+            .map_err(drop);
+        if format == Format::Chunked {
+            partial_reads(bytes);
+        }
+        full
     }));
     match result {
         Ok(Ok(())) => Outcome::Accepted,
@@ -179,6 +187,33 @@ fn try_decode(format: Format, bytes: &[u8]) -> Outcome {
             Outcome::Panicked(msg)
         }
     }
+}
+
+/// Send a DPZC stream through every partial read: chunk reads of the first
+/// and last index and one past the end, region reads of the full extent
+/// and of an interior box, each in memory and over a `Cursor`, and a
+/// progressive read at half the stream length. Only a panic counts, so the
+/// results are dropped; the accepted/rejected tally stays the full
+/// decode's.
+fn partial_reads(bytes: &[u8]) {
+    // Geometry from the index when it parses; when it does not, every read
+    // fails at the index, and the fallback only has to be well-formed.
+    let (count, dims) = dpz_core::SeekableIndex::from_bytes(bytes)
+        .map_or((1, vec![1, 1]), |index| (index.chunks.len(), index.dims));
+    let full: Vec<Range<usize>> = dims.iter().map(|&d| 0..d.max(1)).collect();
+    let interior: Vec<Range<usize>> = dims
+        .iter()
+        .map(|&d| d / 4..(3 * d / 4).max(d / 4 + 1))
+        .collect();
+    for i in [0, count - 1, count] {
+        let _ = dpz_core::decompress_chunk(bytes, i);
+        let _ = dpz_core::decompress_chunk_from(&mut Cursor::new(bytes), i);
+    }
+    for region in [&full, &interior] {
+        let _ = dpz_core::decompress_region(bytes, region);
+        let _ = dpz_core::decompress_region_from(&mut Cursor::new(bytes), region);
+    }
+    let _ = dpz_core::decompress_progressive(bytes, bytes.len() / 2);
 }
 
 /// One valid stream per shape variant, per format — the mutation substrate.

@@ -15,15 +15,16 @@
 //!
 //! Both directions run in `O(n log n)` via Makhoul's even/odd-reversed
 //! permutation + length-`n` complex FFT ([`crate::fft`]), for *any* `n`
-//! (Bluestein covers non-powers of two). A naive `O(n²)` pair is kept as the
-//! test oracle.
+//! (mixed-radix for 2/3/5-smooth lengths, Bluestein for the rest). A naive
+//! `O(n²)` pair is kept as the test oracle.
 
 use crate::fft::{fft_with, ifft_with, Complex, FftScratch};
 use dpz_kernels::fft as kfft;
 use std::cell::RefCell;
 use std::f64::consts::PI;
 
-/// Reusable workspace for [`Dct1d::forward_with`] / [`Dct1d::inverse_with`].
+/// Reusable workspace for [`Dct1d::forward_with`] / [`Dct1d::inverse_with`]
+/// (and, thread-locally, the paired transforms).
 ///
 /// Holds the complex permutation buffer, the descaled-coefficient buffer and
 /// the FFT's own scratch. After the first transform of a given length the
@@ -146,11 +147,6 @@ impl Dct1d {
     /// the per-block cost; DPZ's stage 1 transforms `M` same-length blocks,
     /// so pairs are always available.
     pub fn forward_pair(&self, a: &mut [f64], b: &mut [f64]) {
-        LOCAL_SCRATCH.with(|s| self.forward_pair_with(a, b, &mut s.borrow_mut()));
-    }
-
-    /// [`Dct1d::forward_pair`] with caller-owned scratch.
-    pub fn forward_pair_with(&self, a: &mut [f64], b: &mut [f64], scratch: &mut DctScratch) {
         assert_eq!(a.len(), self.n, "Dct1d::forward_pair length mismatch");
         assert_eq!(b.len(), self.n, "Dct1d::forward_pair length mismatch");
         let n = self.n;
@@ -161,31 +157,34 @@ impl Dct1d {
             }
             return;
         }
-        // Makhoul permutation of both blocks, packed re/im.
-        scratch.v.resize(n, Complex::default());
-        let v = &mut scratch.v[..n];
-        let half = n.div_ceil(2);
-        for j in 0..half {
-            v[j] = Complex::new(a[2 * j], b[2 * j]);
-        }
-        for j in 0..n / 2 {
-            v[n - 1 - j] = Complex::new(a[2 * j + 1], b[2 * j + 1]);
-        }
-        fft_with(v, &mut scratch.fft);
-        // Unpack the two spectra; only k = 1..n is needed by dct2_post, and
-        // k = 0 reduces to (Re, Im) of V[0].
-        scratch.v2.resize(2 * n, Complex::default());
-        let (va, vb) = scratch.v2.split_at_mut(n);
-        for k in 1..n {
-            let p = v[k];
-            let q = v[n - k];
-            va[k] = Complex::new(0.5 * (p.re + q.re), 0.5 * (p.im - q.im));
-            vb[k] = Complex::new(0.5 * (p.im + q.im), 0.5 * (q.re - p.re));
-        }
-        a[0] = v[0].re * self.s0;
-        b[0] = v[0].im * self.s0;
-        kfft::dct2_post(&mut a[1..], &self.twiddle[1..], &va[1..], self.sk);
-        kfft::dct2_post(&mut b[1..], &self.twiddle[1..], &vb[1..], self.sk);
+        LOCAL_SCRATCH.with(|s| {
+            let scratch = &mut *s.borrow_mut();
+            // Makhoul permutation of both blocks, packed re/im.
+            scratch.v.resize(n, Complex::default());
+            let v = &mut scratch.v[..n];
+            let half = n.div_ceil(2);
+            for j in 0..half {
+                v[j] = Complex::new(a[2 * j], b[2 * j]);
+            }
+            for j in 0..n / 2 {
+                v[n - 1 - j] = Complex::new(a[2 * j + 1], b[2 * j + 1]);
+            }
+            fft_with(v, &mut scratch.fft);
+            // Unpack the two spectra; only k = 1..n is needed by dct2_post,
+            // and k = 0 reduces to (Re, Im) of V[0].
+            scratch.v2.resize(2 * n, Complex::default());
+            let (va, vb) = scratch.v2.split_at_mut(n);
+            for k in 1..n {
+                let p = v[k];
+                let q = v[n - k];
+                va[k] = Complex::new(0.5 * (p.re + q.re), 0.5 * (p.im - q.im));
+                vb[k] = Complex::new(0.5 * (p.im + q.im), 0.5 * (q.re - p.re));
+            }
+            a[0] = v[0].re * self.s0;
+            b[0] = v[0].im * self.s0;
+            kfft::dct2_post(&mut a[1..], &self.twiddle[1..], &va[1..], self.sk);
+            kfft::dct2_post(&mut b[1..], &self.twiddle[1..], &vb[1..], self.sk);
+        });
     }
 
     /// Orthonormal DCT-III of **two** blocks through **one** complex inverse
@@ -194,11 +193,6 @@ impl Dct1d {
     /// `ifft(Va + i·Vb) = perm(a) + i·perm(b)` splits exactly on the re/im
     /// lanes.
     pub fn inverse_pair(&self, a: &mut [f64], b: &mut [f64]) {
-        LOCAL_SCRATCH.with(|s| self.inverse_pair_with(a, b, &mut s.borrow_mut()));
-    }
-
-    /// [`Dct1d::inverse_pair`] with caller-owned scratch.
-    pub fn inverse_pair_with(&self, a: &mut [f64], b: &mut [f64], scratch: &mut DctScratch) {
         assert_eq!(a.len(), self.n, "Dct1d::inverse_pair length mismatch");
         assert_eq!(b.len(), self.n, "Dct1d::inverse_pair length mismatch");
         let n = self.n;
@@ -209,38 +203,41 @@ impl Dct1d {
             }
             return;
         }
-        scratch.c.resize(n, 0.0);
-        scratch.c2.resize(n, 0.0);
-        let ca = &mut scratch.c[..n];
-        let cb = &mut scratch.c2[..n];
-        ca[0] = a[0] / self.s0;
-        cb[0] = b[0] / self.s0;
-        for k in 1..n {
-            ca[k] = a[k] / self.sk;
-            cb[k] = b[k] / self.sk;
-        }
-        // Build both pre-rotated spectra, then pack V = Va + i·Vb.
-        scratch.v2.resize(2 * n, Complex::default());
-        let (va, vb) = scratch.v2.split_at_mut(n);
-        va[0] = Complex::new(ca[0], 0.0);
-        vb[0] = Complex::new(cb[0], 0.0);
-        kfft::dct3_pre(va, &self.twiddle, ca);
-        kfft::dct3_pre(vb, &self.twiddle, cb);
-        scratch.v.resize(n, Complex::default());
-        let v = &mut scratch.v[..n];
-        for k in 0..n {
-            v[k] = Complex::new(va[k].re - vb[k].im, va[k].im + vb[k].re);
-        }
-        ifft_with(v, &mut scratch.fft);
-        let half = n.div_ceil(2);
-        for j in 0..half {
-            a[2 * j] = v[j].re;
-            b[2 * j] = v[j].im;
-        }
-        for j in 0..n / 2 {
-            a[2 * j + 1] = v[n - 1 - j].re;
-            b[2 * j + 1] = v[n - 1 - j].im;
-        }
+        LOCAL_SCRATCH.with(|s| {
+            let scratch = &mut *s.borrow_mut();
+            scratch.c.resize(n, 0.0);
+            scratch.c2.resize(n, 0.0);
+            let ca = &mut scratch.c[..n];
+            let cb = &mut scratch.c2[..n];
+            ca[0] = a[0] / self.s0;
+            cb[0] = b[0] / self.s0;
+            for k in 1..n {
+                ca[k] = a[k] / self.sk;
+                cb[k] = b[k] / self.sk;
+            }
+            // Build both pre-rotated spectra, then pack V = Va + i·Vb.
+            scratch.v2.resize(2 * n, Complex::default());
+            let (va, vb) = scratch.v2.split_at_mut(n);
+            va[0] = Complex::new(ca[0], 0.0);
+            vb[0] = Complex::new(cb[0], 0.0);
+            kfft::dct3_pre(va, &self.twiddle, ca);
+            kfft::dct3_pre(vb, &self.twiddle, cb);
+            scratch.v.resize(n, Complex::default());
+            let v = &mut scratch.v[..n];
+            for k in 0..n {
+                v[k] = Complex::new(va[k].re - vb[k].im, va[k].im + vb[k].re);
+            }
+            ifft_with(v, &mut scratch.fft);
+            let half = n.div_ceil(2);
+            for j in 0..half {
+                a[2 * j] = v[j].re;
+                b[2 * j] = v[j].im;
+            }
+            for j in 0..n / 2 {
+                a[2 * j + 1] = v[n - 1 - j].re;
+                b[2 * j + 1] = v[n - 1 - j].im;
+            }
+        });
     }
 
     /// In-place orthonormal DCT-III (the inverse of [`Dct1d::forward`]).
@@ -307,112 +304,6 @@ pub fn dct3(input: &[f64]) -> Vec<f64> {
 /// One-shot in-place orthonormal DCT-III.
 pub fn dct3_inplace(data: &mut [f64]) {
     Dct1d::new(data.len()).inverse(data);
-}
-
-/// Reusable workspace for [`dct2_2d_with`] / [`dct3_2d_with`]: caches the
-/// row/column [`Dct1d`] plans (keyed by length), the column gather buffer and
-/// the 1-D scratch. After warming up on one `(rows, cols)` shape, repeated
-/// 2-D transforms perform **zero heap allocations**.
-#[derive(Debug, Default)]
-pub struct Dct2dScratch {
-    /// Plan for row transforms (length = `cols`).
-    row_plan: Option<Dct1d>,
-    /// Plan for column transforms (length = `rows`).
-    col_plan: Option<Dct1d>,
-    /// Strided-column gather/scatter buffer, length `rows`.
-    col_buf: Vec<f64>,
-    /// 1-D transform workspace shared by both passes.
-    dct: DctScratch,
-}
-
-impl Dct2dScratch {
-    /// Empty scratch; plans and buffers are built on first use.
-    pub fn new() -> Self {
-        Dct2dScratch::default()
-    }
-
-    /// Cached plans for this shape, rebuilding whichever is stale.
-    fn plans(&mut self, rows: usize, cols: usize) -> (&Dct1d, &Dct1d) {
-        if self.row_plan.as_ref().map(Dct1d::len) != Some(cols) {
-            self.row_plan = Some(Dct1d::new(cols));
-        }
-        if self.col_plan.as_ref().map(Dct1d::len) != Some(rows) {
-            self.col_plan = Some(Dct1d::new(rows));
-        }
-        (
-            self.row_plan.as_ref().unwrap(),
-            self.col_plan.as_ref().unwrap(),
-        )
-    }
-}
-
-/// Separable 2-D orthonormal DCT-II over a row-major `rows x cols` matrix:
-/// `Z = Aᵀ_rows · X · A_cols` computed as row transforms followed by column
-/// transforms (the identity the paper's Section III-B2 uses to extend the
-/// PCA-in-DCT-domain proof to 2-D).
-///
-/// Allocates plans and scratch per call; use [`dct2_2d_with`] to amortize.
-pub fn dct2_2d(data: &mut [f64], rows: usize, cols: usize) {
-    let mut scratch = Dct2dScratch::new();
-    dct2_2d_with(data, rows, cols, &mut scratch);
-}
-
-/// [`dct2_2d`] with caller-owned scratch: allocation-free once `scratch` has
-/// warmed up on this shape.
-pub fn dct2_2d_with(data: &mut [f64], rows: usize, cols: usize, scratch: &mut Dct2dScratch) {
-    assert_eq!(data.len(), rows * cols, "dct2_2d shape mismatch");
-    if rows == 0 || cols == 0 {
-        return;
-    }
-    scratch.plans(rows, cols);
-    scratch.col_buf.resize(rows, 0.0);
-    let row_plan = scratch.row_plan.as_ref().unwrap();
-    let col_plan = scratch.col_plan.as_ref().unwrap();
-    for r in 0..rows {
-        row_plan.forward_with(&mut data[r * cols..(r + 1) * cols], &mut scratch.dct);
-    }
-    for c in 0..cols {
-        for r in 0..rows {
-            scratch.col_buf[r] = data[r * cols + c];
-        }
-        col_plan.forward_with(&mut scratch.col_buf, &mut scratch.dct);
-        for r in 0..rows {
-            data[r * cols + c] = scratch.col_buf[r];
-        }
-    }
-}
-
-/// Inverse of [`dct2_2d`] (2-D DCT-III, columns then rows).
-///
-/// Allocates plans and scratch per call; use [`dct3_2d_with`] to amortize.
-pub fn dct3_2d(data: &mut [f64], rows: usize, cols: usize) {
-    let mut scratch = Dct2dScratch::new();
-    dct3_2d_with(data, rows, cols, &mut scratch);
-}
-
-/// [`dct3_2d`] with caller-owned scratch: allocation-free once `scratch` has
-/// warmed up on this shape.
-pub fn dct3_2d_with(data: &mut [f64], rows: usize, cols: usize, scratch: &mut Dct2dScratch) {
-    assert_eq!(data.len(), rows * cols, "dct3_2d shape mismatch");
-    if rows == 0 || cols == 0 {
-        return;
-    }
-    scratch.plans(rows, cols);
-    scratch.col_buf.resize(rows, 0.0);
-    let row_plan = scratch.row_plan.as_ref().unwrap();
-    let col_plan = scratch.col_plan.as_ref().unwrap();
-    for c in 0..cols {
-        for r in 0..rows {
-            scratch.col_buf[r] = data[r * cols + c];
-        }
-        col_plan.inverse_with(&mut scratch.col_buf, &mut scratch.dct);
-        for r in 0..rows {
-            data[r * cols + c] = scratch.col_buf[r];
-        }
-    }
-    for r in 0..rows {
-        row_plan.inverse_with(&mut data[r * cols..(r + 1) * cols], &mut scratch.dct);
-    }
 }
 
 /// Naive `O(n²)` orthonormal DCT-II. Test oracle.
@@ -568,8 +459,8 @@ mod tests {
     #[test]
     fn explicit_scratch_matches_thread_local_path() {
         let mut scratch = DctScratch::new();
-        // Mixed lengths (pow2 and Bluestein) through one scratch; results
-        // must match the default path bit-for-bit.
+        // Mixed lengths (radix-2, mixed-radix, Bluestein) through one
+        // scratch; results must match the default path bit-for-bit.
         for &n in &[8usize, 33, 8, 100, 64, 33] {
             let plan = Dct1d::new(n);
             let x = ramp(n);
@@ -589,90 +480,6 @@ mod tests {
         let plan = Dct1d::new(8);
         let mut x = vec![0.0; 7];
         plan.forward(&mut x);
-    }
-
-    #[test]
-    fn dct_2d_round_trip() {
-        let (rows, cols) = (12, 17);
-        let x: Vec<f64> = (0..rows * cols).map(|i| (i as f64 * 0.13).sin()).collect();
-        let mut buf = x.clone();
-        dct2_2d(&mut buf, rows, cols);
-        dct3_2d(&mut buf, rows, cols);
-        assert!(max_err(&x, &buf) < 1e-10);
-    }
-
-    #[test]
-    fn dct_2d_energy_preserved() {
-        let (rows, cols) = (8, 8);
-        let x: Vec<f64> = (0..64).map(|i| (i as f64 * 0.7).cos() * 3.0).collect();
-        let mut buf = x.clone();
-        dct2_2d(&mut buf, rows, cols);
-        let ex: f64 = x.iter().map(|v| v * v).sum();
-        let ey: f64 = buf.iter().map(|v| v * v).sum();
-        assert!((ex - ey).abs() < 1e-9 * ex);
-    }
-
-    #[test]
-    fn dct_2d_separability_matches_manual() {
-        // 2-D transform equals row transforms followed by column transforms
-        // done by hand with the 1-D API.
-        let (rows, cols) = (6, 10);
-        let x: Vec<f64> = (0..60).map(|i| (i * i % 13) as f64).collect();
-        let mut fast = x.clone();
-        dct2_2d(&mut fast, rows, cols);
-
-        let mut manual = x.clone();
-        for r in 0..rows {
-            let row = dct2(&manual[r * cols..(r + 1) * cols]);
-            manual[r * cols..(r + 1) * cols].copy_from_slice(&row);
-        }
-        for c in 0..cols {
-            let col: Vec<f64> = (0..rows).map(|r| manual[r * cols + c]).collect();
-            let t = dct2(&col);
-            for r in 0..rows {
-                manual[r * cols + c] = t[r];
-            }
-        }
-        assert!(max_err(&fast, &manual) < 1e-12);
-    }
-
-    #[test]
-    fn dct_2d_smooth_image_compacts_to_corner() {
-        let (rows, cols) = (16, 16);
-        let x: Vec<f64> = (0..rows * cols)
-            .map(|i| {
-                let r = (i / cols) as f64 / rows as f64;
-                let c = (i % cols) as f64 / cols as f64;
-                (PI * r).sin() + (PI * c).cos()
-            })
-            .collect();
-        let mut buf = x.clone();
-        dct2_2d(&mut buf, rows, cols);
-        let total: f64 = buf.iter().map(|v| v * v).sum();
-        let mut corner = 0.0;
-        for r in 0..4 {
-            for c in 0..4 {
-                corner += buf[r * cols + c] * buf[r * cols + c];
-            }
-        }
-        assert!(corner / total > 0.99, "corner energy {}", corner / total);
-    }
-
-    #[test]
-    fn dct_2d_with_scratch_matches_fresh_across_shapes() {
-        let mut scratch = Dct2dScratch::new();
-        // Shape changes invalidate the cached plans; results must stay
-        // bit-identical to the allocating path.
-        for &(rows, cols) in &[(4usize, 6usize), (12, 17), (4, 6), (1, 9), (9, 1), (8, 8)] {
-            let x: Vec<f64> = (0..rows * cols).map(|i| (i as f64 * 0.31).sin()).collect();
-            let mut with = x.clone();
-            dct2_2d_with(&mut with, rows, cols, &mut scratch);
-            let mut fresh = x.clone();
-            dct2_2d(&mut fresh, rows, cols);
-            assert_eq!(with, fresh, "forward {rows}x{cols}");
-            dct3_2d_with(&mut with, rows, cols, &mut scratch);
-            assert!(max_err(&with, &x) < 1e-10, "roundtrip {rows}x{cols}");
-        }
     }
 
     #[test]
