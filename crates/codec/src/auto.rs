@@ -28,9 +28,17 @@ const LOOSE_CR_THRESHOLD: f64 = 4.0;
 ///
 /// The winner by predicted/measured ratio encodes the full input; when DPZ
 /// wins, the scheme is DPZ-l if the pessimistic prediction clears 4x,
-/// DPZ-s otherwise. Every selection increments the
-/// `dpz_codec_selected_total{codec}` counter, and the returned
-/// [`CodecStats::codec`] names the backend that actually ran.
+/// DPZ-s otherwise.
+///
+/// Toward a [`QualityTarget`], every eligible backend is probed at the
+/// target ([`AutoCodec::probe_all`]), [`AutoCodec::select_probe`] picks
+/// the winner, and the winner compresses at the target its probe resolved
+/// ([`CodecProbe::resolved`]): an SZ winner writes at the bound its probe
+/// already searched, so a ratio request runs SZ's search once.
+///
+/// Every selection increments the `dpz_codec_selected_total{codec}`
+/// counter, and the returned [`CodecStats::codec`] names the backend that
+/// actually ran.
 pub struct AutoCodec {
     /// SZ candidate (also the fallback for tiny inputs).
     pub sz: SzCodec,
@@ -300,10 +308,14 @@ impl Codec for AutoCodec {
         if dpz_telemetry::trace::journal_enabled() {
             dpz_telemetry::trace::instant(&format!("codec_selected.{}", winner.codec));
         }
+        // The winner's probe already resolved the request on this input;
+        // compressing at that target writes the same bytes without
+        // resolving it again.
+        let resolved = &winner.resolved;
         match winner.codec {
-            "sz" => self.sz.compress_with_target(src, dims, target, dst),
-            "zfp" => self.zfp.compress_with_target(src, dims, target, dst),
-            _ => DpzCodec::default().compress_with_target(src, dims, target, dst),
+            "sz" => self.sz.compress_with_target(src, dims, resolved, dst),
+            "zfp" => self.zfp.compress_with_target(src, dims, resolved, dst),
+            _ => DpzCodec::default().compress_with_target(src, dims, resolved, dst),
         }
     }
 

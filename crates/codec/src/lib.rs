@@ -91,6 +91,14 @@ pub struct CodecProbe {
     /// How many leading values the probe actually examined (its prefix
     /// size — `min(len, PROBE_CAP)`).
     pub prefix_values: usize,
+    /// The static target that backend `codec`'s
+    /// [`Codec::compress_with_target`] resolves the probed request to on
+    /// this input. Compressing the input at `resolved` writes exactly the
+    /// bytes that compressing it at the request writes, so a caller that
+    /// has probed never pays for the resolution (such as SZ's ratio search)
+    /// a second time. Codecs that resolve a target with a confirm loop or
+    /// a closed form report the request unchanged.
+    pub resolved: QualityTarget,
 }
 
 /// The contract every compressor implements: streaming compress into any
@@ -128,11 +136,15 @@ pub trait Codec: Send + Sync {
     fn decompress_from(&self, src: &mut dyn Read) -> Result<Decoded, DpzError>;
 
     /// Predict what compressing `src` toward `target` would yield — ratio
-    /// *and* PSNR — from a prefix of at most [`PROBE_CAP`] values.
+    /// *and* PSNR — from a prefix of at most [`PROBE_CAP`] values, and the
+    /// static target the request resolves to on this input
+    /// ([`CodecProbe::resolved`]).
     ///
-    /// The default implementation micro-compresses the prefix for real and
-    /// measures both numbers (cheap for the baseline codecs); backends with
-    /// an analytic model override it.
+    /// The default implementation micro-compresses the 1-D view of the
+    /// prefix toward `target` for real, measures both numbers and reports
+    /// the request unchanged as `resolved` (cheap for ZFP, whose targets
+    /// map to modes in closed form); backends with an analytic model or a
+    /// search of their own override it.
     fn probe(
         &self,
         src: &[f32],
@@ -151,6 +163,7 @@ pub trait Codec: Send + Sync {
             predicted_cr: stats.ratio(),
             predicted_psnr: probe_psnr(sample, &decoded.values),
             prefix_values: n,
+            resolved: *target,
         })
     }
 

@@ -1,9 +1,12 @@
 //! [`Codec`] implementations for the four concrete backends.
 
-use crate::{check_dims, io_err, read_all, Codec, CodecProbe, CodecStats, Decoded, Format};
-use dpz_core::{DpzConfig, DpzError, QualityTarget, RatioOracle};
+use crate::{
+    check_dims, io_err, probe_psnr, read_all, Codec, CodecProbe, CodecStats, Decoded, Format,
+};
+use dpz_core::{DpzConfig, DpzError, QualityTarget, RatioOracle, PROBE_CAP};
 use dpz_sz::{SzConfig, SzError};
 use dpz_zfp::{ZfpError, ZfpMode};
+use std::cell::RefCell;
 use std::io::{Read, Write};
 
 fn write_stream(dst: &mut dyn Write, bytes: &[u8]) -> Result<(), DpzError> {
@@ -75,7 +78,10 @@ fn dpz_probe(
         codec,
         predicted_cr: cr,
         predicted_psnr: dpz_core::psnr_for_bound(p),
-        prefix_values: src.len().min(dpz_core::PROBE_CAP),
+        prefix_values: src.len().min(PROBE_CAP),
+        // `compress_with_target` resolves the request again with its own
+        // confirm loop on the full input.
+        resolved: *target,
     })
 }
 
@@ -314,32 +320,47 @@ impl Default for SzCodec {
 }
 
 impl SzCodec {
+    /// This codec's knobs at absolute error bound `eb`.
+    fn at_bound(&self, eb: f64) -> SzConfig {
+        SzConfig {
+            error_bound: eb,
+            ..self.cfg
+        }
+    }
+
     /// Map a [`QualityTarget`] to an absolute error bound for this input.
-    /// Bounds and PSNR have closed forms; a ratio target searches the
-    /// bound space by micro-compressing a bounded prefix (the measurement
-    /// *is* the oracle — SZ is cheap enough that measuring beats
-    /// modelling).
-    fn resolve_bound(&self, src: &[f32], target: &QualityTarget) -> Result<f64, DpzError> {
+    /// Bounds and PSNR have closed forms over the input's value range; a
+    /// ratio target searches the bound space by micro-compressing the 1-D
+    /// view of the [`PROBE_CAP`] prefix (the measurement *is* the oracle —
+    /// SZ is cheap enough that measuring beats modelling).
+    ///
+    /// Also returns that prefix view compressed at the bound when the
+    /// search's last evaluation was at it, which it is unless a search
+    /// that used up its probes fell back to an earlier point.
+    fn resolve_bound(
+        &self,
+        src: &[f32],
+        target: &QualityTarget,
+    ) -> Result<(f64, Option<Vec<u8>>), DpzError> {
         target.validate()?;
         let range = value_range(src);
         match *target {
-            QualityTarget::ErrorBound(b) => Ok(b),
-            QualityTarget::RelBound(r) => Ok(r * range),
-            QualityTarget::Psnr(db) => Ok(baseline_bound_for_psnr(db, range)),
+            QualityTarget::ErrorBound(b) => Ok((b, None)),
+            QualityTarget::RelBound(r) => Ok((r * range, None)),
+            QualityTarget::Psnr(db) => Ok((baseline_bound_for_psnr(db, range), None)),
             QualityTarget::Ratio { target: t, tol } => {
-                let n = src.len().min(dpz_core::PROBE_CAP);
-                let sample = &src[..n];
+                let sample = &src[..src.len().min(PROBE_CAP)];
+                let last = RefCell::new((f64::NAN, Vec::new()));
                 let predict = |eb: f64| {
-                    let cfg = SzConfig {
-                        error_bound: eb,
-                        ..self.cfg
-                    };
-                    let bytes = dpz_sz::compress(sample, &[n], &cfg);
-                    (n * 4) as f64 / bytes.len().max(1) as f64
+                    let bytes = dpz_sz::compress(sample, &[sample.len()], &self.at_bound(eb));
+                    let cr = (sample.len() * 4) as f64 / bytes.len().max(1) as f64;
+                    *last.borrow_mut() = (eb, bytes);
+                    cr
                 };
                 let outcome =
                     dpz_core::search_bound_for_ratio(predict, 1e-7 * range, 0.3 * range, t, tol)?;
-                Ok(outcome.p)
+                let (eb, bytes) = last.into_inner();
+                Ok((outcome.p, (eb == outcome.p).then_some(bytes)))
             }
         }
     }
@@ -377,12 +398,8 @@ impl Codec for SzCodec {
     ) -> Result<CodecStats, DpzError> {
         check_dims(src, dims)?;
         check_baseline_geometry(dims)?;
-        let eb = self.resolve_bound(src, target)?;
-        let cfg = SzConfig {
-            error_bound: eb,
-            ..self.cfg
-        };
-        SzCodec::new(cfg).compress_into(src, dims, dst)
+        let (eb, _) = self.resolve_bound(src, target)?;
+        SzCodec::new(self.at_bound(eb)).compress_into(src, dims, dst)
     }
 
     fn decompress_from(&self, src: &mut dyn Read) -> Result<Decoded, DpzError> {
@@ -393,6 +410,33 @@ impl Codec for SzCodec {
             dims,
             format: Format::Sz,
             info: None,
+        })
+    }
+
+    /// Resolves `target` exactly as [`Codec::compress_with_target`] does —
+    /// the value range from the whole input, a ratio search on the 1-D view
+    /// of the [`PROBE_CAP`] prefix — and measures that prefix view at the
+    /// resolved bound, reusing the search's last evaluation when it is at
+    /// that bound. Reports `resolved = ErrorBound(eb)`.
+    fn probe(
+        &self,
+        src: &[f32],
+        dims: &[usize],
+        target: &QualityTarget,
+    ) -> Result<CodecProbe, DpzError> {
+        check_dims(src, dims)?;
+        check_baseline_geometry(dims)?;
+        let (eb, searched) = self.resolve_bound(src, target)?;
+        let sample = &src[..src.len().min(PROBE_CAP)];
+        let bytes = searched
+            .unwrap_or_else(|| dpz_sz::compress(sample, &[sample.len()], &self.at_bound(eb)));
+        let (values, _) = dpz_sz::decompress(&bytes).map_err(sz_err)?;
+        Ok(CodecProbe {
+            codec: "sz",
+            predicted_cr: (sample.len() * 4) as f64 / bytes.len().max(1) as f64,
+            predicted_psnr: probe_psnr(sample, &values),
+            prefix_values: sample.len(),
+            resolved: QualityTarget::ErrorBound(eb),
         })
     }
 
