@@ -440,6 +440,16 @@ fn cmd_gen(args: &[String]) -> Result<String, CliError> {
     ))
 }
 
+/// The summary suffix naming a baseline's configured knob. A quality target
+/// resolves its own bound or mode per input, so the knob is named only when
+/// no target is given.
+fn knob_suffix(args: &[String], knob: String) -> Result<String, CliError> {
+    Ok(match target_from_args(args)? {
+        Some(_) => String::new(),
+        None => format!(" ({knob})"),
+    })
+}
+
 /// Resolve `--codec` (plus its codec-specific flags) to a trait object and
 /// a suffix for the summary line. Every compressor goes through the same
 /// [`Codec`] path after this point.
@@ -493,7 +503,10 @@ fn codec_from_args(args: &[String]) -> Result<(Box<dyn Codec>, String), CliError
                     }
                 };
             }
-            Ok((Box::new(SzCodec::new(cfg)), format!(" (eb={eb:e})")))
+            Ok((
+                Box::new(SzCodec::new(cfg)),
+                knob_suffix(args, format!("eb={eb:e}"))?,
+            ))
         }
         "zfp" => {
             let mode = if let Some(r) = flag_value(args, "--rate") {
@@ -508,7 +521,10 @@ fn codec_from_args(args: &[String]) -> Result<(Box<dyn Codec>, String), CliError
                     .map_err(|_| err("--precision expects 1..=32"))?;
                 dpz_zfp::ZfpMode::FixedPrecision(prec)
             };
-            Ok((Box::new(ZfpCodec::new(mode)), format!(" ({mode:?})")))
+            Ok((
+                Box::new(ZfpCodec::new(mode)),
+                knob_suffix(args, format!("{mode:?}"))?,
+            ))
         }
         "auto" => Ok((Box::new(AutoCodec::new()), String::new())),
         other => Err(err(format!(
@@ -767,10 +783,9 @@ mod tests {
 
     #[test]
     fn config_parsing() {
-        use dpz_core::IndexWidth;
         let cfg = config_from_args(&s(&["--scheme", "strict", "--tve", "7"])).unwrap();
         assert_eq!(cfg.target, QualityTarget::ErrorBound(1e-4));
-        assert_eq!(cfg.index_width, IndexWidth::Wide);
+        assert!(cfg.resolved_scheme().unwrap().wide_index);
         assert_eq!(cfg.selection, KSelection::Tve(0.9999999));
         let cfg = config_from_args(&s(&["--knee", "polyn", "--sampling"])).unwrap();
         assert!(matches!(
@@ -913,6 +928,44 @@ mod tests {
         let msg = run(&s(&["eval", &raw, &restored, "--compressed", &packed])).unwrap();
         assert!(msg.contains("PSNR"), "{msg}");
         assert!(msg.contains("CR"), "{msg}");
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn summary_names_the_baseline_knob_only_without_a_target() {
+        let dir = std::env::temp_dir().join("dpz_cli_knob_suffix");
+        std::fs::create_dir_all(&dir).unwrap();
+        let raw = dir.join("k.f32").to_string_lossy().into_owned();
+        let packed = dir.join("k.bin").to_string_lossy().into_owned();
+        run(&s(&["gen", "CLDHGH", &raw, "--scale", "tiny"])).unwrap();
+        let compress = |extra: &[&str]| {
+            let mut args = vec!["compress", &raw, &packed, "--dims", "45x90"];
+            args.extend_from_slice(extra);
+            run(&s(&args)).unwrap()
+        };
+
+        let msg = compress(&["--codec", "sz"]);
+        assert!(msg.ends_with(" (eb=1e-3)"), "{msg}");
+        let msg = compress(&["--codec", "zfp"]);
+        assert!(msg.ends_with(" (FixedPrecision(20))"), "{msg}");
+        // A target resolves its own bound or mode: naming the configured
+        // knob would report a setting the run did not use.
+        for target in [
+            &["--target-ratio", "6", "--ratio-tol", "0.2"][..],
+            &["--target-psnr", "60"],
+            &["--rel-bound", "1e-4"],
+        ] {
+            for codec in ["sz", "zfp"] {
+                let mut extra = vec!["--codec", codec];
+                extra.extend_from_slice(target);
+                let msg = compress(&extra);
+                assert!(
+                    !msg.contains("eb=") && !msg.contains("Fixed"),
+                    "{codec} {target:?}: {msg}"
+                );
+            }
+        }
 
         std::fs::remove_dir_all(&dir).ok();
     }

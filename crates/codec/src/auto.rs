@@ -1,10 +1,10 @@
 //! Per-input backend selection (the paper's §V predictor, used the way
 //! Tao et al. use online sampling to pick between SZ and ZFP).
 
-use crate::wrappers::{DpzCodec, SzCodec, ZfpCodec};
+use crate::wrappers::{check_baseline_geometry, DpzCodec, SzCodec, ZfpCodec};
 use crate::{check_dims, read_all, Codec, CodecProbe, CodecStats, Decoded, Format};
-use dpz_core::decompose::{choose_shape, dct_blocks, to_blocks};
-use dpz_core::{DpzConfig, DpzError, QualityTarget, SamplingStrategy, PROBE_CAP};
+use dpz_core::decompose::{choose_shape, stage1};
+use dpz_core::{DpzConfig, DpzError, QualityTarget, SamplingStrategy, Stage1Transform, PROBE_CAP};
 use std::io::{Read, Write};
 
 /// Below this many values the DPZ block matrix is too small for the VIF
@@ -64,7 +64,7 @@ impl AutoCodec {
     /// the pessimistic predicted ratio that drove the choice.
     pub fn select(&self, src: &[f32], dims: &[usize]) -> Result<Selection, DpzError> {
         check_dims(src, dims)?;
-        let baseline_ok = (1..=3).contains(&dims.len()) && dims.iter().all(|&d| d > 0);
+        let baseline_ok = check_baseline_geometry(dims).is_ok();
         if src.len() < TINY_INPUT {
             // DPZ's sampling probe needs a real block matrix; SZ degrades
             // most gracefully at this scale. Fall back to DPZ only when the
@@ -126,7 +126,7 @@ impl AutoCodec {
     ) -> Result<Vec<CodecProbe>, DpzError> {
         check_dims(src, dims)?;
         target.validate()?;
-        let baseline_ok = (1..=3).contains(&dims.len()) && dims.iter().all(|&d| d > 0);
+        let baseline_ok = check_baseline_geometry(dims).is_ok();
         let mut probes = Vec::new();
         if src.len() >= TINY_INPUT {
             if let Ok(p) = DpzCodec::default().probe(src, dims, target) {
@@ -193,20 +193,11 @@ impl AutoCodec {
         }
     }
 
-    /// Pessimistic end of the paper's predicted CR range for the sample.
+    /// Pessimistic end of the paper's predicted CR range for the sample,
+    /// estimated on the coefficients the pipeline's own stage 1 produces.
     fn predict_dpz(&self, sample: &[f32]) -> Option<f64> {
         let shape = choose_shape(sample.len());
-        let mut blocks = to_blocks(sample, shape);
-        let (lo, hi) = sample
-            .iter()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
-                (lo.min(f64::from(v)), hi.max(f64::from(v)))
-            });
-        let range = if hi - lo > 0.0 { hi - lo } else { 1.0 };
-        for v in blocks.as_mut_slice() {
-            *v = (*v - lo) / range - 0.5;
-        }
-        let coeffs = dct_blocks(&blocks);
+        let (coeffs, _, _) = stage1(sample, shape, Stage1Transform::Dct, Vec::new());
         let est = self.strategy.estimate(&coeffs).ok()?;
         Some(est.cr_predicted.0)
     }

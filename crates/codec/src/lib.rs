@@ -140,32 +140,16 @@ pub trait Codec: Send + Sync {
     /// static target the request resolves to on this input
     /// ([`CodecProbe::resolved`]).
     ///
-    /// The default implementation micro-compresses the 1-D view of the
-    /// prefix toward `target` for real, measures both numbers and reports
-    /// the request unchanged as `resolved` (cheap for ZFP, whose targets
-    /// map to modes in closed form); backends with an analytic model or a
-    /// search of their own override it.
+    /// A probe resolves the request the way the backend's own
+    /// [`Codec::compress_with_target`] does on the whole input, then prices
+    /// the prefix at that resolution: DPZ with its analytic ratio oracle,
+    /// SZ and ZFP by compressing the prefix's 1-D view for real.
     fn probe(
         &self,
         src: &[f32],
         dims: &[usize],
         target: &QualityTarget,
-    ) -> Result<CodecProbe, DpzError> {
-        check_dims(src, dims)?;
-        target.validate()?;
-        let n = src.len().min(PROBE_CAP);
-        let sample = &src[..n];
-        let mut sink = Vec::new();
-        let stats = self.compress_with_target(sample, &[n], target, &mut sink)?;
-        let decoded = self.decompress_from(&mut &sink[..])?;
-        Ok(CodecProbe {
-            codec: self.name(),
-            predicted_cr: stats.ratio(),
-            predicted_psnr: probe_psnr(sample, &decoded.values),
-            prefix_values: n,
-            resolved: *target,
-        })
-    }
+    ) -> Result<CodecProbe, DpzError>;
 
     /// Whether `header` (the stream's first bytes — at least 4 are needed
     /// for any positive answer) begins a stream this codec decodes, and if
@@ -176,12 +160,7 @@ pub trait Codec: Send + Sync {
 /// Measured PSNR of a probe roundtrip (range-normalized, matching the
 /// pipeline's own metric).
 pub(crate) fn probe_psnr(original: &[f32], reconstructed: &[f32]) -> f64 {
-    let (lo, hi) = original
-        .iter()
-        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
-            (lo.min(f64::from(v)), hi.max(f64::from(v)))
-        });
-    let range = if hi - lo > 0.0 { hi - lo } else { 1.0 };
+    let (_, range) = dpz_core::decompose::value_extent(original);
     let mse = original
         .iter()
         .zip(reconstructed)

@@ -3,6 +3,7 @@
 use crate::{
     check_dims, io_err, probe_psnr, read_all, Codec, CodecProbe, CodecStats, Decoded, Format,
 };
+use dpz_core::decompose::value_extent;
 use dpz_core::{DpzConfig, DpzError, QualityTarget, RatioOracle, PROBE_CAP};
 use dpz_sz::{SzConfig, SzError};
 use dpz_zfp::{ZfpError, ZfpMode};
@@ -17,32 +18,35 @@ fn sniff(header: &[u8], format: Format) -> Option<Format> {
     (header.len() >= 4 && &header[..4] == format.magic()).then_some(format)
 }
 
-/// Value range of the input — the denominator of the relative-bound and
-/// PSNR target mappings for the baselines (which, unlike DPZ, do not
-/// normalize internally).
-fn value_range(data: &[f32]) -> f64 {
-    let (lo, hi) = data
-        .iter()
-        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
-            (lo.min(f64::from(v)), hi.max(f64::from(v)))
-        });
-    if hi - lo > 0.0 {
-        hi - lo
-    } else {
-        1.0
+/// A request as a backend meets it on one input: an error bound in the
+/// backend's own value domain, or a ratio the backend resolves its own way.
+/// The baselines, unlike DPZ, do not normalize internally, so their domain
+/// is the input's, with the value range stage 1 would normalize by
+/// ([`value_extent`]).
+enum Request {
+    Bound(f64),
+    Ratio { target: f64, tol: f64 },
+}
+
+impl Request {
+    /// Map `target` onto data whose value range is `range`: bounds and PSNR
+    /// in closed form, one formula for every backend. DPZ quantizes
+    /// range-normalized data and passes `range = 1`; SZ and ZFP pass the
+    /// input's value range.
+    fn new(target: &QualityTarget, range: f64) -> Request {
+        match *target {
+            QualityTarget::ErrorBound(b) => Request::Bound(b),
+            QualityTarget::RelBound(r) => Request::Bound(r * range),
+            QualityTarget::Psnr(db) => Request::Bound(dpz_core::bound_for_psnr(db, range)),
+            QualityTarget::Ratio { target, tol } => Request::Ratio { target, tol },
+        }
     }
 }
 
-/// Closed-form value-domain bound for a PSNR target: uniform quantization
-/// noise `eb²/3` against range-referenced PSNR, with the same 3 dB headroom
-/// the DPZ control loop reserves for secondary error sources.
-fn baseline_bound_for_psnr(db: f64, range: f64) -> f64 {
-    3f64.sqrt() * range * 10f64.powf(-(db + 3.0) / 20.0)
-}
-
 /// DPZ quality prediction shared by the single-stream and chunked wrappers:
-/// resolve the target to a quantizer bound (closed form or oracle search)
-/// and read CR off the sampling oracle, PSNR off the bound.
+/// resolve the target to a quantizer bound (closed form, or the oracle's
+/// ratio search that the fixed-ratio control loop also runs) and read CR
+/// off the sampling oracle, PSNR off the bound.
 fn dpz_probe(
     codec: &'static str,
     cfg: &DpzConfig,
@@ -52,26 +56,12 @@ fn dpz_probe(
 ) -> Result<CodecProbe, DpzError> {
     check_dims(src, dims)?;
     target.validate()?;
-    let cfg = cfg.with_target(*target);
-    let oracle = RatioOracle::build(src, &cfg)?;
-    let (p, cr) = match *target {
-        QualityTarget::Ratio { target: t, tol } => {
-            let outcome = dpz_core::search_bound_for_ratio(
-                |p| oracle.predict_cr(p, cfg.wide_for(p)),
-                dpz_core::P_SEARCH_MIN,
-                dpz_core::P_SEARCH_MAX,
-                t,
-                tol,
-            )?;
+    let oracle = RatioOracle::build(src, &cfg.with_target(*target))?;
+    let (p, cr) = match Request::new(target, 1.0) {
+        Request::Bound(p) => (p, oracle.predict_cr(p)),
+        Request::Ratio { target, tol } => {
+            let outcome = oracle.search(target, tol, 1.0)?;
             (outcome.p, outcome.predicted_cr)
-        }
-        QualityTarget::Psnr(db) => {
-            let p = dpz_core::bound_for_psnr(db);
-            (p, oracle.predict_cr(p, cfg.wide_for(p)))
-        }
-        _ => {
-            let scheme = cfg.resolved_scheme()?;
-            (scheme.p, oracle.predict_cr(scheme.p, scheme.wide_index))
         }
     };
     Ok(CodecProbe {
@@ -100,7 +90,7 @@ fn zfp_err(e: ZfpError) -> DpzError {
 
 /// The SZ/ZFP baseline cores `assert!` on unsupported geometry; turn those
 /// preconditions into [`DpzError::BadInput`] at the trait boundary.
-fn check_baseline_geometry(dims: &[usize]) -> Result<(), DpzError> {
+pub(crate) fn check_baseline_geometry(dims: &[usize]) -> Result<(), DpzError> {
     if !(1..=3).contains(&dims.len()) {
         return Err(DpzError::BadInput("baseline codecs support 1-3 dimensions"));
     }
@@ -329,10 +319,11 @@ impl SzCodec {
     }
 
     /// Map a [`QualityTarget`] to an absolute error bound for this input.
-    /// Bounds and PSNR have closed forms over the input's value range; a
-    /// ratio target searches the bound space by micro-compressing the 1-D
-    /// view of the [`PROBE_CAP`] prefix (the measurement *is* the oracle —
-    /// SZ is cheap enough that measuring beats modelling).
+    /// Bounds and PSNR have closed forms over the input's value range
+    /// ([`Request::new`]); a ratio target searches the bound space by
+    /// micro-compressing the 1-D view of the [`PROBE_CAP`] prefix (the
+    /// measurement *is* the oracle — SZ is cheap enough that measuring
+    /// beats modelling).
     ///
     /// Also returns that prefix view compressed at the bound when the
     /// search's last evaluation was at it, which it is unless a search
@@ -343,12 +334,10 @@ impl SzCodec {
         target: &QualityTarget,
     ) -> Result<(f64, Option<Vec<u8>>), DpzError> {
         target.validate()?;
-        let range = value_range(src);
-        match *target {
-            QualityTarget::ErrorBound(b) => Ok((b, None)),
-            QualityTarget::RelBound(r) => Ok((r * range, None)),
-            QualityTarget::Psnr(db) => Ok((baseline_bound_for_psnr(db, range), None)),
-            QualityTarget::Ratio { target: t, tol } => {
+        let (_, range) = value_extent(src);
+        match Request::new(target, range) {
+            Request::Bound(eb) => Ok((eb, None)),
+            Request::Ratio { target: t, tol } => {
                 let sample = &src[..src.len().min(PROBE_CAP)];
                 let last = RefCell::new((f64::NAN, Vec::new()));
                 let predict = |eb: f64| {
@@ -467,6 +456,21 @@ impl Default for ZfpCodec {
     }
 }
 
+impl ZfpCodec {
+    /// Map a [`QualityTarget`] to a native ZFP mode for this input: bounds
+    /// and PSNR to fixed accuracy at their value-domain bound
+    /// ([`Request::new`] over the whole input's range), a ratio to fixed
+    /// rate, which hits it *exactly* — 32 uncompressed bits per value over
+    /// `32/target` coded bits.
+    fn resolve_mode(src: &[f32], target: &QualityTarget) -> Result<ZfpMode, DpzError> {
+        target.validate()?;
+        Ok(match Request::new(target, value_extent(src).1) {
+            Request::Bound(eb) => ZfpMode::FixedAccuracy(eb),
+            Request::Ratio { target, .. } => ZfpMode::FixedRate(32.0 / target),
+        })
+    }
+}
+
 impl Codec for ZfpCodec {
     fn name(&self) -> &'static str {
         "zfp"
@@ -499,17 +503,7 @@ impl Codec for ZfpCodec {
     ) -> Result<CodecStats, DpzError> {
         check_dims(src, dims)?;
         check_baseline_geometry(dims)?;
-        target.validate()?;
-        let range = value_range(src);
-        // Every target maps to a native ZFP mode: bounds and PSNR to fixed
-        // accuracy, ratio to fixed rate (which hits the ratio *exactly* —
-        // 32 uncompressed bits per value over `32/target` coded bits).
-        let mode = match *target {
-            QualityTarget::ErrorBound(b) => ZfpMode::FixedAccuracy(b),
-            QualityTarget::RelBound(r) => ZfpMode::FixedAccuracy(r * range),
-            QualityTarget::Psnr(db) => ZfpMode::FixedAccuracy(baseline_bound_for_psnr(db, range)),
-            QualityTarget::Ratio { target: t, .. } => ZfpMode::FixedRate(32.0 / t),
-        };
+        let mode = ZfpCodec::resolve_mode(src, target)?;
         ZfpCodec::new(mode).compress_into(src, dims, dst)
     }
 
@@ -521,6 +515,32 @@ impl Codec for ZfpCodec {
             dims,
             format: Format::Zfp,
             info: None,
+        })
+    }
+
+    /// Resolves `target` exactly as [`Codec::compress_with_target`] does —
+    /// the mode from the whole input's value range — and measures the 1-D
+    /// view of the [`PROBE_CAP`] prefix in that mode. Every target maps to
+    /// a mode in closed form, so the request is reported unchanged as
+    /// `resolved`.
+    fn probe(
+        &self,
+        src: &[f32],
+        dims: &[usize],
+        target: &QualityTarget,
+    ) -> Result<CodecProbe, DpzError> {
+        check_dims(src, dims)?;
+        check_baseline_geometry(dims)?;
+        let mode = ZfpCodec::resolve_mode(src, target)?;
+        let sample = &src[..src.len().min(PROBE_CAP)];
+        let bytes = dpz_zfp::compress(sample, &[sample.len()], mode);
+        let (values, _) = dpz_zfp::decompress(&bytes).map_err(zfp_err)?;
+        Ok(CodecProbe {
+            codec: "zfp",
+            predicted_cr: (sample.len() * 4) as f64 / bytes.len().max(1) as f64,
+            predicted_psnr: probe_psnr(sample, &values),
+            prefix_values: sample.len(),
+            resolved: *target,
         })
     }
 

@@ -60,7 +60,8 @@ use crate::config::DpzConfig;
 use crate::container::{self, checked_product, ContainerInfo, DpzError, ProgressiveLayout};
 use crate::decompose::extract_region;
 use crate::pipeline::{
-    decompress_with_info, Compressed, CompressionStats, NumericOutcome, PipelinePlan,
+    decompress_with_info, record_result_gauges, Compressed, CompressionStats, NumericOutcome,
+    PipelinePlan,
 };
 use crate::pool::BufferPool;
 use crate::target::{self, TargetArtifact};
@@ -233,6 +234,7 @@ pub fn compress_chunked(
     target::compress_to_target(data, cfg, |resolved| {
         compress_chunked_resolved(data, dims, resolved, chunks)
     })
+    .inspect(|out| record_result_gauges(out.cr_total, out.chunk_stats.first()))
 }
 
 fn compress_chunked_resolved(
@@ -342,6 +344,7 @@ pub fn compress_progressive(
     target::compress_to_target(data, cfg, |resolved| {
         compress_progressive_resolved(data, dims, resolved, chunks)
     })
+    .inspect(|out| record_result_gauges(out.cr_total, None))
 }
 
 fn compress_progressive_resolved(

@@ -3,7 +3,7 @@
 //! two k-selection methods of Algorithm 1, and the standardization policy.
 
 use crate::container::{DpzError, LosslessBackend};
-use crate::target::{QualityTarget, WIDE_INDEX_AUTO_THRESHOLD};
+use crate::target::QualityTarget;
 use dpz_linalg::fit::FitKind;
 
 /// Which deterministic transform stage 1 applies to each block.
@@ -24,25 +24,17 @@ pub enum Stage1Transform {
     },
 }
 
-/// Quantizer index-width policy: how many bytes each stage-3 bin index
-/// occupies. `Auto` follows the resolved bound — bounds tighter than
-/// [`WIDE_INDEX_AUTO_THRESHOLD`] need the 65535-bin range to keep the
-/// outlier stream small, looser bounds fit in one byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IndexWidth {
-    /// Decide from the resolved bound.
-    #[default]
-    Auto,
-    /// 1-byte indices (255 bins) — DPZ-l.
-    Narrow,
-    /// 2-byte indices (65535 bins) — DPZ-s.
-    Wide,
-}
+/// Bounds tighter than this get 2-byte stage-3 indices: they need the
+/// 65535-bin range to keep the outlier stream small, while looser bounds
+/// fit in one byte. `P = 1e-3` (DPZ-l) stays narrow; `P = 1e-4` (DPZ-s)
+/// goes wide.
+pub const WIDE_INDEX_AUTO_THRESHOLD: f64 = 1e-3;
 
 /// Quantization scheme (Section V-A): the *resolved* stage-3 realization of
-/// a [`QualityTarget`] — a concrete bound plus index width. The quantizer
-/// layer speaks `Scheme`; the config layer speaks `QualityTarget` and
-/// resolves it here via [`DpzConfig::resolved_scheme`] (DPZ-l is
+/// a [`QualityTarget`] — a concrete bound plus the index width that bound
+/// implies ([`Scheme::for_bound`]). The quantizer layer speaks `Scheme`;
+/// the config layer speaks `QualityTarget` and resolves it here via
+/// [`DpzConfig::resolved_scheme`] (DPZ-l is
 /// `DpzConfig::loose().resolved_scheme()`, `P = 1e-3` with 1-byte indices;
 /// DPZ-s is `strict()`, `P = 1e-4` with 2-byte indices).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,6 +46,17 @@ pub struct Scheme {
 }
 
 impl Scheme {
+    /// The scheme for quantizer bound `p`: the width follows the bound,
+    /// 2-byte indices below [`WIDE_INDEX_AUTO_THRESHOLD`] and 1-byte ones
+    /// at or above it. Every writer, the ratio oracle and the probes go
+    /// through this one rule.
+    pub fn for_bound(p: f64) -> Scheme {
+        Scheme {
+            p,
+            wide_index: p < WIDE_INDEX_AUTO_THRESHOLD,
+        }
+    }
+
     /// Number of usable bins `B` (one index value is reserved as the
     /// out-of-range escape).
     pub fn bins(self) -> u32 {
@@ -152,10 +155,10 @@ pub enum Standardize {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DpzConfig {
     /// What the caller wants: an error bound (static), or a ratio / PSNR
-    /// control target that [`crate::compress`] resolves per input.
+    /// control target that [`crate::compress`] resolves per input. The
+    /// resolved bound also fixes the stage-3 index width
+    /// ([`Scheme::for_bound`]).
     pub target: QualityTarget,
-    /// Stage-3 index-width policy applied to the resolved bound.
-    pub index_width: IndexWidth,
     /// Stage-1 deterministic transform.
     pub transform: Stage1Transform,
     /// k-selection method (stage 2).
@@ -176,7 +179,6 @@ impl DpzConfig {
     pub fn loose() -> DpzConfig {
         DpzConfig {
             target: QualityTarget::ErrorBound(1e-3),
-            index_width: IndexWidth::Narrow,
             transform: Stage1Transform::Dct,
             selection: KSelection::Tve(TveLevel::FiveNines.fraction()),
             standardize: Standardize::Auto,
@@ -190,33 +192,14 @@ impl DpzConfig {
     pub fn strict() -> DpzConfig {
         DpzConfig {
             target: QualityTarget::ErrorBound(1e-4),
-            index_width: IndexWidth::Wide,
             ..DpzConfig::loose()
         }
     }
 
-    /// Set the quality target and reset the index-width policy to `Auto`
-    /// (the resolved bound decides). Use [`DpzConfig::with_index_width`]
-    /// afterwards to force a width.
+    /// Set the quality target.
     pub fn with_target(mut self, target: QualityTarget) -> DpzConfig {
         self.target = target;
-        self.index_width = IndexWidth::Auto;
         self
-    }
-
-    /// Set the stage-3 index-width policy.
-    pub fn with_index_width(mut self, index_width: IndexWidth) -> DpzConfig {
-        self.index_width = index_width;
-        self
-    }
-
-    /// The index width the policy picks for a resolved bound `p`.
-    pub fn wide_for(&self, p: f64) -> bool {
-        match self.index_width {
-            IndexWidth::Narrow => false,
-            IndexWidth::Wide => true,
-            IndexWidth::Auto => p < WIDE_INDEX_AUTO_THRESHOLD,
-        }
     }
 
     /// The concrete stage-3 scheme this config resolves to, or
@@ -233,18 +216,7 @@ impl DpzConfig {
                     .into(),
             )
         })?;
-        Ok(Scheme {
-            p,
-            wide_index: self.wide_for(p),
-        })
-    }
-
-    /// Replace the target with an already-resolved bound, keeping the
-    /// index-width policy (the control loops call this after a search).
-    pub(crate) fn with_resolved_bound(&self, p: f64) -> DpzConfig {
-        let mut c = *self;
-        c.target = QualityTarget::ErrorBound(p);
-        c
+        Ok(Scheme::for_bound(p))
     }
 
     /// Set the k-selection method.
@@ -336,7 +308,7 @@ mod tests {
             .with_standardize(Standardize::Off)
             .with_transform(Stage1Transform::Dwt { levels: 4 });
         assert_eq!(cfg.target, QualityTarget::ErrorBound(1e-4));
-        assert_eq!(cfg.index_width, IndexWidth::Wide);
+        assert!(cfg.resolved_scheme().unwrap().wide_index);
         assert_eq!(cfg.selection, KSelection::Tve(0.9999999));
         assert!(cfg.sampling);
         assert_eq!(cfg.standardize, Standardize::Off);
@@ -346,7 +318,9 @@ mod tests {
 
     #[test]
     fn targets_resolve_to_schemes() {
-        // Auto width follows the bound across the threshold.
+        // The width follows the bound across the threshold.
+        assert!(!Scheme::for_bound(WIDE_INDEX_AUTO_THRESHOLD).wide_index);
+        assert!(Scheme::for_bound(WIDE_INDEX_AUTO_THRESHOLD * 0.99).wide_index);
         let auto = DpzConfig::loose().with_target(QualityTarget::ErrorBound(1e-4));
         assert!(auto.resolved_scheme().unwrap().wide_index);
         let auto = DpzConfig::strict().with_target(QualityTarget::ErrorBound(1e-3));

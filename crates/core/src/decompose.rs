@@ -10,6 +10,7 @@
 //! `M = 1800, N = 3600`, matching the paper's examples. Lengths with no
 //! such factorization are padded (edge replication) to `M·N`.
 
+use crate::config::Stage1Transform;
 use dpz_linalg::wavelet::{dwt_forward, dwt_inverse, max_levels_for, Wavelet};
 use dpz_linalg::{Dct1d, Matrix};
 use rayon::prelude::*;
@@ -68,6 +69,57 @@ pub fn choose_shape(len: usize) -> BlockShape {
         m,
         n,
         pad: m * n - len,
+    }
+}
+
+/// Minimum and range of the data, with a range floor of 1 so constant
+/// fields normalize to zero instead of dividing by zero. Stage 1 normalizes
+/// by it, and the SZ/ZFP target mappings scale relative bounds and PSNR by
+/// the same range.
+pub fn value_extent(data: &[f32]) -> (f64, f64) {
+    let (lo, hi) = data
+        .iter()
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
+            (lo.min(f64::from(v)), hi.max(f64::from(v)))
+        });
+    let range = hi - lo;
+    (lo, if range > 0.0 { range } else { 1.0 })
+}
+
+/// Stage 1 on one buffer, exactly as the pipeline runs it: range-normalize
+/// `data` to `[-0.5, 0.5]`, cut it into `shape`'s blocks and apply
+/// `transform` to every block (the DCT through the fused
+/// [`dct_blocks_from_raw`]). The ratio oracle and the `AutoCodec` predictor
+/// call it on their prefix sample, so they price the coefficients a
+/// compression would fit.
+///
+/// Normalizing (DCTZ heritage) makes the stage-3 error bound `P`
+/// range-relative, exactly like the paper's θ metric — without it,
+/// large-magnitude fields (e.g. HACC velocities) would overflow the
+/// quantizer range and escape every score as an outlier.
+///
+/// Returns the `N x M` coefficient matrix, the `(min, range)`
+/// normalization, and `storage` (resized, contents unspecified) for reuse.
+pub fn stage1(
+    data: &[f32],
+    shape: BlockShape,
+    transform: Stage1Transform,
+    storage: Vec<f64>,
+) -> (Matrix, (f64, f64), Vec<f64>) {
+    let (lo, range) = value_extent(data);
+    match transform {
+        Stage1Transform::Dct => {
+            let (coeffs, scratch) = dct_blocks_from_raw(data, shape, lo, range, storage);
+            (coeffs, (lo, range), scratch)
+        }
+        Stage1Transform::Dwt { levels } => {
+            let mut blocks = to_blocks_in(data, shape, storage);
+            for v in blocks.as_mut_slice() {
+                *v = (*v - lo) / range - 0.5;
+            }
+            let coeffs = dwt_blocks(&blocks, effective_dwt_levels(shape.n, levels));
+            (coeffs, (lo, range), blocks.into_vec())
+        }
     }
 }
 

@@ -65,7 +65,8 @@ pub use chunked::{
     ProgressiveEntry, SeekableIndex, FLAG_PROGRESSIVE,
 };
 pub use config::{
-    DpzConfig, IndexWidth, KSelection, Scheme, Stage1Transform, Standardize, TveLevel,
+    DpzConfig, KSelection, Scheme, Stage1Transform, Standardize, TveLevel,
+    WIDE_INDEX_AUTO_THRESHOLD,
 };
 pub use container::{ComponentSpan, ContainerInfo, DpzError, LosslessBackend, ProgressiveLayout};
 pub use decompose::extract_region;
@@ -77,6 +78,5 @@ pub use pipeline::{
 pub use sampling::{SamplingEstimate, SamplingStrategy};
 pub use target::{
     bound_for_psnr, psnr_for_bound, ratio_within, search_bound_for_ratio, QualityTarget,
-    RatioOracle, SearchOutcome, TargetResolution, MAX_ORACLE_PROBES, PROBE_CAP, P_SEARCH_MAX,
-    P_SEARCH_MIN, WIDE_INDEX_AUTO_THRESHOLD,
+    RatioOracle, SearchOutcome, MAX_ORACLE_PROBES, PROBE_CAP,
 };

@@ -105,18 +105,6 @@ impl TargetArtifact for Compressed {
     }
 }
 
-/// Minimum and range of the data, with a range floor of 1 so constant
-/// fields normalize to zero instead of dividing by zero.
-pub(crate) fn value_extent(data: &[f32]) -> (f64, f64) {
-    let (lo, hi) = data
-        .iter()
-        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
-            (lo.min(f64::from(v)), hi.max(f64::from(v)))
-        });
-    let range = hi - lo;
-    (lo, if range > 0.0 { range } else { 1.0 })
-}
-
 /// Validate and flatten-check the input of a public compression entry
 /// point (plans trust their callers).
 pub(crate) fn check_input(data: &[f32], dims: &[usize]) -> Result<(), DpzError> {
@@ -415,34 +403,14 @@ impl PipelinePlan {
         Ok((outcome, proj.basis))
     }
 
-    /// Stage 1: range normalization, decomposition + block transform.
-    /// Returns the coefficient matrix and the `(min, range)` normalization.
-    ///
-    /// Normalizing the flattened data to [-0.5, 0.5] (DCTZ heritage) makes the
-    /// stage-3 error bound P range-relative, exactly like the paper's θ metric —
-    /// without it, large-magnitude fields (e.g. HACC velocities) would overflow
-    /// the quantizer range and escape every score as an outlier.
+    /// Stage 1 ([`decompose::stage1`]) on the plan's shape and transform,
+    /// with pooled scratch. Returns the coefficient matrix and the
+    /// `(min, range)` normalization.
     fn decompose_dct(&self, data: &[f32]) -> (Matrix, f64, f64) {
-        let (norm_min, norm_range) = value_extent(data);
         let storage = self.pool.acquire(self.shape.m * self.shape.n);
-        let coeffs = match self.transform_tag {
-            1 => {
-                let mut blocks = decompose::to_blocks_in(data, self.shape, storage);
-                for v in blocks.as_mut_slice() {
-                    *v = (*v - norm_min) / norm_range - 0.5;
-                }
-                let coeffs = decompose::dwt_blocks(&blocks, self.dwt_levels as usize);
-                self.pool.release(blocks.into_vec());
-                coeffs
-            }
-            _ => {
-                // Fused path: normalize + block + DCT + single transpose.
-                let (coeffs, scratch) =
-                    decompose::dct_blocks_from_raw(data, self.shape, norm_min, norm_range, storage);
-                self.pool.release(scratch);
-                coeffs
-            }
-        };
+        let (coeffs, (norm_min, norm_range), scratch) =
+            decompose::stage1(data, self.shape, self.cfg.transform, storage);
+        self.pool.release(scratch);
         (coeffs, norm_min, norm_range)
     }
 
@@ -618,16 +586,17 @@ pub fn compress(data: &[f32], dims: &[usize], cfg: &DpzConfig) -> Result<Compres
     target::compress_to_target(data, cfg, |resolved| {
         PipelinePlan::new(data.len(), resolved)?.execute(data, dims)
     })
+    .inspect(|out| record_result_gauges(out.stats.cr_total, Some(&out.stats)))
 }
 
 /// Acceptance slack for fixed-PSNR mode: the final artifact may sit this
 /// far (dB) under the request before the mode fails typed.
 pub const PSNR_SLACK_DB: f64 = 0.5;
 
-/// Publish one compression's activity to the global telemetry registry.
-/// `CompressionStats` stays the caller-facing view; this mirrors its
-/// counts and gauges into the exportable metric series. Stage times are
-/// already there: each stage span records `dpz_span_seconds{span=<stage>}`.
+/// Publish one encode's activity to the global telemetry registry: the
+/// additive counters, summed over every stream a call writes (one per
+/// chunk, one per control-loop attempt). Stage times are already there:
+/// each stage span records `dpz_span_seconds{span=<stage>}`.
 fn record_compress_metrics(
     stats: &CompressionStats,
     orig_bytes: usize,
@@ -645,13 +614,24 @@ fn record_compress_metrics(
         .add(stats.m as u64);
     reg.counter_with("dpz_outliers_total", &[("codec", "dpz")])
         .add(n_outliers as u64);
-    reg.gauge("dpz_k_selected").set(stats.k as f64);
-    reg.gauge("dpz_tve_achieved").set(stats.tve_achieved);
-    reg.gauge("dpz_compression_ratio").set(stats.cr_total);
     // Which SIMD kernel backend served this compression (0 = scalar
     // fallback; see dpz_kernels::Backend::id for the mapping).
     reg.gauge("dpz_kernel_backend")
         .set(f64::from(dpz_kernels::backend().id()));
+}
+
+/// Publish what one public compress call returned: the artifact's ratio and,
+/// where the writer reports stage stats, the first stream's `k` and TVE
+/// (what the CLI summary prints). Set once per call from its result, so
+/// neither the chunk that finished encoding last nor a control-loop attempt
+/// the loop discarded decides the gauges.
+pub(crate) fn record_result_gauges(cr_total: f64, first: Option<&CompressionStats>) {
+    let reg = dpz_telemetry::global();
+    reg.gauge("dpz_compression_ratio").set(cr_total);
+    if let Some(stats) = first {
+        reg.gauge("dpz_k_selected").set(stats.k as f64);
+        reg.gauge("dpz_tve_achieved").set(stats.tve_achieved);
+    }
 }
 
 /// Decompress a DPZ container, returning values and dimensions.
@@ -829,6 +809,7 @@ pub fn compress_with_breakdown(
 
     let psnr_stage12 = psnr(data, &stage12);
     let psnr_final = psnr(data, &reconstructed);
+    record_result_gauges(compressed.stats.cr_total, Some(&compressed.stats));
     Ok(CompressionBreakdown {
         stats: compressed.stats,
         bytes: compressed.bytes,

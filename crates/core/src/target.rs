@@ -11,22 +11,26 @@
 //!   range-relative PSNR follows in closed form — `PSNR = −20·log₁₀P +
 //!   10·log₁₀3`. [`bound_for_psnr`] inverts that (with a fixed headroom for
 //!   PCA-truncation error), and the caller validates post-hoc against the
-//!   real reconstruction.
+//!   real reconstruction. The same formula maps a PSNR request to a
+//!   value-domain bound for the SZ/ZFP baselines, which pass the input's
+//!   value range where DPZ passes 1.
 //! * **Fixed ratio** (after FRaZ): an iterative search over bound space
 //!   against a cheap ratio oracle. The oracle ([`RatioOracle`]) is the §V
 //!   sampling predictor's stage-1/2 machinery — same prefix sample, same
 //!   transform and k-selection — extended with a bound-aware stage-3 term:
 //!   instead of the constant `CR'_stage3 × CR'_zlib` band, it quantizes the
 //!   sample scores at each candidate `P` and prices the index stream at its
-//!   empirical symbol entropy. [`search_bound_for_ratio`] brackets the
-//!   target in log-log space and refines by secant steps, spending at most
-//!   [`MAX_ORACLE_PROBES`] oracle calls per search.
+//!   empirical symbol entropy. [`RatioOracle::search`] is the one DPZ ratio
+//!   resolution — the control loop and the codec probe both call it — and
+//!   [`search_bound_for_ratio`] brackets the target in log-log space and
+//!   refines by secant steps, spending at most [`MAX_ORACLE_PROBES`] oracle
+//!   calls per search.
 //!
 //! Both loops are compressor-agnostic: one generic driver runs them for the
 //! plain, chunked and progressive writers alike, confirming each request
 //! against the real artifact.
 
-use crate::config::{DpzConfig, IndexWidth, KSelection, Scheme, Stage1Transform, Standardize};
+use crate::config::{DpzConfig, KSelection, Scheme, Standardize};
 use crate::container::DpzError;
 use crate::decompose;
 use crate::kpca::select_k;
@@ -41,16 +45,12 @@ pub const PROBE_CAP: usize = 64 * 1024;
 /// Upper bound on oracle evaluations per ratio search (bracketing included).
 pub const MAX_ORACLE_PROBES: u32 = 6;
 
-/// Auto index-width policy: bounds tighter than this get 2-byte indices.
-/// `P = 1e-3` (DPZ-l) stays narrow; `P = 1e-4` (DPZ-s) goes wide.
-pub const WIDE_INDEX_AUTO_THRESHOLD: f64 = 1e-3;
-
 /// Lower end of the bound-search bracket in quantizer-`P` space: past the
 /// point where f32 outlier storage floors the error.
-pub const P_SEARCH_MIN: f64 = 1e-7;
+const P_SEARCH_MIN: f64 = 1e-7;
 /// Upper end of the bound-search bracket: beyond it every score lands in
 /// one or two bins.
-pub const P_SEARCH_MAX: f64 = 0.25;
+const P_SEARCH_MAX: f64 = 0.25;
 
 /// PSNR headroom reserved for PCA truncation and model rounding: the
 /// quantizer is pointed this many dB above the request so the other error
@@ -145,19 +145,16 @@ impl QualityTarget {
             QualityTarget::Ratio { .. } | QualityTarget::Psnr(..) => None,
         }
     }
-
-    /// Whether resolving this target requires a per-input control loop.
-    pub fn needs_resolution(&self) -> bool {
-        self.static_bound().is_none()
-    }
 }
 
-/// The quantizer bound that delivers a range-relative PSNR of `db` (dB),
-/// with `PSNR_HEADROOM_DB` reserved for the non-quantizer error sources.
-/// Uniform quantization at bound `P` has MSE `P²/3` in the normalized
-/// domain, so `P = √3 · 10^(−dB/20)`.
-pub fn bound_for_psnr(db: f64) -> f64 {
-    (3.0f64).sqrt() * 10f64.powf(-(db + PSNR_HEADROOM_DB) / 20.0)
+/// The error bound that delivers a range-relative PSNR of `db` (dB) on data
+/// whose value range is `range`, with `PSNR_HEADROOM_DB` reserved for the
+/// non-quantizer error sources. Uniform quantization at bound `e` has MSE
+/// `e²/3`, so `e = √3 · range · 10^(−dB/20)`. DPZ quantizes range-normalized
+/// data and passes `range = 1`; the SZ/ZFP baselines pass the input's value
+/// range.
+pub fn bound_for_psnr(db: f64, range: f64) -> f64 {
+    3f64.sqrt() * range * 10f64.powf(-(db + PSNR_HEADROOM_DB) / 20.0)
 }
 
 /// The range-relative PSNR (dB) the quantizer alone would deliver at bound
@@ -192,25 +189,6 @@ fn tighten_selection_once(selection: KSelection) -> KSelection {
 /// Is a measured ratio inside the requested tolerance band?
 pub fn ratio_within(measured: f64, target: f64, tol: f64) -> bool {
     measured >= target * (1.0 - tol) && measured <= target * (1.0 + tol)
-}
-
-/// How a data-dependent target was resolved: the bound the control loop
-/// landed on and the search telemetry behind it.
-#[derive(Debug, Clone, Copy)]
-pub struct TargetResolution {
-    /// Resolved quantizer bound `P`.
-    pub p: f64,
-    /// Index width the bound resolves to under the config's policy.
-    pub wide_index: bool,
-    /// Oracle-predicted compression ratio at `p` (ratio searches only).
-    pub predicted_cr: Option<f64>,
-    /// Closed-form quantizer PSNR at `p` (dB).
-    pub predicted_psnr: f64,
-    /// Oracle evaluations the search spent.
-    pub oracle_calls: u32,
-    /// Whether the search converged inside the tolerance band (always true
-    /// for closed-form resolutions).
-    pub converged: bool,
 }
 
 /// Cheap compression-ratio oracle for the bound search.
@@ -261,22 +239,7 @@ impl RatioOracle {
         }
 
         let shape = decompose::choose_shape(sample.len());
-        let (lo, hi) = sample
-            .iter()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
-                (lo.min(f64::from(v)), hi.max(f64::from(v)))
-            });
-        let range = if hi - lo > 0.0 { hi - lo } else { 1.0 };
-        let mut blocks = decompose::to_blocks(sample, shape);
-        for v in blocks.as_mut_slice() {
-            *v = (*v - lo) / range - 0.5;
-        }
-        let coeffs = match cfg.transform {
-            Stage1Transform::Dct => decompose::dct_blocks(&blocks),
-            Stage1Transform::Dwt { levels } => {
-                decompose::dwt_blocks(&blocks, decompose::effective_dwt_levels(shape.n, levels))
-            }
-        };
+        let (coeffs, _, _) = decompose::stage1(sample, shape, cfg.transform, Vec::new());
         let standardize = matches!(cfg.standardize, Standardize::On);
         let opts = PcaOptions { standardize };
         let (pca, k) = match cfg.selection {
@@ -313,20 +276,14 @@ impl RatioOracle {
         })
     }
 
-    /// Predicted end-to-end compression ratio at quantizer bound `p` with
-    /// the given index width: quantize the cached sample scores, price the
-    /// index stream at its empirical symbol entropy, the outliers at 4
-    /// bytes apiece, and add the (bound-independent) model cost.
-    pub fn predict_cr(&self, p: f64, wide: bool) -> f64 {
+    /// Predicted end-to-end compression ratio at quantizer bound `p` (with
+    /// the index width `p` implies): quantize the cached sample scores,
+    /// price the index stream at its empirical symbol entropy, the outliers
+    /// at 4 bytes apiece, and add the (bound-independent) model cost.
+    pub fn predict_cr(&self, p: f64) -> f64 {
         match &self.kind {
             OracleKind::Micro { sample, cfg } => {
-                let mut c = *cfg;
-                c.target = QualityTarget::ErrorBound(p);
-                c.index_width = if wide {
-                    IndexWidth::Wide
-                } else {
-                    IndexWidth::Narrow
-                };
+                let c = cfg.with_target(QualityTarget::ErrorBound(p));
                 crate::pipeline::compress(sample, &[sample.len()], &c)
                     .map(|out| out.stats.cr_total)
                     .unwrap_or(0.0)
@@ -337,13 +294,7 @@ impl RatioOracle {
                 model_bytes,
                 orig_bytes,
             } => {
-                let q = quantize_scores(
-                    scores,
-                    Scheme {
-                        p,
-                        wide_index: wide,
-                    },
-                );
+                let q = quantize_scores(scores, Scheme::for_bound(p));
                 let bits = symbol_entropy_bits(&q.indices, q.wide_index);
                 // Floor the per-symbol cost: DEFLATE never reaches zero
                 // bits/symbol on real streams (block framing, code tables).
@@ -356,6 +307,27 @@ impl RatioOracle {
                 orig_bytes / bytes
             }
         }
+    }
+
+    /// The DPZ ratio resolution: search `[P_SEARCH_MIN, P_SEARCH_MAX]` for
+    /// the bound whose predicted ratio, scaled by `calibration`, lands in
+    /// `target × (1 ± tol)` (see [`search_bound_for_ratio`]). The
+    /// fixed-ratio control loop runs it at calibration 1 and, after a
+    /// confirm miss, at measured / predicted; the DPZ codec probes run it
+    /// at calibration 1.
+    pub fn search(
+        &self,
+        target: f64,
+        tol: f64,
+        calibration: f64,
+    ) -> Result<SearchOutcome, DpzError> {
+        search_bound_for_ratio(
+            |p| self.predict_cr(p) * calibration,
+            P_SEARCH_MIN,
+            P_SEARCH_MAX,
+            target,
+            tol,
+        )
     }
 }
 
@@ -521,50 +493,6 @@ pub fn search_bound_for_ratio(
     })
 }
 
-/// Resolve a `Ratio` target for `data`: build the oracle, search, and
-/// return the resolved config plus the search telemetry. `calibration`
-/// scales the oracle's predictions (1.0 on the first pass; the measured /
-/// predicted ratio on a corrective pass).
-fn resolve_ratio(
-    cfg: &DpzConfig,
-    oracle: &RatioOracle,
-    target: f64,
-    tol: f64,
-    calibration: f64,
-) -> Result<(DpzConfig, TargetResolution), DpzError> {
-    let outcome = search_bound_for_ratio(
-        |p| oracle.predict_cr(p, cfg.wide_for(p)) * calibration,
-        P_SEARCH_MIN,
-        P_SEARCH_MAX,
-        target,
-        tol,
-    )?;
-    let resolved = cfg.with_resolved_bound(outcome.p);
-    Ok((
-        resolved,
-        TargetResolution {
-            p: outcome.p,
-            wide_index: cfg.wide_for(outcome.p),
-            predicted_cr: Some(outcome.predicted_cr),
-            predicted_psnr: psnr_for_bound(outcome.p),
-            oracle_calls: outcome.oracle_calls,
-            converged: outcome.converged,
-        },
-    ))
-}
-
-/// Resolve a `Psnr` target: closed-form bound plus a tightened TVE floor so
-/// truncation error stays inside the budget. No data inspection is needed —
-/// stage-1 normalization folds the value range into the bound — but the
-/// caller still validates post-hoc against the real roundtrip. Returns the
-/// resolved config and its bound.
-fn resolve_psnr(cfg: &DpzConfig, db: f64) -> (DpzConfig, f64) {
-    let p = bound_for_psnr(db);
-    let mut resolved = cfg.with_resolved_bound(p);
-    resolved.selection = tighten_selection_for_psnr(cfg.selection, db);
-    (resolved, p)
-}
-
 /// Bounded attempts of the post-hoc PSNR validation loop.
 const MAX_PSNR_ATTEMPTS: u32 = 3;
 
@@ -608,9 +536,10 @@ fn fixed_ratio<A: TargetArtifact>(
             .counter_with("dpz_target_confirm_total", &[("mode", "ratio")])
             .inc()
     };
+    let at_bound = |p: f64| cfg.with_target(QualityTarget::ErrorBound(p));
     let oracle = RatioOracle::build(data, cfg)?;
-    let (resolved, res) = resolve_ratio(cfg, &oracle, target_cr, tol, 1.0)?;
-    let out = run(&resolved)?;
+    let first = oracle.search(target_cr, tol, 1.0)?;
+    let out = run(&at_bound(first.p))?;
     confirm();
     let cr = out.ratio();
     if ratio_within(cr, target_cr, tol) {
@@ -619,9 +548,8 @@ fn fixed_ratio<A: TargetArtifact>(
 
     // The entropy model has dataset-dependent bias (DEFLATE matches, model
     // packing); one measured point calibrates it out.
-    let predicted = res.predicted_cr.unwrap_or(cr).max(1e-9);
-    let (resolved2, _) = resolve_ratio(cfg, &oracle, target_cr, tol, cr / predicted)?;
-    let out2 = run(&resolved2)?;
+    let second = oracle.search(target_cr, tol, cr / first.predicted_cr.max(1e-9))?;
+    let out2 = run(&at_bound(second.p))?;
     confirm();
     let dist = |cr: f64| (cr.max(1e-12) / target_cr).ln().abs();
     let best = if dist(out2.ratio()) <= dist(cr) {
@@ -640,17 +568,21 @@ fn fixed_ratio<A: TargetArtifact>(
     }
 }
 
-/// Fixed-PSNR control loop: closed-form bound (with truncation headroom),
+/// Fixed-PSNR control loop: closed-form bound (with truncation headroom)
+/// and a tightened TVE floor so truncation error stays inside the budget,
 /// post-hoc validation against the real roundtrip, and bounded
 /// tighten-and-retry (bound ÷ 4, one more TVE nine) when the measurement
-/// falls short.
+/// falls short. No data inspection is needed up front: stage-1
+/// normalization folds the value range into the bound.
 fn fixed_psnr<A: TargetArtifact>(
     data: &[f32],
     cfg: &DpzConfig,
     db: f64,
     run: impl Fn(&DpzConfig) -> Result<A, DpzError>,
 ) -> Result<A, DpzError> {
-    let (mut resolved, mut p) = resolve_psnr(cfg, db);
+    let mut p = bound_for_psnr(db, 1.0);
+    let mut resolved = cfg.with_target(QualityTarget::ErrorBound(p));
+    resolved.selection = tighten_selection_for_psnr(cfg.selection, db);
     let mut best: Option<(A, f64)> = None;
     for attempt in 0..MAX_PSNR_ATTEMPTS {
         if attempt > 0 {
@@ -658,7 +590,7 @@ fn fixed_psnr<A: TargetArtifact>(
                 .counter("dpz_target_psnr_retries_total")
                 .inc();
             p *= 0.25;
-            resolved = resolved.with_resolved_bound(p);
+            resolved = resolved.with_target(QualityTarget::ErrorBound(p));
             resolved.selection = tighten_selection_once(resolved.selection);
         }
         let out = run(&resolved)?;
@@ -728,7 +660,7 @@ mod tests {
     #[test]
     fn psnr_bound_round_trips() {
         for db in [30.0, 50.0, 70.0, 90.0] {
-            let p = bound_for_psnr(db);
+            let p = bound_for_psnr(db, 1.0);
             // The closed form returns the request plus the headroom.
             let back = psnr_for_bound(p);
             assert!(
@@ -737,7 +669,10 @@ mod tests {
             );
         }
         // Tighter targets need tighter bounds.
-        assert!(bound_for_psnr(80.0) < bound_for_psnr(40.0));
+        assert!(bound_for_psnr(80.0, 1.0) < bound_for_psnr(40.0, 1.0));
+        // The value-domain form scales with the range; range 1 is the
+        // normalized domain DPZ quantizes in.
+        assert_eq!(bound_for_psnr(60.0, 4.0), 4.0 * bound_for_psnr(60.0, 1.0));
     }
 
     #[test]
@@ -767,9 +702,9 @@ mod tests {
             .collect();
         let cfg = DpzConfig::loose();
         let oracle = RatioOracle::build(&data, &cfg).unwrap();
-        let tight = oracle.predict_cr(1e-5, true);
-        let mid = oracle.predict_cr(1e-3, false);
-        let loose = oracle.predict_cr(1e-2, false);
+        let tight = oracle.predict_cr(1e-5);
+        let mid = oracle.predict_cr(1e-3);
+        let loose = oracle.predict_cr(1e-2);
         assert!(tight > 0.0 && mid > 0.0 && loose > 0.0);
         assert!(
             tight <= mid * 1.05 && mid <= loose * 1.05,

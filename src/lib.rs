@@ -37,7 +37,7 @@ pub use dpz_zfp as zfp;
 pub mod prelude {
     pub use dpz_codec::{AutoCodec, Codec, CodecProbe, Registry};
     pub use dpz_core::{
-        compress, compress_with_breakdown, decompress, DpzConfig, DpzError, IndexWidth, KSelection,
+        compress, compress_with_breakdown, decompress, DpzConfig, DpzError, KSelection,
         QualityTarget, Scheme, Stage1Transform, Standardize, TveLevel,
     };
     pub use dpz_data::{standard_suite, Dataset, DatasetKind, QualityReport, Scale};

@@ -5,7 +5,11 @@
 //! its oracle-probe budget.
 
 use dpz::prelude::*;
-use dpz_core::{ratio_within, MAX_ORACLE_PROBES, PSNR_SLACK_DB};
+use dpz_core::container::{self, ContainerData};
+use dpz_core::{
+    bound_for_psnr, compress_chunked, compress_progressive, ratio_within, SeekableIndex,
+    MAX_ORACLE_PROBES, PSNR_SLACK_DB, WIDE_INDEX_AUTO_THRESHOLD,
+};
 use dpz_data::metrics;
 use proptest::prelude::*;
 
@@ -177,4 +181,88 @@ fn ratio_search_stays_inside_oracle_budget() {
         new_calls as f64 / new_searches as f64 <= f64::from(MAX_ORACLE_PROBES),
         "{new_calls} oracle calls over {new_searches} searches exceeds budget"
     );
+}
+
+/// `(P, wide_index)` of every DPZ1 or DPZP stream header in an artifact,
+/// DPZC containers included (one per chunk).
+fn stream_headers(bytes: &[u8]) -> Vec<(f64, bool)> {
+    let header = |c: ContainerData| vec![(c.p, c.scores.wide_index)];
+    match &bytes[..4] {
+        b"DPZC" => {
+            let index = SeekableIndex::from_bytes(bytes).unwrap();
+            index
+                .chunks
+                .iter()
+                .flat_map(|e| stream_headers(&bytes[e.offset..e.offset + e.len]))
+                .collect()
+        }
+        b"DPZP" => header(container::deserialize_progressive(bytes, None).unwrap().0),
+        _ => header(container::deserialize(bytes).unwrap()),
+    }
+}
+
+/// The index width follows the bound on every writer: whatever a target
+/// resolves to — a static bound, a PSNR bound (with the retry that divides
+/// it by 4), a ratio search — each stream header has 2-byte indices exactly
+/// when its `P` is below `WIDE_INDEX_AUTO_THRESHOLD`.
+#[test]
+fn index_width_follows_the_bound_on_every_writer() {
+    let smooth: Vec<f32> = (0..64 * 96)
+        .map(|i| {
+            let r = (i / 96) as f32;
+            let c = (i % 96) as f32;
+            (0.04 * r).sin() * 40.0 + (0.03 * c).cos() * 25.0 + 100.0
+        })
+        .collect();
+    let phis = Dataset::generate(DatasetKind::Phis, Scale::Tiny, 2021);
+    let fields = [(&smooth[..], &[64, 96][..]), (&phis.data, &phis.dims)];
+    let mut targets: Vec<QualityTarget> = [2e-3, 1e-3, 9.99e-4, 1e-4]
+        .map(QualityTarget::ErrorBound)
+        .to_vec();
+    targets.extend([
+        QualityTarget::RelBound(5e-4),
+        QualityTarget::Psnr(40.0),
+        QualityTarget::Psnr(60.0),
+        QualityTarget::Psnr(70.0),
+    ]);
+    targets.extend(
+        [3.0, 6.0, 12.0, 24.0, 48.0].map(|target| QualityTarget::Ratio { target, tol: 0.2 }),
+    );
+
+    let mut ratio_sides = [false; 2];
+    for (data, dims) in fields {
+        for target in &targets {
+            let cfg = DpzConfig::loose().with_target(*target);
+            let artifacts = [
+                dpz::core::compress(data, dims, &cfg).map(|o| o.bytes),
+                compress_chunked(data, dims, &cfg, 3).map(|o| o.bytes),
+                compress_progressive(data, dims, &cfg, 3).map(|o| o.bytes),
+            ];
+            for bytes in artifacts {
+                // A ratio outside the field's reach is refused typed.
+                let bytes = match bytes {
+                    Err(DpzError::TargetUnreachable { .. }) => continue,
+                    other => other.unwrap(),
+                };
+                for (p, wide) in stream_headers(&bytes) {
+                    assert_eq!(wide, p < WIDE_INDEX_AUTO_THRESHOLD, "{target:?}: P = {p:e}");
+                    if matches!(target, QualityTarget::Ratio { .. }) {
+                        ratio_sides[usize::from(wide)] = true;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(
+        ratio_sides, [true; 2],
+        "ratio targets resolved on one side only"
+    );
+
+    // PHIS misses 60 dB at the closed-form bound, which is narrow; the
+    // retry at a quarter of it is wide, and that is the artifact returned.
+    let p0 = bound_for_psnr(60.0, 1.0);
+    assert!(p0 >= WIDE_INDEX_AUTO_THRESHOLD && p0 / 4.0 < WIDE_INDEX_AUTO_THRESHOLD);
+    let cfg = DpzConfig::loose().with_target(QualityTarget::Psnr(60.0));
+    let out = dpz::core::compress(&phis.data, &phis.dims, &cfg).unwrap();
+    assert_eq!(stream_headers(&out.bytes), [(p0 / 4.0, true)]);
 }
