@@ -84,8 +84,7 @@ fn bench_eigen(c: &mut Criterion) {
                 &(m, k),
                 |b, &(_, k)| {
                     b.iter(|| {
-                        Pca::fit_rank(black_box(&x), PcaOptions::default(), k, &rf, None, None)
-                            .unwrap()
+                        Pca::fit_rank(black_box(&x), PcaOptions::default(), k, &rf, None).unwrap()
                     });
                 },
             );
@@ -106,7 +105,7 @@ fn bench_eigen(c: &mut Criterion) {
             if k >= m {
                 continue;
             }
-            let seed = Pca::fit_rank(&a, PcaOptions::default(), k, &rf, None, None)
+            let seed = Pca::fit_rank(&a, PcaOptions::default(), k, &rf, None)
                 .unwrap()
                 .basis;
             group.bench_with_input(
@@ -120,7 +119,6 @@ fn bench_eigen(c: &mut Criterion) {
                             k,
                             &rf,
                             Some(&seed),
-                            None,
                         )
                         .unwrap()
                     });

@@ -1,6 +1,6 @@
-//! End-to-end comparison bench: DPZ (both schemes, plus the sampling fast
-//! path) vs the SZ and ZFP baselines on a CESM-like field — the
-//! wall-clock counterpart to Figure 8.
+//! End-to-end comparison bench: DPZ (both schemes, plus loose with the
+//! sampling estimator on) vs the SZ and ZFP baselines on a CESM-like field
+//! — the wall-clock counterpart to Figure 8.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dpz_core::{DpzConfig, TveLevel};

@@ -679,39 +679,76 @@ fn cmd_decompress(args: &[String]) -> Result<String, CliError> {
     ))
 }
 
+/// `dpz info`: sniff the container's magic and summarize it — the DPZ1
+/// header, the DPZC index (any container version), or the baseline format's
+/// name and size.
 fn cmd_info(args: &[String]) -> Result<String, CliError> {
     let input = args
         .first()
         .ok_or_else(|| err("usage: dpz info <in.dpz>"))?;
     let bytes = std::fs::read(input).map_err(|e| err(format!("read {input}: {e}")))?;
-    let (payload, info) =
-        dpz_core::container::deserialize_with_info(&bytes).map_err(|e| err(e.to_string()))?;
-    let dims = payload
-        .dims
-        .iter()
-        .map(ToString::to_string)
-        .collect::<Vec<_>>()
-        .join("x");
-    Ok(format!(
-        "DPZ container: v{} ({}) dims {dims} ({} values)\n  M={} N={} pad={} k={}\n  P={:e} wide_index={} standardized={}\n  outliers={} container {} bytes (CR {:.2}x)",
-        info.version,
-        if info.checksummed {
-            "crc32 per section"
-        } else {
-            "no checksums"
-        },
-        payload.orig_len,
-        payload.m,
-        payload.n,
-        payload.pad,
-        payload.k,
-        payload.p,
-        payload.scores.wide_index,
-        payload.standardized,
-        payload.scores.outliers.len(),
-        bytes.len(),
-        (payload.orig_len * 4) as f64 / bytes.len() as f64,
-    ))
+    let format = Format::ALL
+        .into_iter()
+        .find(|f| bytes.starts_with(f.magic()))
+        .ok_or_else(|| err("unknown container magic"))?;
+    let join_dims = |dims: &[usize]| {
+        dims.iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join("x")
+    };
+    let ratio = |values: usize| values as f64 * 4.0 / bytes.len() as f64;
+    Ok(match format {
+        Format::Dpz => {
+            let (payload, info) = dpz_core::container::deserialize_with_info(&bytes)
+                .map_err(|e| err(e.to_string()))?;
+            format!(
+                "DPZ container: v{} ({}) dims {} ({} values)\n  M={} N={} pad={} k={}\n  P={:e} wide_index={} standardized={}\n  outliers={} container {} bytes (CR {:.2}x)",
+                info.version,
+                if info.checksummed {
+                    "crc32 per section"
+                } else {
+                    "no checksums"
+                },
+                join_dims(&payload.dims),
+                payload.orig_len,
+                payload.m,
+                payload.n,
+                payload.pad,
+                payload.k,
+                payload.p,
+                payload.scores.wide_index,
+                payload.standardized,
+                payload.scores.outliers.len(),
+                bytes.len(),
+                ratio(payload.orig_len),
+            )
+        }
+        Format::DpzChunked => {
+            let index = SeekableIndex::from_bytes(&bytes).map_err(|e| err(e.to_string()))?;
+            let values: usize = index.chunks.iter().map(|c| c.values).sum();
+            format!(
+                "DPZC container: v{} ({}) dims {} ({values} values)\n  chunks={} progressive={}\n  container {} bytes (CR {:.2}x)",
+                index.version,
+                if index.chunks.iter().all(|c| c.crc.is_some()) {
+                    "crc32 per chunk"
+                } else {
+                    "no checksums"
+                },
+                join_dims(&index.dims),
+                index.chunks.len(),
+                index.progressive.is_some(),
+                bytes.len(),
+                ratio(values),
+            )
+        }
+        Format::Sz | Format::Zfp => format!(
+            "{} container ({}): {} bytes",
+            format.name(),
+            String::from_utf8_lossy(format.magic()),
+            bytes.len()
+        ),
+    })
 }
 
 fn cmd_eval(args: &[String]) -> Result<String, CliError> {
@@ -928,6 +965,61 @@ mod tests {
         let msg = run(&s(&["eval", &raw, &restored, "--compressed", &packed])).unwrap();
         assert!(msg.contains("PSNR"), "{msg}");
         assert!(msg.contains("CR"), "{msg}");
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn info_sniffs_every_container_format() {
+        let dir = std::env::temp_dir().join("dpz_cli_info");
+        std::fs::create_dir_all(&dir).unwrap();
+        let raw = dir.join("i.f32").to_string_lossy().into_owned();
+        run(&s(&["gen", "CLDHGH", &raw, "--scale", "tiny"])).unwrap();
+        let info = |codec: &str, extra: &[&str]| {
+            let packed = dir
+                .join(format!("i.{codec}"))
+                .to_string_lossy()
+                .into_owned();
+            let mut args = vec![
+                "compress", &raw, &packed, "--dims", "45x90", "--codec", codec,
+            ];
+            args.extend_from_slice(extra);
+            run(&s(&args)).unwrap();
+            run(&s(&["info", &packed])).unwrap()
+        };
+
+        let msg = info("dpz", &[]);
+        assert!(msg.starts_with("DPZ container: v2"), "{msg}");
+        let msg = info("dpzc", &["--chunks", "4"]);
+        assert!(
+            msg.starts_with("DPZC container: v4 (crc32 per chunk) dims 45x90 (4050 values)")
+                && msg.contains("chunks=4 progressive=false"),
+            "{msg}"
+        );
+        let msg = info("dpzc", &["--chunks", "2", "--progressive"]);
+        assert!(msg.contains("chunks=2 progressive=true"), "{msg}");
+        let msg = info("sz", &[]);
+        assert!(msg.starts_with("sz container (SZR1): "), "{msg}");
+        let msg = info("zfp", &[]);
+        assert!(msg.starts_with("zfp container (ZFR1): "), "{msg}");
+
+        // Legacy chunked containers are summarized from their own index.
+        for (v, crc) in [(1, "no checksums"), (2, "crc32 per chunk")] {
+            let legacy = format!(
+                "{}/../../tests/fixtures/legacy/dpzc-v{v}-loose-4x-64x96.bin",
+                env!("CARGO_MANIFEST_DIR")
+            );
+            let msg = run(&s(&["info", &legacy])).unwrap();
+            assert!(
+                msg.starts_with(&format!("DPZC container: v{v} ({crc}) dims 64x96")),
+                "{msg}"
+            );
+        }
+
+        let garbage = dir.join("g.bin").to_string_lossy().into_owned();
+        std::fs::write(&garbage, b"nope").unwrap();
+        let e = run(&s(&["info", &garbage])).unwrap_err();
+        assert!(e.0.contains("unknown container magic"), "{}", e.0);
 
         std::fs::remove_dir_all(&dir).ok();
     }

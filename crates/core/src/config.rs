@@ -135,7 +135,8 @@ pub enum KSelection {
     KneePoint(FitKind),
     /// Method 2: smallest `k` reaching the explained-variance threshold.
     Tve(f64),
-    /// Fix `k` directly (used by ablations and the sampling fast path).
+    /// Fix `k` directly; stage 2 asks the rank-bounded solvers for `k`
+    /// plus a margin.
     Fixed(usize),
 }
 
@@ -165,11 +166,12 @@ pub struct DpzConfig {
     pub selection: KSelection,
     /// Standardization policy.
     pub standardize: Standardize,
-    /// Run the sampling strategy (Algorithm 2): estimates `k` from block
-    /// subsets and enables the truncated eigensolver fast path.
+    /// Run the sampling strategy (Algorithm 2) with its default subset
+    /// count: the VIF, `k_e` and `CR_p` estimate lands in
+    /// [`CompressionStats::sampling`](crate::CompressionStats::sampling),
+    /// and under [`Standardize::Auto`] the VIF decides standardization. It
+    /// does not change which fitter runs or which `k` is kept.
     pub sampling: bool,
-    /// Number of subsets `S` for sampling (10 by default).
-    pub sampling_subsets: usize,
     /// Entropy backend for the container's lossless sections (stage 4).
     pub lossless: LosslessBackend,
 }
@@ -183,7 +185,6 @@ impl DpzConfig {
             selection: KSelection::Tve(TveLevel::FiveNines.fraction()),
             standardize: Standardize::Auto,
             sampling: false,
-            sampling_subsets: 10,
             lossless: LosslessBackend::Deflate,
         }
     }

@@ -165,28 +165,26 @@ pub(crate) fn rank_with_margin(k: usize) -> usize {
 type Stage2Fit = (Pca, Option<Matrix>, Option<SubspaceSeed>);
 
 /// Rank-bounded stage-2 fit of [`rank_with_margin`]`(k)` pairs through
-/// [`Pca::fit_rank`]'s solver policy. The warm seed (TVE-gated when
-/// `gate_tve` is given) goes in, and the converged basis is handed on
-/// only from the randomized arm — the one that returns sketch scores. A
-/// wave that fitted densely therefore keeps the chunked driver's prior
-/// seed.
+/// [`Pca::fit_rank`]'s solver policy. The warm seed goes in, and the
+/// converged basis is handed on only from the randomized arm — the one
+/// that returns sketch scores. A wave that fitted densely therefore keeps
+/// the chunked driver's prior seed.
 fn fit_rank_margin(
     coeffs: &Matrix,
     opts: PcaOptions,
     k: usize,
     warm: Option<&SubspaceSeed>,
-    gate_tve: Option<f64>,
 ) -> Result<Stage2Fit, DpzError> {
     let want = rank_with_margin(k);
-    let fit = Pca::fit_rank(coeffs, opts, want, &RF_OPTS, warm, gate_tve)?;
+    let fit = Pca::fit_rank(coeffs, opts, want, &RF_OPTS, warm)?;
     let randomized = fit.scores.is_some();
     record_pca_route(randomized, warm.is_some(), fit.warm_used);
     Ok((fit.pca, fit.scores, randomized.then_some(fit.basis)))
 }
 
 /// Telemetry for the stage-2 solver routing: how often the randomized path
-/// runs, and whether offered warm seeds survive the TVE gate or fall back
-/// to a cold fit.
+/// runs, and whether offered warm seeds are kept or fall back to a cold
+/// fit.
 fn record_pca_route(randomized: bool, warm_offered: bool, warm_used: bool) {
     let reg = dpz_telemetry::global();
     if randomized {
@@ -309,10 +307,11 @@ impl PipelinePlan {
     /// uses this to overlap one slab's [`PipelinePlan::encode`] with the
     /// next slab's numeric stages.
     ///
-    /// `warm` seeds this buffer's PCA sketch (the fitter's TVE gate rejects
-    /// it if the data drifted), and the converged basis comes back for the
-    /// next statistically-similar buffer. The basis is `None` when the
-    /// routing took a dense path (small M, knee-point selection, …).
+    /// `warm` seeds this buffer's PCA sketch (under TVE selection the
+    /// fitter's gate rejects it if the data drifted), and the converged
+    /// basis comes back for the next statistically-similar buffer. The
+    /// basis is `None` when the routing took a dense path (small M,
+    /// knee-point selection, …).
     pub(crate) fn project(
         &self,
         data: &[f32],
@@ -414,28 +413,26 @@ impl PipelinePlan {
         (coeffs, norm_min, norm_range)
     }
 
-    /// Sampling strategy (optional): Algorithm 2's VIF probe + subset-k
-    /// estimate, feeding both the truncated-solver routing in stage 2 and
-    /// the predicted-ratio telemetry. `None` when sampling is off.
+    /// Sampling strategy (optional): Algorithm 2's VIF probe, subset-k
+    /// estimate and predicted ratio, for the stats, the `sampling` span and
+    /// the `dpz_sampling_*` gauges. Under [`Standardize::Auto`] its VIF also
+    /// decides standardization; it never decides `k`. `None` when sampling
+    /// is off.
     fn sample(&self, coeffs: &Matrix) -> Result<Option<SamplingEstimate>, DpzError> {
         let cfg = &self.cfg;
         if !cfg.sampling {
             return Ok(None);
         }
-        let tve = match cfg.selection {
-            KSelection::Tve(v) => v,
-            _ => SamplingStrategy::default().tve,
-        };
-        let strat = SamplingStrategy {
-            subsets: cfg.sampling_subsets,
-            tve,
-        };
+        let mut strat = SamplingStrategy::default();
+        if let KSelection::Tve(tve) = cfg.selection {
+            strat.tve = tve;
+        }
         strat.estimate(coeffs).map(Some)
     }
 
-    /// Stage 2: PCA (full, or rank-bounded when sampling provided k_e or the
-    /// selection fixes k), k selection, and projection to scores. Returns
-    /// the coefficient storage to the pool.
+    /// Stage 2: PCA fit (TVE-certified, rank-bounded for a fixed k, or the
+    /// full spectrum for knee-point detection), k selection, and projection
+    /// to scores. Returns the coefficient storage to the pool.
     fn fit_pca(
         &self,
         coeffs: Matrix,
@@ -449,45 +446,28 @@ impl PipelinePlan {
             Standardize::Auto => est.is_some_and(|e| e.low_linearity),
         };
         let opts = PcaOptions { standardize };
-        // A saturated estimate (subset k pinned at the subset width) is only
-        // a lower bound on the true k; using it would silently degrade
-        // quality, so it falls through to the TVE path instead.
-        let sampled_k = est.filter(|e| !e.saturated).map(|e| e.k_estimate);
-        let ((pca, sketch_scores, basis), selection) = match (sampled_k, cfg.selection) {
-            // Fast path: k comes from the sample; fit only k_e (+ margin)
-            // components, gating any warm seed against the configured TVE
-            // target.
-            (Some(k_e), KSelection::Tve(tve)) => (
-                fit_rank_margin(&coeffs, opts, k_e, warm, Some(tve))?,
-                KSelection::Fixed(k_e),
-            ),
-            // No sampling estimate, but the selection mode itself bounds the
-            // needed rank: route through the rank-bounded solvers instead of
-            // the full O(M³) decomposition whenever the bound is far below M.
-            (_, KSelection::Fixed(k_fixed)) => (
-                fit_rank_margin(&coeffs, opts, k_fixed, warm, None)?,
-                cfg.selection,
-            ),
+        let (pca, sketch_scores, basis) = match cfg.selection {
+            // The selection mode bounds the needed rank: route through the
+            // rank-bounded solvers instead of the full O(M³) decomposition
+            // whenever the bound is far below M.
+            KSelection::Fixed(k_fixed) => fit_rank_margin(&coeffs, opts, k_fixed, warm)?,
             // The randomized range-finder sketches k0 + oversample probe
             // vectors directly on the data matrix — no M×M Gram, no
             // Householder reduction — then escalates the sketch until the
             // Ritz spectrum certifies the TVE target (the Ritz TVE is exact
             // for the produced basis, so the certificate is sound).
-            (_, KSelection::Tve(tve)) if self.shape.m >= RANDOMIZED_MIN_M => {
+            KSelection::Tve(tve) if self.shape.m >= RANDOMIZED_MIN_M => {
                 let k0 = (self.shape.m / 8).max(8);
                 let fit = Pca::fit_tve_randomized(&coeffs, opts, tve, k0, &RF_OPTS, warm)?;
                 record_pca_route(true, warm.is_some(), fit.warm_used);
-                ((fit.pca, fit.scores, Some(fit.basis)), cfg.selection)
+                (fit.pca, fit.scores, Some(fit.basis))
             }
             // Tiny M cannot amortize the sketch; keep the exact solver.
-            (_, KSelection::Tve(tve)) => (
-                (Pca::fit_tve_exact(&coeffs, opts, tve)?, None, None),
-                cfg.selection,
-            ),
+            KSelection::Tve(tve) => (Pca::fit_tve_exact(&coeffs, opts, tve)?, None, None),
             // Knee-point detection inspects the whole spectrum.
-            _ => ((Pca::fit(&coeffs, opts)?, None, None), cfg.selection),
+            KSelection::KneePoint(_) => (Pca::fit(&coeffs, opts)?, None, None),
         };
-        let choice = select_k(&pca, selection);
+        let choice = select_k(&pca, cfg.selection);
         // The randomized fitter already produced the projected scores from
         // its own sketch products; reuse them (trimmed to the selected
         // rank) instead of paying the explicit n·m·k projection again.

@@ -1,6 +1,7 @@
 //! The sampling strategy (Algorithm 2 of the paper): estimate
-//! compressibility (VIF), pick `k` from a few block subsets, and predict
-//! the final compression ratio before compressing.
+//! compressibility (VIF), estimate `k` from a few block subsets, and
+//! predict the final compression ratio before compressing. The pipeline
+//! reports the estimate; the TVE certificate still picks `k`.
 //!
 //! * **VIF probe** (steps 1-2): a deterministic row sample at rate
 //!   `SR = 0.01` feeds variance-inflation-factor regressions; `VIF < 5` (the common
@@ -63,10 +64,6 @@ pub struct SamplingEstimate {
     pub k_estimate: usize,
     /// Per-subset `k` values that were averaged.
     pub subset_ks: Vec<usize>,
-    /// True when any probed subset's k hit the subset width — the estimate
-    /// is then a lower bound, not an estimate (the real k may be much
-    /// larger), and callers should fall back to full selection.
-    pub saturated: bool,
     /// Estimated stage-1&2 ratio (accounting scores + basis + means).
     pub cr_stage12: f64,
     /// Predicted final CR range `[low, high]` (`CR_p`).
@@ -87,11 +84,10 @@ impl SamplingStrategy {
             let _span = dpz_telemetry::span!("vif_probe");
             self.probe_vif(coeffs)?
         };
-        let (subset_ks, subset_widths) = {
+        let subset_ks = {
             let _span = dpz_telemetry::span!("subset_ks");
             self.subset_ks(coeffs)?
         };
-        let saturated = subset_ks.iter().zip(&subset_widths).any(|(&k, &w)| k >= w);
         let k_estimate = ((subset_ks.iter().sum::<usize>() as f64 / subset_ks.len().max(1) as f64)
             .round() as usize)
             .clamp(1, m);
@@ -113,7 +109,6 @@ impl SamplingStrategy {
             low_linearity: vif_mean < VIF_CUTOFF,
             k_estimate,
             subset_ks,
-            saturated,
             cr_stage12,
             cr_predicted,
         })
@@ -126,9 +121,8 @@ impl SamplingStrategy {
         Ok(profile.iter().sum::<f64>() / profile.len() as f64)
     }
 
-    /// Steps 3-5: per-subset k for the requested TVE; also returns each
-    /// probed subset's feature count so saturation can be detected.
-    fn subset_ks(&self, coeffs: &Matrix) -> Result<(Vec<usize>, Vec<usize>), DpzError> {
+    /// Steps 3-5: per-subset k for the requested TVE.
+    fn subset_ks(&self, coeffs: &Matrix) -> Result<Vec<usize>, DpzError> {
         let (_, m) = coeffs.shape();
         // A subset can never report more components than it has features, so
         // keep subsets large enough that the cap does not bias k_e downward
@@ -148,7 +142,6 @@ impl SamplingStrategy {
         };
         let per = m.div_ceil(s);
         let mut ks = Vec::with_capacity(t);
-        let mut widths = Vec::with_capacity(t);
         for &pick in &picks {
             let lo = pick * per;
             if lo >= m {
@@ -159,12 +152,11 @@ impl SamplingStrategy {
             let sub = coeffs.select_cols(&cols);
             let pca = Pca::fit(&sub, PcaOptions::default())?;
             ks.push(pca.k_for_tve(self.tve));
-            widths.push(cols.len());
         }
         if ks.is_empty() {
             return Err(DpzError::BadInput("no usable subsets"));
         }
-        Ok((ks, widths))
+        Ok(ks)
     }
 }
 

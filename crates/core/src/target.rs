@@ -251,8 +251,7 @@ impl RatioOracle {
             KSelection::Fixed(k) => {
                 let k = k.clamp(1, shape.m);
                 let want = crate::pipeline::rank_with_margin(k);
-                let fit =
-                    Pca::fit_rank(&coeffs, opts, want, &crate::pipeline::RF_OPTS, None, None)?;
+                let fit = Pca::fit_rank(&coeffs, opts, want, &crate::pipeline::RF_OPTS, None)?;
                 (fit.pca, k)
             }
             KSelection::KneePoint(_) => {

@@ -18,7 +18,9 @@
 use crate::{LinalgError, Matrix, Result};
 use dpz_kernels::blas;
 
-/// Maximum QL iterations per eigenvalue before giving up.
+/// QL iterations per eigenvalue under the local deflation test alone. A
+/// block still unsplit after this many gets as many again with the
+/// absolute test added (see [`block_end`]) before the solve gives up.
 const MAX_QL_ITERATIONS: usize = 64;
 
 /// Result of a symmetric eigendecomposition.
@@ -232,6 +234,39 @@ fn householder_reduce(z: &mut Matrix, d: &mut [f64], e: &mut [f64], store_v: boo
     e[0] = 0.0;
 }
 
+/// Largest absolute entry of the tridiagonal `(d, e)`: the `‖T‖` of the
+/// absolute deflation test, taken before QL starts rotating.
+fn tridiagonal_norm(d: &[f64], e: &[f64]) -> f64 {
+    d.iter().chain(e).fold(0.0f64, |acc, v| acc.max(v.abs()))
+}
+
+/// End of the unreduced block that starts at `l`: the first `m ≥ l` whose
+/// off-diagonal `e[m]` (coupling `m` and `m + 1`) is negligible. For the
+/// first [`MAX_QL_ITERATIONS`] sweeps of a block, negligible means
+/// `|e[m]| ≤ ε·(|d[m]| + |d[m+1]|)`, relative to its own diagonal. After
+/// that, `|e[m]| ≤ ε·‖T‖` also counts. Graded spectra need this: when the
+/// leading eigenvalues sit near 1e-16 and the largest near 1e2, rounding
+/// keeps the leading off-diagonal near 1e-17, above ε times its diagonal
+/// forever, but far below anything that moves an eigenvalue at the
+/// matrix's own precision. A matrix the local test converges on never
+/// reaches the absolute one, so its result does not change.
+fn block_end(d: &[f64], e: &[f64], l: usize, iter: usize, tnorm: f64) -> usize {
+    let floor = if iter < MAX_QL_ITERATIONS {
+        0.0
+    } else {
+        f64::EPSILON * tnorm
+    };
+    let mut m = l;
+    while m < d.len() - 1 {
+        let dd = d[m].abs() + d[m + 1].abs();
+        if e[m].abs() <= f64::EPSILON * dd || e[m].abs() <= floor {
+            break;
+        }
+        m += 1;
+    }
+    m
+}
+
 /// Implicit QL with shifts on the tridiagonal `(d, e)`, rotating the **rows**
 /// of `zt` (the transposed accumulated basis) into eigenvectors. On success
 /// `d` holds eigenvalues (unsorted) and row `i` of `zt` is the eigenvector
@@ -251,26 +286,20 @@ fn ql_implicit(d: &mut [f64], e: &mut [f64], zt: &mut Matrix) -> Result<()> {
         e[i - 1] = e[i];
     }
     e[n - 1] = 0.0;
+    let tnorm = tridiagonal_norm(d, e);
     for l in 0..n {
         let mut iter = 0;
         loop {
             // Find a negligible off-diagonal element delimiting a block.
-            let mut m = l;
-            while m < n - 1 {
-                let dd = d[m].abs() + d[m + 1].abs();
-                if e[m].abs() <= f64::EPSILON * dd {
-                    break;
-                }
-                m += 1;
-            }
+            let m = block_end(d, e, l, iter, tnorm);
             if m == l {
                 break;
             }
             iter += 1;
-            if iter > MAX_QL_ITERATIONS {
+            if iter > 2 * MAX_QL_ITERATIONS {
                 return Err(LinalgError::NoConvergence {
                     algorithm: "implicit QL (sym_eigen)",
-                    iterations: MAX_QL_ITERATIONS,
+                    iterations: 2 * MAX_QL_ITERATIONS,
                 });
             }
             // Wilkinson shift.
@@ -375,25 +404,19 @@ fn ql_values(d: &mut [f64], e: &mut [f64]) -> Result<()> {
         e[i - 1] = e[i];
     }
     e[n - 1] = 0.0;
+    let tnorm = tridiagonal_norm(d, e);
     for l in 0..n {
         let mut iter = 0;
         loop {
-            let mut m = l;
-            while m < n - 1 {
-                let dd = d[m].abs() + d[m + 1].abs();
-                if e[m].abs() <= f64::EPSILON * dd {
-                    break;
-                }
-                m += 1;
-            }
+            let m = block_end(d, e, l, iter, tnorm);
             if m == l {
                 break;
             }
             iter += 1;
-            if iter > MAX_QL_ITERATIONS {
+            if iter > 2 * MAX_QL_ITERATIONS {
                 return Err(LinalgError::NoConvergence {
                     algorithm: "implicit QL (sym_eigen_select, values)",
-                    iterations: MAX_QL_ITERATIONS,
+                    iterations: 2 * MAX_QL_ITERATIONS,
                 });
             }
             let mut g = (d[l + 1] - d[l]) / (2.0 * e[l]);
@@ -689,10 +712,10 @@ where
 /// Truncated eigendecomposition: the `k` largest-magnitude eigenpairs via
 /// orthogonal (subspace) iteration with a Rayleigh–Ritz projection.
 ///
-/// This is the middle arm of [`crate::Pca::fit_rank`]: when a sampled or
-/// fixed `k` is well below `M` but `M` is too small for the randomized
-/// sketch, the full `O(M³)` solve is replaced by `O(M²·k)`-per-iteration
-/// subspace iteration. Intended for positive semi-definite inputs
+/// This is the middle arm of [`crate::Pca::fit_rank`]: when a fixed `k` is
+/// well below `M` but `M` is too small for the randomized sketch, the full
+/// `O(M³)` solve is replaced by `O(M²·k)`-per-iteration subspace
+/// iteration. Intended for positive semi-definite inputs
 /// (covariance matrices), where the largest-magnitude eigenvalues are also
 /// the largest.
 pub fn sym_eigen_topk(a: &Matrix, k: usize, max_iters: usize) -> Result<SymEigen> {
@@ -1173,6 +1196,65 @@ mod tests {
             },
             1e-8,
         );
+    }
+
+    /// Symmetric tridiagonal whose diagonal is graded over 16 decades
+    /// (1e-14 at the top to 1e2 at the bottom) with off-diagonal
+    /// `0.1·√(d_i·d_{i+1})`: the shape of a smooth field's covariance after
+    /// Householder reduction, whose leading block holds eigenvalues far
+    /// below the rounding noise of the whole matrix.
+    fn graded_tridiagonal(n: usize) -> Matrix {
+        let d: Vec<f64> = (0..n)
+            .map(|i| 10f64.powf(-14.0 + 16.0 * i as f64 / (n - 1) as f64))
+            .collect();
+        let mut a = Matrix::zeros(n, n);
+        for i in 0..n {
+            a.set(i, i, d[i]);
+            if i + 1 < n {
+                let e = 0.1 * (d[i] * d[i + 1]).sqrt();
+                a.set(i, i + 1, e);
+                a.set(i + 1, i, e);
+            }
+        }
+        a
+    }
+
+    #[test]
+    fn graded_spectrum_converges_in_both_ql_solvers() {
+        let n = 128;
+        let a = graded_tridiagonal(n);
+        let norm = (0..n)
+            .map(|i| a.row(i).iter().map(|v| v.abs()).sum::<f64>())
+            .fold(0.0, f64::max);
+        let tol = 64.0 * f64::EPSILON * norm;
+        let trace: f64 = (0..n).map(|i| a.get(i, i)).sum();
+        let check = |eig: &SymEigen| {
+            for (j, &lambda) in eig.eigenvalues.iter().enumerate() {
+                let v = eig.eigenvectors.col(j);
+                let av = a.mul_vec(&v).unwrap();
+                let residual = av
+                    .iter()
+                    .zip(&v)
+                    .map(|(x, y)| (x - lambda * y).powi(2))
+                    .sum::<f64>()
+                    .sqrt();
+                assert!(
+                    residual <= tol,
+                    "pair {j}: residual {residual:.3e} > {tol:.3e}"
+                );
+            }
+        };
+        let full = sym_eigen(&a).unwrap();
+        assert_eq!(full.eigenvalues.len(), n);
+        check(&full);
+        let sum: f64 = full.eigenvalues.iter().sum();
+        assert!((sum - trace).abs() <= tol, "sum {sum} vs trace {trace}");
+
+        let (spectrum, selected) = sym_eigen_select(&a, |vals| vals.len()).unwrap();
+        assert_eq!(selected.eigenvalues.len(), n);
+        check(&selected);
+        let sum: f64 = spectrum.iter().sum();
+        assert!((sum - trace).abs() <= tol, "sum {sum} vs trace {trace}");
     }
 
     #[test]

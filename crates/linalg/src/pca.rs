@@ -66,8 +66,8 @@ impl Pca {
         Ok(prep.into_pca(eig))
     }
 
-    /// Fit the `k` leading eigenpairs — the rank-bounded fit behind a
-    /// sampled or fixed `k`. The solver follows the data shape:
+    /// Fit the `k` leading eigenpairs — the rank-bounded fit behind a fixed
+    /// `k`. The solver follows the data shape:
     ///
     /// * the seeded randomized range-finder ([`crate::rangefinder`]) when
     ///   `m >= RANDOMIZED_MIN_M` and the sketch stays thin,
@@ -78,21 +78,16 @@ impl Pca {
     ///   backend;
     /// * the full `O(m³)` eigendecomposition otherwise (all `m` pairs).
     ///
-    /// Only the randomized arm reads `warm` and `gate_tve`, and only it
-    /// returns `scores`. `warm` seeds the probe subspace from a previous
-    /// fit's converged basis (ignored on feature-count mismatch). When
-    /// `gate_tve` is given and a warm-seeded fit captures less than
-    /// `gate_tve` of the total variance in its `k` leading components, the
-    /// fit is redone cold — the TVE-residual gate that makes warm starting
-    /// safe on dissimilar consecutive chunks. `warm_used` reports which
-    /// basis the returned model came from.
+    /// Only the randomized arm reads `warm`, and only it returns `scores`.
+    /// `warm` seeds the probe subspace from a previous fit's converged basis
+    /// (ignored on feature-count mismatch); `warm_used` reports whether it
+    /// was.
     pub fn fit_rank(
         data: &Matrix,
         opts: PcaOptions,
         k: usize,
         rf: &RangeFinderOptions,
         warm: Option<&SubspaceSeed>,
-        gate_tve: Option<f64>,
     ) -> Result<RandomizedFit> {
         let m = data.cols();
         let k = k.max(1);
@@ -119,26 +114,12 @@ impl Pca {
         let prep = PreparedData::new(data, opts)?;
         let s = k + rf.oversample;
         let warm_now = warm.filter(|w| w.n_features() == m);
-        let mut out = randomized_covariance_eigen(&prep.centered, s, rf, warm_now)?;
-        let mut warm_used = warm_now.is_some();
-        if let (Some(gate), true) = (gate_tve, warm_used) {
-            let captured: f64 = out
-                .eigen
-                .eigenvalues
-                .iter()
-                .take(k)
-                .map(|l| l.max(0.0))
-                .sum();
-            if prep.total_variance > 0.0 && captured < gate * prep.total_variance {
-                out = randomized_covariance_eigen(&prep.centered, s, rf, None)?;
-                warm_used = false;
-            }
-        }
+        let out = randomized_covariance_eigen(&prep.centered, s, rf, warm_now)?;
         let scores = scores_from_t(&out.scores_t, k)?;
         Ok(RandomizedFit {
             pca: prep.pca(out.eigen, k),
             basis: out.seed,
-            warm_used,
+            warm_used: warm_now.is_some(),
             scores: Some(scores),
         })
     }
@@ -770,7 +751,7 @@ mod tests {
         let x = synthetic(150, 24, 91);
         let full = Pca::fit(&x, PcaOptions::default()).unwrap();
         let rf = RangeFinderOptions::default();
-        let fit = Pca::fit_rank(&x, PcaOptions::default(), 3, &rf, None, None).unwrap();
+        let fit = Pca::fit_rank(&x, PcaOptions::default(), 3, &rf, None).unwrap();
         assert!(fit.scores.is_none() && !fit.warm_used);
         let trunc = fit.pca;
         assert_eq!(trunc.n_components(), 3);
@@ -794,7 +775,7 @@ mod tests {
         let opts = PcaOptions::default();
         let small = synthetic(150, 24, 5);
         // 4·6 ≥ 24: the full solve, every eigenpair.
-        let full = Pca::fit_rank(&small, opts, 4, &rf, None, None).unwrap();
+        let full = Pca::fit_rank(&small, opts, 4, &rf, None).unwrap();
         assert_eq!(full.pca.n_components(), 24);
         assert!(full.scores.is_none());
         assert_eq!(
@@ -802,15 +783,15 @@ mod tests {
             Pca::fit(&small, opts).unwrap().eigenvalues()
         );
         // k = 0 is clamped to one pair (subspace iteration).
-        let one = Pca::fit_rank(&small, opts, 0, &rf, None, None).unwrap();
+        let one = Pca::fit_rank(&small, opts, 0, &rf, None).unwrap();
         assert_eq!(one.pca.n_components(), 1);
         // m = 128, (4 + 12)·4 < 128: the randomized sketch, with scores.
         let wide = synthetic(200, 128, 5);
-        let sketched = Pca::fit_rank(&wide, opts, 4, &rf, None, None).unwrap();
+        let sketched = Pca::fit_rank(&wide, opts, 4, &rf, None).unwrap();
         assert_eq!(sketched.pca.n_components(), 4);
         assert_eq!(sketched.scores.map(|s| s.shape()), Some((200, 4)));
         // A warm seed of the wrong width is ignored.
-        let warm = Pca::fit_rank(&wide, opts, 4, &rf, Some(&one.basis), None).unwrap();
+        let warm = Pca::fit_rank(&wide, opts, 4, &rf, Some(&one.basis)).unwrap();
         assert!(!warm.warm_used);
     }
 
@@ -853,7 +834,7 @@ mod tests {
     fn truncated_tve_uses_total_variance() {
         let x = synthetic(150, 24, 17);
         let rf = RangeFinderOptions::default();
-        let trunc = Pca::fit_rank(&x, PcaOptions::default(), 2, &rf, None, None)
+        let trunc = Pca::fit_rank(&x, PcaOptions::default(), 2, &rf, None)
             .unwrap()
             .pca;
         // Two dominant factors: the truncated TVE must still be a fraction
@@ -875,7 +856,7 @@ mod tests {
             power_iters: 2,
             ..Default::default()
         };
-        let rand = Pca::fit_rank(&x, PcaOptions::default(), 4, &rf, None, None)
+        let rand = Pca::fit_rank(&x, PcaOptions::default(), 4, &rf, None)
             .unwrap()
             .pca;
         assert_eq!(rand.n_components(), 4);
@@ -902,7 +883,7 @@ mod tests {
         let x = synthetic(150, 128, 13);
         let rf = RangeFinderOptions::default();
         let fit = || {
-            Pca::fit_rank(&x, PcaOptions::default(), 5, &rf, None, None)
+            Pca::fit_rank(&x, PcaOptions::default(), 5, &rf, None)
                 .unwrap()
                 .pca
         };
@@ -1042,23 +1023,15 @@ mod tests {
     }
 
     #[test]
-    fn fixed_rank_warm_gate_falls_back_cold() {
+    fn fixed_rank_fit_uses_a_matching_warm_seed() {
         let rf = RangeFinderOptions::default();
         let opts = PcaOptions::default();
         let a = synthetic(200, 128, 7);
-        let cold = Pca::fit_rank(&a, opts, 4, &rf, None, None).unwrap();
+        let cold = Pca::fit_rank(&a, opts, 4, &rf, None).unwrap();
         assert!(!cold.warm_used);
-        // Same data, warm seed, with a gate: must accept.
-        let again = Pca::fit_rank(&a, opts, 4, &rf, Some(&cold.basis), Some(0.99)).unwrap();
+        // Same data, warm seed of the right width: the seed is used.
+        let again = Pca::fit_rank(&a, opts, 4, &rf, Some(&cold.basis)).unwrap();
         assert!(again.warm_used);
-        // A nonsense gate (impossible target) forces the cold fallback.
-        let forced = Pca::fit_rank(&a, opts, 2, &rf, Some(&cold.basis), Some(1.0)).unwrap();
-        assert!(!forced.warm_used);
-        let plain = Pca::fit_rank(&a, opts, 2, &rf, None, None).unwrap();
-        assert_eq!(
-            forced.pca.components().as_slice(),
-            plain.pca.components().as_slice()
-        );
     }
 
     #[test]
@@ -1075,7 +1048,7 @@ mod tests {
             "sketch-derived scores diverge from the explicit projection"
         );
 
-        let fixed = Pca::fit_rank(&x, PcaOptions::default(), 6, &rf, None, None).unwrap();
+        let fixed = Pca::fit_rank(&x, PcaOptions::default(), 6, &rf, None).unwrap();
         let scores = fixed.scores.expect("randomized path emits scores");
         let reference = fixed.pca.transform(&x, 6).unwrap();
         assert!(scores.max_abs_diff(&reference) < 1e-9);

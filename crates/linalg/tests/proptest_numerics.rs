@@ -155,7 +155,7 @@ proptest! {
         let k = r + 2;
         let full = Pca::fit(&x, PcaOptions::default()).unwrap();
         let rf = RangeFinderOptions::default();
-        let rand = Pca::fit_rank(&x, PcaOptions::default(), k, &rf, None, None).unwrap().pca;
+        let rand = Pca::fit_rank(&x, PcaOptions::default(), k, &rf, None).unwrap().pca;
         let full_tve = full.cumulative_tve()[k - 1];
         let rand_tve = rand.cumulative_tve()[k - 1];
         prop_assert!(
@@ -175,7 +175,7 @@ proptest! {
         // same backend.
         let x = low_rank_plus_noise(m + 40, m, 3, seed);
         let rf = RangeFinderOptions::default();
-        let fit = || Pca::fit_rank(&x, PcaOptions::default(), 6, &rf, None, None).unwrap().pca;
+        let fit = || Pca::fit_rank(&x, PcaOptions::default(), 6, &rf, None).unwrap().pca;
         let (a, b) = (fit(), fit());
         prop_assert_eq!(a.components().as_slice(), b.components().as_slice());
         prop_assert_eq!(a.eigenvalues(), b.eigenvalues());
