@@ -35,7 +35,7 @@ fn main() {
         for ds in standard_suite(args.scale) {
             let cfg = DpzConfig::loose().with_sampling(true);
             let shape = decompose::choose_shape(ds.len());
-            let (coeffs, _, _) = decompose::stage1(&ds.data, shape, cfg.transform, Vec::new());
+            let (coeffs, _) = decompose::stage1(&ds.data, shape, cfg.transform);
             for level in LEVELS {
                 let strat = SamplingStrategy {
                     subsets: s,

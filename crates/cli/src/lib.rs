@@ -558,10 +558,13 @@ fn cmd_compress(args: &[String]) -> Result<String, CliError> {
     let secs = start.elapsed().as_secs_f64();
     std::fs::write(output, &bytes).map_err(|e| err(format!("write {output}: {e}")))?;
     telemetry_finish(args, run)?;
-    let crc = match &stats.dpz {
-        Some(s) if s.checksummed => ", crc32",
-        Some(_) => ", no-crc",
-        None => "",
+    // Every stream the DPZ writers emit is checksummed: each DPZ1 section,
+    // each DPZC chunk, and each section of a progressive chunk carries a
+    // CRC-32.
+    let crc = if matches!(stats.codec, "dpz" | "dpzc") {
+        ", crc32"
+    } else {
+        ""
     };
     let summary = compress_summary(args, input, output, &requested, &stats, threads, secs);
     Ok(summary + crc + &suffix)
@@ -1325,7 +1328,6 @@ mod tests {
         };
         let digest = span_digest(&TraceSummary {
             spans: vec![row("stage2.pca", None), row("chunk", Some(12.5))],
-            counters: Vec::new(),
             threads: 3,
             dropped: 0,
         });
@@ -1466,12 +1468,31 @@ mod tests {
         let first = &out.chunk_stats[0];
         let expect = format!(", k={} tve={:.8},", first.k, first.tve_achieved);
         assert!(msg.contains(&expect), "{msg} lacks {expect}");
+        assert!(msg.ends_with(", crc32 (chunks=3)"), "{msg}");
         let last = out.chunk_stats.last().unwrap();
         assert_ne!(
             (first.k, format!("{:.8}", first.tve_achieved)),
             (last.k, format!("{:.8}", last.tve_achieved)),
             "the chunks must differ for this test to bite"
         );
+
+        // A progressive write reports no stage stats, but its sections are
+        // checksummed all the same, and the summary says so.
+        let msg = run(&s(&[
+            "compress",
+            &raw,
+            &packed,
+            "--dims",
+            "45x90",
+            "--codec",
+            "dpzc",
+            "--chunks",
+            "3",
+            "--progressive",
+        ]))
+        .unwrap();
+        assert!(!msg.contains(", k="), "{msg}");
+        assert!(msg.ends_with(", crc32 (chunks=3, progressive)"), "{msg}");
 
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -197,7 +197,7 @@ impl AutoCodec {
     /// estimated on the coefficients the pipeline's own stage 1 produces.
     fn predict_dpz(&self, sample: &[f32]) -> Option<f64> {
         let shape = choose_shape(sample.len());
-        let (coeffs, _, _) = stage1(sample, shape, Stage1Transform::Dct, Vec::new());
+        let (coeffs, _) = stage1(sample, shape, Stage1Transform::Dct);
         let est = self.strategy.estimate(&coeffs).ok()?;
         Some(est.cr_predicted.0)
     }

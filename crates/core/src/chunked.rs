@@ -63,7 +63,6 @@ use crate::pipeline::{
     decompress_with_info, record_result_gauges, Compressed, CompressionStats, NumericOutcome,
     PipelinePlan,
 };
-use crate::pool::BufferPool;
 use crate::target::{self, TargetArtifact};
 use dpz_deflate::crc32;
 use dpz_linalg::SubspaceSeed;
@@ -71,7 +70,6 @@ use dpz_telemetry::span;
 use rayon::prelude::*;
 use std::io::{Cursor, Read, Seek, SeekFrom};
 use std::ops::Range;
-use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"DPZC";
 /// Tail sentinel closing a seekable container.
@@ -128,8 +126,7 @@ fn check_chunk_input(data: &[f32], dims: &[usize]) -> Result<(), DpzError> {
 
 /// The slab layout both writers share: slabs along the slowest axis, and
 /// at most two distinct slab lengths (full slabs and a ragged tail), so two
-/// plans over one shared pool cover every chunk and recycle the
-/// block-matrix scratch across rayon workers.
+/// plans cover every chunk.
 struct Slabs<'a> {
     dims: &'a [usize],
     /// Values per row along the slowest axis.
@@ -149,12 +146,21 @@ impl<'a> Slabs<'a> {
     ) -> Result<Self, DpzError> {
         let slow = dims[0];
         let rest: usize = dims[1..].iter().product::<usize>().max(1);
-        let slab_values = slow.div_ceil(chunks.clamp(1, slow)) * rest;
-        let pool = Arc::new(BufferPool::new());
-        let full = PipelinePlan::with_pool(slab_values, cfg, Arc::clone(&pool))?;
+        // Every slab, the ragged tail included, must hold the two values a
+        // plan needs. That only binds when a row is a single value: then a
+        // slab takes at least two rows, and one more while the tail would
+        // be a lone row.
+        let mut rows = slow
+            .div_ceil(chunks.clamp(1, slow))
+            .max(2usize.div_ceil(rest));
+        while (slow % rows) * rest == 1 {
+            rows += 1;
+        }
+        let slab_values = rows * rest;
+        let full = PipelinePlan::new(slab_values, cfg)?;
         let tail = match len % slab_values {
             0 => None,
-            l => Some(PipelinePlan::with_pool(l, cfg, pool)?),
+            l => Some(PipelinePlan::new(l, cfg)?),
         };
         Ok(Slabs {
             dims,
@@ -1250,6 +1256,36 @@ mod tests {
             .sum::<f64>()
             / data.len() as f64;
         assert!(mse < 1.0, "chunked mse {mse}");
+    }
+
+    #[test]
+    fn single_value_rows_chunk_at_every_count() {
+        // With one value per row, a slab of one row, or a ragged tail of
+        // one, would be a buffer too small to decompose: the layout must
+        // take more rows instead, whatever the chunk count asked for.
+        let mut shapes: Vec<Vec<usize>> = (4..=24).map(|len| vec![len]).collect();
+        shapes.push(vec![7, 1]);
+        shapes.push(vec![3, 2, 1]);
+        for dims in shapes {
+            let len: usize = dims.iter().product();
+            let data: Vec<f32> = (0..len).map(|i| (i as f32 * 0.7).sin() * 3.0).collect();
+            for chunks in 1..=len + 1 {
+                for progressive in [false, true] {
+                    let case = format!("dims {dims:?}, {chunks} chunks, progressive {progressive}");
+                    let write = if progressive {
+                        compress_progressive
+                    } else {
+                        compress_chunked
+                    };
+                    let out = write(&data, &dims, &DpzConfig::loose(), chunks)
+                        .unwrap_or_else(|e| panic!("{case}: {e}"));
+                    let (values, got) = decompress_chunked(&out.bytes)
+                        .unwrap_or_else(|e| panic!("{case}: decode: {e}"));
+                    assert_eq!(got, dims, "{case}");
+                    assert_eq!(values.len(), len, "{case}");
+                }
+            }
+        }
     }
 
     #[test]

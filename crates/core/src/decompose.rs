@@ -98,48 +98,32 @@ pub fn value_extent(data: &[f32]) -> (f64, f64) {
 /// large-magnitude fields (e.g. HACC velocities) would overflow the
 /// quantizer range and escape every score as an outlier.
 ///
-/// Returns the `N x M` coefficient matrix, the `(min, range)`
-/// normalization, and `storage` (resized, contents unspecified) for reuse.
-pub fn stage1(
-    data: &[f32],
-    shape: BlockShape,
-    transform: Stage1Transform,
-    storage: Vec<f64>,
-) -> (Matrix, (f64, f64), Vec<f64>) {
+/// Returns the `N x M` coefficient matrix and the `(min, range)`
+/// normalization. Any scratch the transform needed is freed before it
+/// returns, so the coefficient matrix is the only block matrix left alive.
+pub fn stage1(data: &[f32], shape: BlockShape, transform: Stage1Transform) -> (Matrix, (f64, f64)) {
     let (lo, range) = value_extent(data);
-    match transform {
-        Stage1Transform::Dct => {
-            let (coeffs, scratch) = dct_blocks_from_raw(data, shape, lo, range, storage);
-            (coeffs, (lo, range), scratch)
-        }
+    let coeffs = match transform {
+        Stage1Transform::Dct => dct_blocks_from_raw(data, shape, lo, range, Vec::new()).0,
         Stage1Transform::Dwt { levels } => {
-            let mut blocks = to_blocks_in(data, shape, storage);
+            let mut blocks = to_blocks(data, shape);
             for v in blocks.as_mut_slice() {
                 *v = (*v - lo) / range - 0.5;
             }
-            let coeffs = dwt_blocks(&blocks, effective_dwt_levels(shape.n, levels));
-            (coeffs, (lo, range), blocks.into_vec())
+            dwt_blocks(&blocks, effective_dwt_levels(shape.n, levels))
         }
-    }
+    };
+    (coeffs, (lo, range))
 }
 
 /// Rearrange flattened data into the `N x M` sample-by-feature matrix
 /// (column `j` holds block `j`, i.e. `data[j*N .. (j+1)*N]`), padding the
 /// tail by replicating the final value.
 pub fn to_blocks(data: &[f32], shape: BlockShape) -> Matrix {
-    to_blocks_in(data, shape, Vec::new())
-}
-
-/// [`to_blocks`] writing into caller-provided storage (resized as needed),
-/// so the pipeline's scratch pool can recycle the block matrix — its
-/// largest transient allocation — across executions.
-pub fn to_blocks_in(data: &[f32], shape: BlockShape, mut storage: Vec<f64>) -> Matrix {
     assert_eq!(shape.m * shape.n, data.len() + shape.pad, "shape mismatch");
     let (m, n) = (shape.m, shape.n);
     let last = *data.last().expect("non-empty data") as f64;
-    storage.clear();
-    storage.resize(m * n, 0.0);
-    let mut out = Matrix::from_vec(n, m, storage).expect("storage sized above");
+    let mut out = Matrix::zeros(n, m);
     // out[(i, j)] = data[j*n + i]; iterate source-sequentially per block.
     for j in 0..m {
         let base = j * n;
@@ -190,7 +174,11 @@ pub fn idct_blocks(blocks: &Matrix) -> Matrix {
 /// coefficient matrix. Equivalent to `to_blocks` + normalize + [`dct_blocks`]
 /// but with one transpose instead of three passes over the data (the raw
 /// layout *is* block-major, so the fill is sequential on both sides).
-/// Returns the coefficient matrix and the scratch buffer for pool reuse.
+///
+/// `storage` is resized to `M·N` and holds the block-major scratch; it comes
+/// back (contents unspecified) beside the coefficient matrix, so a caller
+/// timing the kernel in a loop can hand it in again. [`stage1`] passes an
+/// empty `Vec` and drops what comes back.
 pub fn dct_blocks_from_raw(
     data: &[f32],
     shape: BlockShape,

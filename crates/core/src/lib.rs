@@ -57,7 +57,6 @@ pub mod container;
 pub mod decompose;
 pub mod kpca;
 pub mod pipeline;
-mod pool;
 pub mod quantize;
 pub mod sampling;
 pub mod target;

@@ -21,14 +21,12 @@ use crate::container::{
 };
 use crate::decompose::{self, BlockShape};
 use crate::kpca::select_k;
-use crate::pool::BufferPool;
 use crate::quantize::{dequantize_scores, quantize_scores, QuantizedScores};
 use crate::sampling::{SamplingEstimate, SamplingStrategy};
 use crate::target::{self, TargetArtifact};
 use dpz_linalg::{Matrix, Pca, PcaOptions, RangeFinderOptions, SubspaceSeed, RANDOMIZED_MIN_M};
 use dpz_telemetry::span;
 use dpz_telemetry::span::Span;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Wall-clock time spent in each pipeline stage.
@@ -80,10 +78,6 @@ pub struct CompressionStats {
     pub cr_total: f64,
     /// Sampling estimate when the strategy ran.
     pub sampling: Option<SamplingEstimate>,
-    /// Whether the emitted container carries per-section CRC-32 trailers
-    /// (always true: the writer emits version 2, or version 3 when a
-    /// section uses tANS, and both carry them).
-    pub checksummed: bool,
 }
 
 /// Output of [`compress`].
@@ -212,7 +206,10 @@ struct Projection {
     basis: Option<SubspaceSeed>,
 }
 
-/// Everything stages 1–3 produce for one buffer, ready for entropy coding.
+/// Everything stages 1–3 produce for one buffer, ready for entropy coding:
+/// the quantized scores and the f32-rounded model. No `f64` matrix
+/// survives into it: stage 2 frees the block matrix and stage 3 the
+/// scores.
 ///
 /// The numeric/lossless split exists so the chunked driver can overlap
 /// chunk `i`'s entropy coding with chunk `i+1`'s DCT/PCA on the same
@@ -238,10 +235,9 @@ impl NumericOutcome {
 
 /// A planned compression: shape, transform and quantizer scheme resolved
 /// once for a given `(length, config)`, executable against any number of
-/// equal-length buffers. Scratch storage is recycled through a shared
-/// `BufferPool`, so repeated executions — one per chunk in the chunked
-/// driver — reach steady state without per-buffer allocation of the block
-/// matrix.
+/// equal-length buffers — one per chunk in the chunked driver. A plan holds
+/// no buffers: each stage owns what it allocates, and the stage that reads
+/// a buffer last frees it (stage 2 the block matrix, stage 3 the scores).
 pub(crate) struct PipelinePlan {
     cfg: DpzConfig,
     len: usize,
@@ -249,24 +245,11 @@ pub(crate) struct PipelinePlan {
     scheme: Scheme,
     transform_tag: u8,
     dwt_levels: u8,
-    pool: Arc<BufferPool>,
 }
 
 impl PipelinePlan {
-    /// Plan a compression of `len` values under `cfg`, with a private
-    /// buffer pool.
+    /// Plan a compression of `len` values under `cfg`.
     pub(crate) fn new(len: usize, cfg: &DpzConfig) -> Result<Self, DpzError> {
-        Self::with_pool(len, cfg, Arc::new(BufferPool::new()))
-    }
-
-    /// [`PipelinePlan::new`] with a caller-provided pool, so several plans
-    /// (e.g. the chunked driver's full-slab and ragged-tail plans) share
-    /// one free-list.
-    pub(crate) fn with_pool(
-        len: usize,
-        cfg: &DpzConfig,
-        pool: Arc<BufferPool>,
-    ) -> Result<Self, DpzError> {
         if len < 2 {
             return Err(DpzError::BadInput("need at least two values"));
         }
@@ -288,7 +271,6 @@ impl PipelinePlan {
             scheme,
             transform_tag,
             dwt_levels,
-            pool,
         })
     }
 
@@ -402,14 +384,11 @@ impl PipelinePlan {
         Ok((outcome, proj.basis))
     }
 
-    /// Stage 1 ([`decompose::stage1`]) on the plan's shape and transform,
-    /// with pooled scratch. Returns the coefficient matrix and the
-    /// `(min, range)` normalization.
+    /// Stage 1 ([`decompose::stage1`]) on the plan's shape and transform.
+    /// Returns the coefficient matrix and the `(min, range)` normalization.
     fn decompose_dct(&self, data: &[f32]) -> (Matrix, f64, f64) {
-        let storage = self.pool.acquire(self.shape.m * self.shape.n);
-        let (coeffs, (norm_min, norm_range), scratch) =
-            decompose::stage1(data, self.shape, self.cfg.transform, storage);
-        self.pool.release(scratch);
+        let (coeffs, (norm_min, norm_range)) =
+            decompose::stage1(data, self.shape, self.cfg.transform);
         (coeffs, norm_min, norm_range)
     }
 
@@ -432,7 +411,8 @@ impl PipelinePlan {
 
     /// Stage 2: PCA fit (TVE-certified, rank-bounded for a fixed k, or the
     /// full spectrum for knee-point detection), k selection, and projection
-    /// to scores. Returns the coefficient storage to the pool.
+    /// to scores. The coefficient matrix is the stage's to free: it is
+    /// dropped when the stage returns.
     fn fit_pca(
         &self,
         coeffs: Matrix,
@@ -476,7 +456,6 @@ impl PipelinePlan {
             Some(s) if s.cols() > choice.k => s.leading_cols(choice.k),
             _ => pca.transform(&coeffs, choice.k)?,
         };
-        self.pool.release(coeffs.into_vec());
         Ok(Projection {
             pca,
             standardize,
@@ -487,12 +466,10 @@ impl PipelinePlan {
         })
     }
 
-    /// Stage 3: uniform symmetric quantization of the scores. Returns the
-    /// score storage to the pool.
+    /// Stage 3: uniform symmetric quantization of the scores, which the
+    /// stage consumes and frees.
     fn quantize(&self, scores: Matrix) -> QuantizedScores {
-        let quantized = quantize_scores(scores.as_slice(), self.scheme);
-        self.pool.release(scores.into_vec());
-        quantized
+        quantize_scores(scores.as_slice(), self.scheme)
     }
 
     /// Entropy-code a numeric outcome into the final container (the
@@ -539,7 +516,6 @@ impl PipelinePlan {
             cr_zlib,
             cr_total,
             sampling: sampling_est,
-            checksummed: true,
         };
         record_compress_metrics(&stats, orig_bytes, bytes.len(), n_outliers);
         Compressed { bytes, stats }
@@ -1020,11 +996,10 @@ mod tests {
     }
 
     #[test]
-    fn plan_reuse_is_deterministic_and_recycles_buffers() {
+    fn plan_reuse_is_deterministic() {
         let data = smooth_field(64, 64);
         let plan = PipelinePlan::new(data.len(), &DpzConfig::loose()).unwrap();
         let a = plan.execute(&data, &[64, 64]).unwrap();
-        assert!(plan.pool.idle() > 0, "scratch returned to the pool");
         let b = plan.execute(&data, &[64, 64]).unwrap();
         assert_eq!(a.bytes, b.bytes, "plan reuse must be deterministic");
         // And identical to the one-shot wrapper.

@@ -239,7 +239,7 @@ impl RatioOracle {
         }
 
         let shape = decompose::choose_shape(sample.len());
-        let (coeffs, _, _) = decompose::stage1(sample, shape, cfg.transform, Vec::new());
+        let (coeffs, _) = decompose::stage1(sample, shape, cfg.transform);
         let standardize = matches!(cfg.standardize, Standardize::On);
         let opts = PcaOptions { standardize };
         let (pca, k) = match cfg.selection {

@@ -56,7 +56,7 @@ fn fused_dct_equals_unfused_reference_bitwise() {
                         reference,
                         "{kind:?} {scale:?} seed {seed} n {n}"
                     );
-                    let (staged, norm, _) = stage1(data, shape, Stage1Transform::Dct, Vec::new());
+                    let (staged, norm) = stage1(data, shape, Stage1Transform::Dct);
                     assert_eq!(norm, (lo, range));
                     assert_eq!(
                         bits(&staged),
@@ -81,8 +81,7 @@ fn dwt_stage1_equals_unfused_reference_bitwise() {
             let shape = choose_shape(data.len());
             let (blocks, norm) = normalized_blocks(data);
             let reference = dwt_blocks(&blocks, effective_dwt_levels(shape.n, 5));
-            let (staged, staged_norm, _) =
-                stage1(data, shape, Stage1Transform::Dwt { levels: 5 }, Vec::new());
+            let (staged, staged_norm) = stage1(data, shape, Stage1Transform::Dwt { levels: 5 });
             assert_eq!(staged_norm, norm);
             assert_eq!(bits(&staged), bits(&reference), "{kind:?} n {n}");
         }

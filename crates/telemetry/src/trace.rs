@@ -31,7 +31,6 @@
 //! {
 //!     let _s = dpz_telemetry::span!("work"); // spans feed the journal
 //!     dpz_telemetry::trace::instant("checkpoint");
-//!     dpz_telemetry::trace::counter("queue_depth", 3.0);
 //! }
 //! dpz_telemetry::trace::stop();
 //! let trace = dpz_telemetry::trace::drain();
@@ -59,8 +58,6 @@ pub enum EventKind {
     Span,
     /// A point-in-time marker.
     Instant,
-    /// A sampled counter value (`value`).
-    Counter,
 }
 
 /// One materialized journal event.
@@ -70,13 +67,11 @@ pub struct TraceEvent {
     pub ts_ns: u64,
     /// Duration in nanoseconds (spans only; 0 otherwise).
     pub dur_ns: u64,
-    /// Counter value (counters only; 0.0 otherwise).
-    pub value: f64,
     /// Lane id of the emitting thread (see [`Trace::threads`]).
     pub thread: u64,
     /// Event kind.
     pub kind: EventKind,
-    /// Event name (span name, counter name, …).
+    /// Event name (span or marker name).
     pub name: String,
     /// Up to [`MAX_ARGS`] key/value annotations.
     pub args: Vec<(String, f64)>,
@@ -155,7 +150,6 @@ fn pack_meta(kind: EventKind, name_id: u32, arg_keys: [u16; MAX_ARGS]) -> u64 {
     let kind = match kind {
         EventKind::Span => 0u64,
         EventKind::Instant => 1,
-        EventKind::Counter => 2,
     };
     (name_id as u64 & NAME_MASK)
         | (kind << NAME_BITS)
@@ -166,8 +160,7 @@ fn pack_meta(kind: EventKind, name_id: u32, arg_keys: [u16; MAX_ARGS]) -> u64 {
 fn unpack_meta(meta: u64) -> (EventKind, u32, [u16; MAX_ARGS]) {
     let kind = match (meta >> NAME_BITS) & 0xff {
         0 => EventKind::Span,
-        1 => EventKind::Instant,
-        _ => EventKind::Counter,
+        _ => EventKind::Instant,
     };
     let name_id = (meta & NAME_MASK) as u32;
     let keys = [
@@ -193,7 +186,7 @@ struct Slot {
     /// 0 = being written; `index + 1` = published for ring index `index`.
     seq: AtomicU64,
     ts: AtomicU64,
-    /// Span duration in ns, or counter value `f64` bits.
+    /// Span duration in ns (0 for markers).
     payload: AtomicU64,
     meta: AtomicU64,
     arg_bits: [AtomicU64; MAX_ARGS],
@@ -401,14 +394,6 @@ pub fn instant_with(name: &str, args: &[(&str, f64)]) {
     emit(EventKind::Instant, name, now_ns(), 0, args);
 }
 
-/// Record a counter sample (rendered as a counter track in Perfetto).
-pub fn counter(name: &str, value: f64) {
-    if !journal_enabled() {
-        return;
-    }
-    emit(EventKind::Counter, name, now_ns(), value.to_bits(), &[]);
-}
-
 /// Drain all undrained events from every lane, sorted by `ts_ns`. Does not
 /// stop collection; events recorded after the drain are returned next time.
 pub fn drain() -> Trace {
@@ -432,16 +417,7 @@ pub fn drain() -> Trace {
             }
             trace.events.push(TraceEvent {
                 ts_ns: ev.ts,
-                dur_ns: if kind == EventKind::Span {
-                    ev.payload
-                } else {
-                    0
-                },
-                value: if kind == EventKind::Counter {
-                    f64::from_bits(ev.payload)
-                } else {
-                    0.0
-                },
+                dur_ns: ev.payload,
                 thread: lane.tid,
                 kind,
                 name: resolve(name_id),
@@ -481,8 +457,6 @@ pub struct SpanStats {
 pub struct TraceSummary {
     /// Per-span-name latency stats, sorted by total time descending.
     pub spans: Vec<SpanStats>,
-    /// Last sampled value per counter name.
-    pub counters: Vec<(String, f64)>,
     /// Number of thread lanes in the trace.
     pub threads: usize,
     /// Events lost to ring wraparound.
@@ -501,21 +475,12 @@ fn percentile_ns(sorted: &[u64], q: f64) -> f64 {
 pub fn summarize(trace: &Trace) -> TraceSummary {
     let mut durations: BTreeMap<&str, Vec<u64>> = BTreeMap::new();
     let mut bytes: BTreeMap<&str, f64> = BTreeMap::new();
-    let mut counters: BTreeMap<&str, f64> = BTreeMap::new();
-    for ev in &trace.events {
-        match ev.kind {
-            EventKind::Span => {
-                durations.entry(&ev.name).or_default().push(ev.dur_ns);
-                for (key, value) in &ev.args {
-                    if key == "bytes" {
-                        *bytes.entry(&ev.name).or_default() += value;
-                    }
-                }
+    for ev in trace.events.iter().filter(|ev| ev.kind == EventKind::Span) {
+        durations.entry(&ev.name).or_default().push(ev.dur_ns);
+        for (key, value) in &ev.args {
+            if key == "bytes" {
+                *bytes.entry(&ev.name).or_default() += value;
             }
-            EventKind::Counter => {
-                counters.insert(&ev.name, ev.value);
-            }
-            EventKind::Instant => {}
         }
     }
     let mut spans: Vec<SpanStats> = durations
@@ -543,10 +508,6 @@ pub fn summarize(trace: &Trace) -> TraceSummary {
     spans.sort_by(|a, b| b.total_ms.total_cmp(&a.total_ms));
     TraceSummary {
         spans,
-        counters: counters
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
         threads: trace.threads.len(),
         dropped: trace.dropped,
     }
@@ -570,21 +531,6 @@ fn summary_json(summary: &TraceSummary) -> String {
             out.push_str(&format!(",\"mb_per_s\":{mbps:.3}"));
         }
         out.push('}');
-    }
-    out.push_str("],\"counters\":[");
-    for (i, (name, value)) in summary.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let value = if value.is_finite() {
-            format!("{value}")
-        } else {
-            "null".to_string()
-        };
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"value\":{value}}}",
-            json::escape(name)
-        ));
     }
     out.push_str(&format!(
         "],\"threads\":{},\"dropped_events\":{}}}",
@@ -648,18 +594,6 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                     chrome_args(&ev.args)
                 ));
             }
-            EventKind::Counter => {
-                let value = if ev.value.is_finite() {
-                    format!("{}", ev.value)
-                } else {
-                    "null".to_string()
-                };
-                out.push_str(&format!(
-                    ",\n{{\"ph\":\"C\",\"pid\":1,\"tid\":{},\"ts\":{ts_us:.3},\"name\":\"{}\",\"args\":{{\"value\":{value}}}}}",
-                    ev.thread,
-                    json::escape(&ev.name)
-                ));
-            }
         }
     }
     out.push_str("\n],\"displayTimeUnit\":\"ms\",\"dpzSummary\":");
@@ -674,7 +608,7 @@ mod tests {
 
     #[test]
     fn meta_packing_round_trips() {
-        for kind in [EventKind::Span, EventKind::Instant, EventKind::Counter] {
+        for kind in [EventKind::Span, EventKind::Instant] {
             let meta = pack_meta(kind, 123_456, [7, 65_535]);
             let (k, name_id, keys) = unpack_meta(meta);
             assert_eq!(k, kind);
@@ -706,7 +640,6 @@ mod tests {
             events: vec![TraceEvent {
                 ts_ns: 0,
                 dur_ns: 1_000_000_000, // 1 s
-                value: 0.0,
                 thread: 1,
                 kind: EventKind::Span,
                 name: "compress".to_string(),
@@ -733,7 +666,6 @@ mod tests {
                 TraceEvent {
                     ts_ns: 1_500,
                     dur_ns: 2_500,
-                    value: 0.0,
                     thread: 1,
                     kind: EventKind::Span,
                     name: "stage1.decompose_dct".to_string(),
@@ -742,10 +674,9 @@ mod tests {
                 TraceEvent {
                     ts_ns: 5_000,
                     dur_ns: 0,
-                    value: 3.0,
                     thread: 1,
-                    kind: EventKind::Counter,
-                    name: "pool_idle".to_string(),
+                    kind: EventKind::Instant,
+                    name: "pool.steal".to_string(),
                     args: vec![],
                 },
             ],

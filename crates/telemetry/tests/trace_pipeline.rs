@@ -90,14 +90,14 @@ fn drained_events_are_ordered_by_ts_across_threads() {
 }
 
 #[test]
-fn spans_counters_and_drain_watermark_round_trip() {
+fn spans_markers_and_drain_watermark_round_trip() {
     let _serial = JOURNAL_LOCK.lock().unwrap();
     trace::start();
     {
         let mut s = dpz_telemetry::span!("journal_root");
         s.annotate("bytes", 4096.0);
         let _child = dpz_telemetry::span!("journal_child");
-        trace::counter("journal_gauge", 7.5);
+        trace::instant_with("journal_marker", &[("depth", 7.5)]);
     }
     trace::stop();
     let first = trace::drain();
@@ -118,13 +118,14 @@ fn spans_counters_and_drain_watermark_round_trip() {
     // The child completes within the root's window.
     assert!(child.ts_ns >= root.ts_ns);
     assert!(child.ts_ns + child.dur_ns <= root.ts_ns + root.dur_ns);
-    let gauge = first
+    let marker = first
         .events
         .iter()
-        .find(|e| e.name == "journal_gauge")
-        .expect("counter recorded");
-    assert_eq!(gauge.kind, EventKind::Counter);
-    assert_eq!(gauge.value, 7.5);
+        .find(|e| e.name == "journal_marker")
+        .expect("marker recorded");
+    assert_eq!(marker.kind, EventKind::Instant);
+    assert_eq!(marker.dur_ns, 0);
+    assert_eq!(marker.args, vec![("depth".to_string(), 7.5)]);
 
     // A second drain must not replay already-drained events.
     let second = trace::drain();
@@ -149,7 +150,6 @@ fn disabled_journal_records_nothing() {
     trace::stop();
     trace::drain(); // clear anything left over
     trace::instant("ghost_event");
-    trace::counter("ghost_counter", 1.0);
     let t = trace::drain();
     assert!(!t.events.iter().any(|e| e.name.starts_with("ghost_")));
 }

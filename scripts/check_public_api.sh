@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Public-API surface guard.
 #
-# Regenerates a deterministic listing of every `pub` item declaration in the
-# workspace's library sources and diffs it against the checked-in golden
+# Regenerates a deterministic listing of every `pub` item declaration and
+# every named `pub` struct field in the workspace's library sources and diffs it against the checked-in golden
 # (api.txt). CI runs this so any change to the public surface shows up as an
 # explicit diff in review; after an intentional API change, refresh the
 # golden with:
@@ -21,8 +21,12 @@ golden="api.txt"
 generate() {
     # Library sources only: bins, examples, tests, and benches are not API.
     find src crates/*/src -name '*.rs' | LC_ALL=C sort | while read -r f; do
-        # Visible `pub` items; pub(crate)/pub(super)/pub(in …) are not public.
-        grep -HE '^[[:space:]]*pub[[:space:]]+(fn|struct|enum|trait|mod|const|static|type|use|unsafe fn)[[:space:]>]' "$f" 2>/dev/null \
+        # Visible `pub` items and named `pub` struct fields;
+        # pub(crate)/pub(super)/pub(in …) are not public.
+        grep -HE \
+            -e '^[[:space:]]*pub[[:space:]]+(fn|struct|enum|trait|mod|const|static|type|use|unsafe fn)[[:space:]>]' \
+            -e '^[[:space:]]*pub[[:space:]]+[a-z_][a-z0-9_]*[[:space:]]*:' \
+            "$f" 2>/dev/null \
             | sed -E 's/[[:space:]]+/ /g; s/ \{.*$//; s/;[[:space:]]*$//' \
             || true
     done
