@@ -1,9 +1,12 @@
 //! Microbenchmark: the entropy stage primitives behind the lossless
-//! backends — Huffman decode (bit-by-bit tree walk vs the multi-symbol
-//! LUT), the tANS coder, and the LZ77 match-length kernel (portable scalar
-//! vs the runtime-dispatched SIMD arm).
+//! backends — Huffman decode (bit-by-bit tree walk vs the table decoder, on
+//! a byte alphabet and on SZ's 64 Ki quantizer alphabet), inflate of a
+//! strict index section, the tANS coder, and the LZ77 match-length kernel
+//! (portable scalar vs the runtime-dispatched SIMD arm).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use dpz_core::DpzConfig;
+use dpz_data::{Dataset, DatasetKind, Scale};
 use dpz_deflate::bitio::{BitReader, BitWriter};
 use dpz_deflate::huffman::{build_code_lengths, Decoder, Encoder, LutDecoder};
 use dpz_deflate::tans;
@@ -82,6 +85,87 @@ fn bench_huffman_decode(c: &mut Criterion) {
     group.finish();
 }
 
+/// An SZ-shaped symbol stream: quantizer codes of a 64 Ki alphabet spread
+/// around the zero-residual code `1 << 15` (two-sided geometric, mean
+/// |offset| ~ 40 bins), coded as SZ codes them, at up to 24 bits.
+fn sz_symbol_stream(n: usize) -> (Vec<u8>, Vec<u8>) {
+    let mut s = 77u64;
+    let symbols: Vec<usize> = (0..n)
+        .map(|_| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            let u = ((s >> 11) as f64 + 1.0) / (1u64 << 53) as f64;
+            let off = (-40.0 * u.ln()) as usize;
+            if s & 1 == 0 {
+                (1 << 15) + off.min((1 << 15) - 1)
+            } else {
+                (1 << 15) - off.min((1 << 15) - 1)
+            }
+        })
+        .collect();
+    let mut freqs = vec![0u64; 1 << 16];
+    for &sym in &symbols {
+        freqs[sym] += 1;
+    }
+    let lengths = build_code_lengths(&freqs, 24);
+    let enc = Encoder::from_lengths(&lengths);
+    let mut w = BitWriter::new();
+    for &sym in &symbols {
+        enc.write(&mut w, sym);
+    }
+    (w.finish(), lengths)
+}
+
+fn bench_sz_alphabet_decode(c: &mut Criterion) {
+    let n = 256 * 1024;
+    let (bits, lengths) = sz_symbol_stream(n);
+
+    let mut group = c.benchmark_group("sz_symbol_decode");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(n as u64));
+    group.bench_function("walk", |b| {
+        let dec = Decoder::from_lengths(&lengths).unwrap();
+        b.iter(|| {
+            let mut r = BitReader::new(black_box(&bits));
+            (0..n)
+                .map(|_| u64::from(dec.read(&mut r).unwrap()))
+                .sum::<u64>()
+        });
+    });
+    group.bench_function("lut", |b| {
+        b.iter(|| {
+            // Table build included: SZ builds one per decode.
+            let lut = LutDecoder::from_lengths(black_box(&lengths), false).unwrap();
+            let mut r = BitReader::new(black_box(&bits));
+            (0..n)
+                .map(|_| u64::from(lut.read(&mut r).unwrap()))
+                .sum::<u64>()
+        });
+    });
+    group.finish();
+}
+
+fn bench_inflate_index_section(c: &mut Criterion) {
+    // The largest section of the strict Small suite: HACC-vx's 131 072-byte
+    // 2-byte index plane, packed the way the container packs it.
+    let ds = Dataset::generate(DatasetKind::HaccVx, Scale::Small, 2);
+    let artifact = dpz_core::compress(&ds.data, &ds.dims, &DpzConfig::strict()).unwrap();
+    let raw = dpz_core::container::deserialize(&artifact.bytes)
+        .unwrap()
+        .scores
+        .indices;
+    let packed = dpz_deflate::compress_parallel(&raw, dpz_deflate::CompressionLevel::Default);
+
+    let mut group = c.benchmark_group("inflate_index_section");
+    group.sample_size(10);
+    group.throughput(Throughput::Bytes(raw.len() as u64));
+    group.bench_function("hacc_vx_strict", |b| {
+        b.iter(|| dpz_deflate::decompress_bounded(black_box(&packed), raw.len()).unwrap());
+    });
+    group.finish();
+}
+
 fn bench_tans(c: &mut Criterion) {
     let n = 256 * 1024;
     let data = index_plane(n);
@@ -140,5 +224,12 @@ fn bench_match_len(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_huffman_decode, bench_tans, bench_match_len);
+criterion_group!(
+    benches,
+    bench_huffman_decode,
+    bench_sz_alphabet_decode,
+    bench_inflate_index_section,
+    bench_tans,
+    bench_match_len
+);
 criterion_main!(benches);

@@ -10,7 +10,14 @@
 //! stage1.decompose_dct → sampling → stage2.pca → stage3.quantize → lossless
 //! ```
 //!
-//! [`StageTimings`] is read off those spans. [`compress`] plans and runs the
+//! [`decompress`] runs the inverse chain inside its `decompress` span, one
+//! child span per stage, mirroring the encode names:
+//!
+//! ```text
+//! lossless.decode → stage3.dequantize → stage2.reconstruct → stage1.inverse
+//! ```
+//!
+//! [`StageTimings`] is read off the compress spans. [`compress`] plans and runs the
 //! chain once; the chunked driver ([`crate::chunked`]) runs it once per slab
 //! through shared plans; [`compress_with_breakdown`] runs it once and
 //! re-runs the deterministic stage 1 to measure per-stage accuracy.
@@ -124,6 +131,11 @@ const SAMPLING_NAME: &str = "sampling";
 const STAGE2_NAME: &str = "stage2.pca";
 const STAGE3_NAME: &str = "stage3.quantize";
 const LOSSLESS_NAME: &str = "lossless";
+// The decode stages, in the order they run.
+const LOSSLESS_DECODE_NAME: &str = "lossless.decode";
+const DEQUANTIZE_NAME: &str = "stage3.dequantize";
+const RECONSTRUCT_NAME: &str = "stage2.reconstruct";
+const INVERSE_NAME: &str = "stage1.inverse";
 
 /// Run one stage inside a span named after it. The body annotates the span;
 /// the stage's time is read off the span just before it closes, so it never
@@ -602,7 +614,10 @@ pub fn decompress_with_info(
 ) -> Result<(Vec<f32>, Vec<usize>, ContainerInfo), DpzError> {
     let mut root = span!("decompress");
     let result = (|| {
-        let (payload, info) = container::deserialize_with_info(bytes)?;
+        let (payload, info) = in_span(LOSSLESS_DECODE_NAME, |_| {
+            container::deserialize_with_info(bytes)
+        })
+        .0?;
         let (values, dims, _) = reconstruct(&payload)?;
         Ok((values, dims, info))
     })();
@@ -629,48 +644,57 @@ pub fn decompress_with_info(
 /// stored basis (`Z ≈ Y·Dᵀ`, plus scale/mean), inverse-transform every
 /// block, denormalize, and re-flatten. Shared by [`reconstruct`] (with
 /// dequantized scores) and the breakdown path (with exact scores), so the
-/// inverse chain exists once.
+/// inverse chain exists once. The two halves run in the `stage2.reconstruct`
+/// and `stage1.inverse` spans.
 fn expand_scores(scores: &Matrix, payload: &ContainerData) -> Result<Vec<f32>, DpzError> {
     let (m, n, k) = (payload.m, payload.n, payload.k);
-    let basis = Matrix::from_vec(m, k, payload.basis.iter().map(|&v| f64::from(v)).collect())
-        .map_err(|_| DpzError::Corrupt("basis shape"))?;
-    let mut coeffs = scores.matmul(&basis.transpose())?;
-    for r in 0..n {
-        let row = coeffs.row_mut(r);
-        if payload.standardized {
-            if payload.scale.len() != m {
-                return Err(DpzError::Corrupt("scale vector inconsistent"));
+    let coeffs = in_span(RECONSTRUCT_NAME, |_| {
+        let basis = Matrix::from_vec(m, k, payload.basis.iter().map(|&v| f64::from(v)).collect())
+            .map_err(|_| DpzError::Corrupt("basis shape"))?;
+        let mut coeffs = scores.matmul(&basis.transpose())?;
+        for r in 0..n {
+            let row = coeffs.row_mut(r);
+            if payload.standardized {
+                if payload.scale.len() != m {
+                    return Err(DpzError::Corrupt("scale vector inconsistent"));
+                }
+                for (v, &s) in row.iter_mut().zip(&payload.scale) {
+                    *v *= f64::from(s);
+                }
             }
-            for (v, &s) in row.iter_mut().zip(&payload.scale) {
-                *v *= f64::from(s);
+            for (v, &mu) in row.iter_mut().zip(&payload.mean) {
+                *v += f64::from(mu);
             }
         }
-        for (v, &mu) in row.iter_mut().zip(&payload.mean) {
-            *v += f64::from(mu);
-        }
-    }
+        Ok(coeffs)
+    })
+    .0?;
     // Inverse transform, denormalize, re-flatten.
     let shape = BlockShape {
         m,
         n,
         pad: payload.pad,
     };
-    if payload.transform_tag == 1 {
-        let mut blocks = decompose::idwt_blocks(&coeffs, payload.dwt_levels as usize);
-        for v in blocks.as_mut_slice() {
-            *v = (*v + 0.5) * payload.norm_range + payload.norm_min;
+    let values = in_span(INVERSE_NAME, |_| {
+        if payload.transform_tag == 1 {
+            let mut blocks = decompose::idwt_blocks(&coeffs, payload.dwt_levels as usize);
+            for v in blocks.as_mut_slice() {
+                *v = (*v + 0.5) * payload.norm_range + payload.norm_min;
+            }
+            decompose::from_blocks(&blocks, shape, payload.orig_len)
+        } else {
+            // Fused path: single transpose + paired inverse DCT + denormalize.
+            decompose::idct_blocks_to_raw(
+                &coeffs,
+                shape,
+                payload.norm_min,
+                payload.norm_range,
+                payload.orig_len,
+            )
         }
-        Ok(decompose::from_blocks(&blocks, shape, payload.orig_len))
-    } else {
-        // Fused path: single transpose + paired inverse DCT + denormalize.
-        Ok(decompose::idct_blocks_to_raw(
-            &coeffs,
-            shape,
-            payload.norm_min,
-            payload.norm_range,
-            payload.orig_len,
-        ))
-    }
+    })
+    .0;
+    Ok(values)
 }
 
 /// [`reconstruct`] for sibling modules that hold a payload decoded outside
@@ -689,9 +713,11 @@ fn reconstruct(payload: &ContainerData) -> Result<(Vec<f32>, Vec<usize>, Matrix)
         return Err(DpzError::Corrupt("model vectors inconsistent with header"));
     }
     // Scores (n x k).
-    let score_vals = dequantize_scores(&payload.scores);
-    let scores =
-        Matrix::from_vec(n, k, score_vals).map_err(|_| DpzError::Corrupt("score matrix shape"))?;
+    let scores = in_span(DEQUANTIZE_NAME, |_| {
+        Matrix::from_vec(n, k, dequantize_scores(&payload.scores))
+            .map_err(|_| DpzError::Corrupt("score matrix shape"))
+    })
+    .0?;
     let values = expand_scores(&scores, payload)?;
     Ok((values, payload.dims.clone(), scores))
 }

@@ -69,7 +69,11 @@ impl BitWriter {
 }
 
 /// Reads bits LSB-first from a byte slice.
-#[derive(Debug)]
+///
+/// Invariant: the accumulator's bits above `nbits` are zero, so a peek past
+/// the end of the input reads zero padding, and `pos` minus the buffered
+/// whole bytes is the exact byte position.
+#[derive(Debug, Clone)]
 pub struct BitReader<'a> {
     data: &'a [u8],
     /// Next unread byte index.
@@ -89,13 +93,46 @@ impl<'a> BitReader<'a> {
         }
     }
 
+    /// Top the accumulator up: a whole little-endian word while 8 input
+    /// bytes remain, byte by byte at the tail.
     #[inline]
     fn refill(&mut self) {
-        while self.nbits <= 56 && self.pos < self.data.len() {
-            self.acc |= u64::from(self.data[self.pos]) << self.nbits;
-            self.pos += 1;
-            self.nbits += 8;
+        if self.has_word() {
+            self.refill_word();
+        } else {
+            while self.nbits <= 56 && self.pos < self.data.len() {
+                self.acc |= u64::from(self.data[self.pos]) << self.nbits;
+                self.pos += 1;
+                self.nbits += 8;
+            }
         }
+    }
+
+    /// At least 8 input bytes remain beyond the accumulator.
+    #[inline(always)]
+    pub(crate) fn has_word(&self) -> bool {
+        self.data.len() - self.pos >= 8
+    }
+
+    /// Load the next 8 input bytes as one word and keep the whole bytes that
+    /// fit, leaving 56 to 63 bits buffered. Requires [`Self::has_word`].
+    #[inline(always)]
+    pub(crate) fn refill_word(&mut self) {
+        let word: [u8; 8] = self.data[self.pos..self.pos + 8]
+            .try_into()
+            .expect("slice of 8 bytes");
+        let bytes = (63 - self.nbits) / 8;
+        let nbits = self.nbits + 8 * bytes;
+        // Mask off the bytes not taken, keeping the high bits zero.
+        self.acc |= (u64::from_le_bytes(word) << self.nbits) & ((1u64 << nbits) - 1);
+        self.pos += bytes as usize;
+        self.nbits = nbits;
+    }
+
+    /// The buffered bits, next stream bit lowest.
+    #[inline(always)]
+    pub(crate) fn bits(&self) -> u64 {
+        self.acc
     }
 
     /// Read `count` bits (0..=32), LSB-first.
@@ -166,23 +203,25 @@ impl<'a> BitReader<'a> {
         self.nbits -= drop;
     }
 
-    /// Read `n` raw bytes; the reader must be byte-aligned.
-    pub fn read_bytes(&mut self, n: usize) -> Result<Vec<u8>> {
+    /// Fill `dst` with the next raw bytes; the reader must be byte-aligned.
+    /// Buffered whole bytes come first, the rest is copied straight from the
+    /// input.
+    pub fn read_bytes(&mut self, dst: &mut [u8]) -> Result<()> {
         assert_eq!(self.nbits % 8, 0, "read_bytes requires byte alignment");
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            if self.nbits >= 8 {
-                out.push((self.acc & 0xFF) as u8);
-                self.acc >>= 8;
-                self.nbits -= 8;
-            } else if self.pos < self.data.len() {
-                out.push(self.data[self.pos]);
-                self.pos += 1;
-            } else {
-                return Err(DeflateError::UnexpectedEof);
-            }
+        let buffered = ((self.nbits / 8) as usize).min(dst.len());
+        let (head, rest) = dst.split_at_mut(buffered);
+        for b in head {
+            *b = self.acc as u8;
+            self.acc >>= 8;
+            self.nbits -= 8;
         }
-        Ok(out)
+        let src = self
+            .data
+            .get(self.pos..self.pos + rest.len())
+            .ok_or(DeflateError::UnexpectedEof)?;
+        rest.copy_from_slice(src);
+        self.pos += rest.len();
+        Ok(())
     }
 
     /// Byte offset of the first byte not yet pulled into the accumulator,
@@ -235,7 +274,9 @@ mod tests {
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read_bit().unwrap(), 1);
         r.align_to_byte();
-        assert_eq!(r.read_bytes(1).unwrap(), vec![0xAB]);
+        let mut byte = [0u8];
+        r.read_bytes(&mut byte).unwrap();
+        assert_eq!(byte, [0xAB]);
     }
 
     #[test]

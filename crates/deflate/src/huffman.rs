@@ -298,6 +298,23 @@ impl Decoder {
         }
         Err(DeflateError::Corrupt("invalid huffman code"))
     }
+
+    /// Match the code at the front of `bits` (stream order, as peeked) the
+    /// way [`Decoder::read`] walks it: the symbol and the code length, or
+    /// `None` when no code of up to `max_len` bits matches.
+    fn match_peeked(&self, bits: u32) -> Option<(u16, u32)> {
+        let mut code = 0u32;
+        for len in 1..=self.max_len {
+            code = (code << 1) | ((bits >> (len - 1)) & 1);
+            let count = self.counts[len];
+            let first = self.first_code[len];
+            if count != 0 && code < first + count {
+                let idx = self.first_index[len] + (code - first);
+                return Some((self.symbols[idx as usize], len as u32));
+            }
+        }
+        None
+    }
 }
 
 /// Number of stream bits indexing the primary lookup table. Codes no longer
@@ -306,115 +323,146 @@ impl Decoder {
 /// typical data (lengths beyond 10 are rare tails).
 pub const LUT_BITS: u32 = 10;
 
-const ENTRY_CONSUMED_SHIFT: u32 = 16;
-const ENTRY_CONSUMED_MASK: u32 = 0x3F;
-const ENTRY_DOUBLE: u32 = 1 << 22;
-const ENTRY_SUBTABLE: u32 = 1 << 23;
+/// Index width cap of one subtable. Codes of up to `LUT_BITS + SUB_BITS` = 15
+/// bits (DEFLATE's limit) resolve in two probes. A prefix with deeper codes
+/// (SZ's alphabets reach 24 bits) still gets a subtable of `2^SUB_BITS`
+/// entries, and those codes finish with the canonical walk. So the tables
+/// hold at most `2^LUT_BITS · (1 + 2^SUB_BITS)` entries for any alphabet.
+const SUB_BITS: u32 = 5;
+
+/// Longest code the table decoder accepts: SZ's depth limit.
+const MAX_CODE_BITS: usize = 24;
+
+const LUT_MASK: u64 = (1 << LUT_BITS) - 1;
+const LEN_SHIFT: u32 = 16;
+const LEN_MASK: u32 = 0x1F;
+/// Bits 21..28 of an entry belong to the caller's symbol map (see
+/// [`LutDecoder::from_lengths_mapped`]); bits 21..25 hold the count of
+/// extra bits that follow the code.
+pub(crate) const EXTRA_SHIFT: u32 = 21;
+const EXTRA_MASK: u32 = 0xF;
+const MAP_MASK: u32 = 0xFFFF | (0x7F << EXTRA_SHIFT);
+pub(crate) const DOUBLE: u32 = 1 << 28;
+const SUBTABLE: u32 = 1 << 29;
+pub(crate) const LONG: u32 = 1 << 30;
 
 /// Table-driven canonical Huffman decoder: the next [`LUT_BITS`] stream bits
 /// index a flat table whose entries carry the decoded symbol *and* the code
 /// length, replacing the [`Decoder`]'s bit-at-a-time walk with one probe.
 ///
-/// Two extra entry kinds accelerate and complete the scheme:
+/// Three further entry kinds accelerate and complete the scheme:
 ///
 /// * **double-literal** entries (built when `pack_pairs` is set) hold two
 ///   literal symbols whose codes together fit in the primary index, so runs
 ///   of short literal codes decode two symbols per probe;
 /// * **subtable** entries cover codes longer than [`LUT_BITS`] — the primary
-///   entry points at a dense subtable indexed by the code's remaining bits.
+///   entry points at a dense subtable indexed by the code's next bits, at
+///   most `SUB_BITS` = 5 of them;
+/// * **long** entries mark subtable slots whose codes are longer still; the
+///   canonical walk finishes those from the code's first bit.
 ///
-/// Entry layout (`u32`): payload in bits 0..16 (symbol, or `lit1 | lit2<<8`
-/// for doubles, or subtable start for pointers), total consumed bits in
-/// 16..22 (0 marks an undefined code), flags in 22..24.
+/// Entry layout (`u32`): value in bits 0..16 (the symbol or the caller's
+/// mapped value, `lit1 | lit2 << 8` for doubles, a subtable start for
+/// pointers), code length in 16..21 (0 marks an undefined code; a pointer
+/// stores its subtable's index width there), the symbol map's bits in
+/// 21..28, flags in 28..31.
 #[derive(Debug, Clone)]
 pub struct LutDecoder {
-    table: Vec<u32>,
+    table: Box<[u32; 1 << LUT_BITS]>,
     sub: Vec<u32>,
+    /// Longest code length; 0 for an empty code.
+    max_len: u32,
+    /// The canonical walk for codes deeper than `LUT_BITS + SUB_BITS`;
+    /// `None` when the code has none.
+    long: Option<Decoder>,
 }
 
 impl LutDecoder {
     /// Build the lookup tables from code lengths. Same validation as
     /// [`Decoder::from_lengths`]: over-subscribed codes are rejected,
     /// incomplete codes leave undefined entries that fail at decode time.
+    /// Codes longer than 24 bits are rejected.
     pub fn from_lengths(lengths: &[u8], pack_pairs: bool) -> Result<LutDecoder> {
-        let max_len = lengths.iter().cloned().max().unwrap_or(0) as usize;
-        let mut table = vec![0u32; 1 << LUT_BITS];
-        let mut sub = Vec::new();
-        if max_len == 0 {
-            return Ok(LutDecoder { table, sub });
+        Self::build(lengths, pack_pairs, None)
+    }
+
+    /// [`LutDecoder::from_lengths`] whose entries carry `map(symbol)` in
+    /// place of the symbol, so a decode hands back what the caller would
+    /// have looked up next (inflate: a match length's base and extra-bit
+    /// count). `map` may set bits 0..16 and 21..28 only. Pairs still pack
+    /// symbols below 256 as literal bytes.
+    pub(crate) fn from_lengths_mapped(
+        lengths: &[u8],
+        pack_pairs: bool,
+        map: fn(usize) -> u32,
+    ) -> Result<LutDecoder> {
+        Self::build(lengths, pack_pairs, Some(map))
+    }
+
+    fn build(
+        lengths: &[u8],
+        pack_pairs: bool,
+        map: Option<fn(usize) -> u32>,
+    ) -> Result<LutDecoder> {
+        if lengths.iter().any(|&l| usize::from(l) > MAX_CODE_BITS) {
+            return Err(DeflateError::Corrupt("huffman code longer than 24 bits"));
         }
-        let mut counts = vec![0u32; max_len + 1];
-        for &l in lengths {
-            if l > 0 {
-                counts[l as usize] += 1;
-            }
-        }
-        let mut left = 1i64;
-        for &count in counts.iter().take(max_len + 1).skip(1) {
-            left <<= 1;
-            left -= count as i64;
-            if left < 0 {
-                return Err(DeflateError::Corrupt("oversubscribed huffman code"));
-            }
-        }
-        // Canonical MSB-first codes, then bit-reverse to the LSB-first
-        // pattern the stream actually presents.
-        let mut next_code = vec![0u32; max_len + 1];
-        let mut code = 0u32;
-        for bits in 1..=max_len {
-            next_code[bits] = code;
-            code = (code + counts[bits]) << 1;
-        }
+        // The walk validates the code and orders it canonically; the tables
+        // are filled from its arrays.
+        let walk = Decoder::from_lengths(lengths)?;
+        let max_len = walk.max_len;
         let lut_bits = LUT_BITS as usize;
-        let prefix_mask = (1u32 << LUT_BITS) - 1;
-        // Subtable sizing: widest extra-bit count per long-code prefix.
-        let mut sub_extra = vec![0u8; 1 << LUT_BITS];
-        let mut patterns = vec![0u32; lengths.len()];
-        for (sym, &l) in lengths.iter().enumerate() {
-            if l == 0 {
-                continue;
-            }
-            let l = l as usize;
-            let pat = reverse_bits(next_code[l], l as u8);
-            next_code[l] += 1;
-            patterns[sym] = pat;
-            if l > lut_bits {
-                let p = (pat & prefix_mask) as usize;
-                sub_extra[p] = sub_extra[p].max((l - lut_bits) as u8);
+        let mut table = Box::new([0u32; 1 << LUT_BITS]);
+        let mut sub = Vec::new();
+        // Canonical codes of length `l` are `first_code[l] + j`, MSB-first;
+        // the stream presents them bit-reversed.
+        let codes = |l: usize| {
+            let first = walk.first_code[l];
+            (first..first + walk.counts[l]).map(move |code| code.reverse_bits() >> (32 - l))
+        };
+        // Subtable widths: the deepest code under each primary prefix,
+        // capped at SUB_BITS.
+        let mut width = [0u32; 1 << LUT_BITS];
+        for l in lut_bits + 1..=max_len {
+            let w = ((l - lut_bits) as u32).min(SUB_BITS);
+            for pat in codes(l) {
+                let p = pat as usize & (table.len() - 1);
+                width[p] = width[p].max(w);
             }
         }
-        // Allocate subtables and plant the pointer entries.
-        let mut sub_start = vec![0u32; 1 << LUT_BITS];
-        for (p, &extra) in sub_extra.iter().enumerate() {
-            if extra > 0 {
-                sub_start[p] = sub.len() as u32;
-                sub.resize(sub.len() + (1usize << extra), 0);
-                table[p] =
-                    sub_start[p] | (u32::from(extra) << ENTRY_CONSUMED_SHIFT) | ENTRY_SUBTABLE;
+        for (p, &w) in width.iter().enumerate() {
+            if w > 0 {
+                table[p] = sub.len() as u32 | (w << LEN_SHIFT) | SUBTABLE;
+                sub.resize(sub.len() + (1 << w), 0);
             }
         }
         // Fill: every index whose low `l` bits match the pattern decodes sym.
-        for (sym, &l) in lengths.iter().enumerate() {
-            if l == 0 {
-                continue;
-            }
-            let l = l as usize;
-            let pat = patterns[sym] as usize;
-            let entry = sym as u32 | ((l as u32) << ENTRY_CONSUMED_SHIFT);
-            if l <= lut_bits {
-                let mut i = pat;
-                while i < table.len() {
-                    table[i] = entry;
-                    i += 1 << l;
+        for l in 1..=max_len {
+            let first_index = walk.first_index[l] as usize;
+            for (j, pat) in codes(l).enumerate() {
+                let sym = u32::from(walk.symbols[first_index + j]);
+                let entry = sym | ((l as u32) << LEN_SHIFT);
+                let pat = pat as usize;
+                if l <= lut_bits {
+                    for slot in table.iter_mut().skip(pat).step_by(1 << l) {
+                        *slot = entry;
+                    }
+                    continue;
                 }
-            } else {
-                let p = pat & prefix_mask as usize;
-                let start = sub_start[p] as usize;
-                let extra = sub_extra[p] as usize;
-                let mut i = pat >> lut_bits;
-                while i < 1 << extra {
-                    sub[start + i] = entry;
-                    i += 1 << (l - lut_bits);
+                let p = pat & (table.len() - 1);
+                let start = (table[p] & 0xFFFF) as usize;
+                let w = width[p] as usize;
+                let slots = &mut sub[start..start + (1 << w)];
+                if l - lut_bits <= w {
+                    for slot in slots
+                        .iter_mut()
+                        .skip(pat >> lut_bits)
+                        .step_by(1 << (l - lut_bits))
+                    {
+                        *slot = entry;
+                    }
+                } else {
+                    slots[(pat >> lut_bits) & ((1 << w) - 1)] = LONG;
                 }
             }
         }
@@ -426,27 +474,49 @@ impl LutDecoder {
             let singles = table.clone();
             for (i, slot) in table.iter_mut().enumerate() {
                 let e1 = singles[i];
-                if e1 & (ENTRY_SUBTABLE | ENTRY_DOUBLE) != 0 {
-                    continue;
-                }
-                let l1 = (e1 >> ENTRY_CONSUMED_SHIFT) & ENTRY_CONSUMED_MASK;
-                let s1 = e1 & 0xFFFF;
-                if l1 == 0 || l1 >= LUT_BITS || s1 > 255 {
+                let l1 = (e1 >> LEN_SHIFT) & LEN_MASK;
+                if e1 & SUBTABLE != 0 || l1 == 0 || l1 >= LUT_BITS || e1 & 0xFFFF > 255 {
                     continue;
                 }
                 let e2 = singles[i >> l1];
-                if e2 & (ENTRY_SUBTABLE | ENTRY_DOUBLE) != 0 {
+                let l2 = (e2 >> LEN_SHIFT) & LEN_MASK;
+                if e2 & SUBTABLE != 0 || l2 == 0 || l1 + l2 > LUT_BITS || e2 & 0xFFFF > 255 {
                     continue;
                 }
-                let l2 = (e2 >> ENTRY_CONSUMED_SHIFT) & ENTRY_CONSUMED_MASK;
-                let s2 = e2 & 0xFFFF;
-                if l2 == 0 || l1 + l2 > LUT_BITS || s2 > 255 {
-                    continue;
-                }
-                *slot = s1 | (s2 << 8) | ((l1 + l2) << ENTRY_CONSUMED_SHIFT) | ENTRY_DOUBLE;
+                *slot = (e1 & 0xFF) | ((e2 & 0xFF) << 8) | ((l1 + l2) << LEN_SHIFT) | DOUBLE;
             }
         }
-        Ok(LutDecoder { table, sub })
+        if let Some(map) = map {
+            for e in table.iter_mut().chain(sub.iter_mut()) {
+                let len = *e & (LEN_MASK << LEN_SHIFT);
+                if *e & (DOUBLE | SUBTABLE | LONG) == 0 && len != 0 {
+                    let value = map((*e & 0xFFFF) as usize);
+                    debug_assert_eq!(value & !MAP_MASK, 0, "symbol map writes reserved bits");
+                    *e = (value & MAP_MASK) | len;
+                }
+            }
+        }
+        let long = (max_len > lut_bits + SUB_BITS as usize).then_some(walk);
+        Ok(LutDecoder {
+            table,
+            sub,
+            max_len: max_len as u32,
+            long,
+        })
+    }
+
+    /// The entry for the code at the front of `bits` (stream order): one
+    /// primary probe, plus one subtable probe for long codes. Undefined and
+    /// long entries come back as they are.
+    #[inline(always)]
+    pub(crate) fn lookup(&self, bits: u64) -> u32 {
+        let e = self.table[(bits & LUT_MASK) as usize];
+        if e & SUBTABLE == 0 {
+            return e;
+        }
+        let w = (e >> LEN_SHIFT) & LEN_MASK;
+        let i = (e & 0xFFFF) as usize + ((bits >> LUT_BITS) as usize & ((1 << w) - 1));
+        self.sub[i]
     }
 
     /// Decode the next entry, consuming its bits. Returns the raw entry so
@@ -455,15 +525,15 @@ impl LutDecoder {
     /// past the end of the stream.
     #[inline]
     pub fn read_entry(&self, r: &mut BitReader<'_>) -> Result<LutEntry> {
-        let idx = r.peek_bits(LUT_BITS) as usize;
-        let mut e = self.table[idx];
-        if e & ENTRY_SUBTABLE != 0 {
-            let extra = (e >> ENTRY_CONSUMED_SHIFT) & ENTRY_CONSUMED_MASK;
-            let start = e & 0xFFFF;
-            let sub_idx = r.peek_bits(LUT_BITS + extra) >> LUT_BITS;
-            e = self.sub[(start + sub_idx) as usize];
+        let mut e = self.lookup(u64::from(r.peek_bits(LUT_BITS + SUB_BITS)));
+        if e & LONG != 0 {
+            let walk = self.long.as_ref().expect("long entries come with the walk");
+            e = match walk.match_peeked(r.peek_bits(self.max_len)) {
+                Some((sym, len)) => u32::from(sym) | (len << LEN_SHIFT),
+                None => 0,
+            };
         }
-        let consumed = (e >> ENTRY_CONSUMED_SHIFT) & ENTRY_CONSUMED_MASK;
+        let consumed = entry_len(e);
         if consumed == 0 {
             return Err(DeflateError::Corrupt("invalid huffman code"));
         }
@@ -475,13 +545,57 @@ impl LutDecoder {
     }
 
     /// Decode one symbol (double-literal entries are never built for plain
-    /// symbol streams; this panics in debug if one shows up).
+    /// symbol streams; this panics in debug if one shows up). Returns
+    /// exactly what [`Decoder::read`] returns on the same bits, errors
+    /// included.
     #[inline]
     pub fn read(&self, r: &mut BitReader<'_>) -> Result<u16> {
-        let e = self.read_entry(r)?;
-        debug_assert!(e.second_literal().is_none());
-        Ok(e.symbol())
+        let e = self.lookup(u64::from(r.peek_bits(LUT_BITS + SUB_BITS)));
+        debug_assert_eq!(e & DOUBLE, 0, "pairs in a symbol stream");
+        let len = entry_len(e);
+        if e & LONG == 0 && len != 0 && len <= r.bits_available() {
+            r.consume(len);
+            return Ok(e as u16);
+        }
+        self.read_slow(r, e)
     }
+
+    /// [`LutDecoder::read`] past the tables: deep codes, undefined codes and
+    /// the end of the stream, reported the way the bit walk reports them.
+    #[cold]
+    fn read_slow(&self, r: &mut BitReader<'_>, e: u32) -> Result<u16> {
+        if self.max_len == 0 {
+            return Err(DeflateError::Corrupt("decode with empty huffman table"));
+        }
+        // Buffer as much of the longest code as the stream still holds.
+        let bits = r.peek_bits(self.max_len);
+        let found = match &self.long {
+            Some(walk) if e & LONG != 0 => walk.match_peeked(bits),
+            _ => (entry_len(e) != 0).then(|| (e as u16, entry_len(e))),
+        };
+        match found {
+            Some((sym, len)) if len <= r.bits_available() => {
+                r.consume(len);
+                Ok(sym)
+            }
+            // The walk runs out of input before it can complete the code.
+            Some(_) => Err(DeflateError::UnexpectedEof),
+            None if r.bits_available() < self.max_len => Err(DeflateError::UnexpectedEof),
+            None => Err(DeflateError::Corrupt("invalid huffman code")),
+        }
+    }
+}
+
+/// Code bits an entry consumes (0 for an undefined code).
+#[inline(always)]
+pub(crate) fn entry_len(e: u32) -> u32 {
+    (e >> LEN_SHIFT) & LEN_MASK
+}
+
+/// Extra bits a mapped entry says follow its code.
+#[inline(always)]
+pub(crate) fn entry_extra(e: u32) -> u32 {
+    (e >> EXTRA_SHIFT) & EXTRA_MASK
 }
 
 /// One decoded [`LutDecoder`] entry: a symbol, or a pair of literals.
@@ -489,10 +603,16 @@ impl LutDecoder {
 pub struct LutEntry(u32);
 
 impl LutEntry {
+    /// The whole table entry, for callers that read mapped values.
+    #[inline(always)]
+    pub(crate) fn raw(self) -> u32 {
+        self.0
+    }
+
     /// The decoded symbol (for pairs, the first literal).
     #[inline]
     pub fn symbol(self) -> u16 {
-        if self.0 & ENTRY_DOUBLE != 0 {
+        if self.0 & DOUBLE != 0 {
             (self.0 & 0xFF) as u16
         } else {
             (self.0 & 0xFFFF) as u16
@@ -502,7 +622,7 @@ impl LutEntry {
     /// The second packed literal, when this entry carries a pair.
     #[inline]
     pub fn second_literal(self) -> Option<u8> {
-        if self.0 & ENTRY_DOUBLE != 0 {
+        if self.0 & DOUBLE != 0 {
             Some(((self.0 >> 8) & 0xFF) as u8)
         } else {
             None

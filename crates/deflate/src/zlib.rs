@@ -2,14 +2,14 @@
 //!
 //! On top of the classic single-stream functions this module offers a
 //! **multi-member** variant ([`compress_parallel`]): the payload is split
-//! into worker strips and each strip is deflated independently into a
+//! into fixed-size strips and each strip is deflated independently into a
 //! complete zlib stream; the members are then concatenated. Every member is
 //! a fully valid RFC 1950 stream, and [`decompress`] simply loops — so old
 //! single-member streams decode unchanged, and multi-member streams decode
 //! on any version that loops (forward + backward compatible).
 
 use crate::deflate::{deflate_compress, CompressionLevel};
-use crate::inflate::inflate_consumed_bounded;
+use crate::inflate::inflate_into;
 use crate::{DeflateError, Result};
 use rayon::prelude::*;
 
@@ -50,23 +50,23 @@ pub fn compress_with_level(data: &[u8], level: CompressionLevel) -> Vec<u8> {
     out
 }
 
-/// Minimum bytes of raw input per member when splitting for parallel
-/// compression. Below this the per-member header/trailer overhead and the
-/// lost cross-strip match window outweigh the parallelism, so small payloads
-/// stay byte-identical to the single-stream [`compress_with_level`] output.
-const MIN_MEMBER_BYTES: usize = 64 * 1024;
+/// Raw bytes per member when splitting for parallel compression: one member
+/// per whole `MEMBER_BYTES` of input. The count follows the input length
+/// alone, so the bytes are the same at every thread count. Below two
+/// members' worth the output is the single-stream [`compress_with_level`]
+/// output, byte for byte.
+const MEMBER_BYTES: usize = 128 * 1024;
 
 /// Compress into one *or more* concatenated zlib members, deflating the
 /// members in parallel on the global thread pool.
 ///
-/// The input is split into `current_num_threads()` contiguous strips (each
-/// at least `MIN_MEMBER_BYTES` = 64 KiB long); each strip becomes an independent,
-/// complete RFC 1950 stream. [`decompress`] concatenates them back
-/// transparently. With one worker — or input shorter than two strips — the
-/// output is byte-identical to [`compress_with_level`].
+/// The input is split into `len / MEMBER_BYTES` contiguous strips of equal
+/// length (at least 128 KiB each); each strip becomes an independent,
+/// complete RFC 1950 stream, and [`decompress`] concatenates them back
+/// transparently. Input shorter than two strips is byte-identical to
+/// [`compress_with_level`].
 pub fn compress_parallel(data: &[u8], level: CompressionLevel) -> Vec<u8> {
-    let workers = rayon::current_num_threads();
-    let members = (data.len() / MIN_MEMBER_BYTES).clamp(1, workers);
+    let members = data.len() / MEMBER_BYTES;
     if members <= 1 {
         return compress_with_level(data, level);
     }
@@ -83,10 +83,10 @@ pub fn compress_parallel(data: &[u8], level: CompressionLevel) -> Vec<u8> {
     out
 }
 
-/// Decompress one zlib member starting at the beginning of `data`,
-/// producing at most `max_out` bytes. Returns the decoded bytes and the
-/// member's total encoded length (header + deflate body + trailer).
-fn decompress_member(data: &[u8], max_out: usize) -> Result<(Vec<u8>, usize)> {
+/// Decompress one zlib member starting at the beginning of `data` onto the
+/// end of `out`, producing at most `max_out` bytes. Returns the member's
+/// total encoded length (header + deflate body + trailer).
+fn decompress_member(data: &[u8], out: &mut Vec<u8>, max_out: usize) -> Result<usize> {
     if data.len() < 6 {
         return Err(DeflateError::UnexpectedEof);
     }
@@ -101,7 +101,8 @@ fn decompress_member(data: &[u8], max_out: usize) -> Result<(Vec<u8>, usize)> {
     if flg & 0x20 != 0 {
         return Err(DeflateError::BadHeader); // FDICT unsupported
     }
-    let (out, body_len) = inflate_consumed_bounded(&data[2..data.len() - 4], max_out)?;
+    let start = out.len();
+    let body_len = inflate_into(&data[2..data.len() - 4], out, max_out)?;
     let trailer = 2 + body_len;
     if data.len() < trailer + 4 {
         return Err(DeflateError::UnexpectedEof);
@@ -112,14 +113,14 @@ fn decompress_member(data: &[u8], max_out: usize) -> Result<(Vec<u8>, usize)> {
         data[trailer + 2],
         data[trailer + 3],
     ]);
-    let actual = adler32(&out);
+    let actual = adler32(&out[start..]);
     if stored != actual {
         return Err(DeflateError::ChecksumMismatch {
             expected: stored,
             actual,
         });
     }
-    Ok((out, trailer + 4))
+    Ok(trailer + 4)
 }
 
 /// Decompress a zlib stream — single-member or a concatenation of members
@@ -136,11 +137,12 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>> {
 /// can exhaust memory. Callers should derive `max_out` from the size the
 /// surrounding container *declared* for this payload.
 pub fn decompress_bounded(data: &[u8], max_out: usize) -> Result<Vec<u8>> {
-    let (mut out, mut pos) = decompress_member(data, max_out)?;
+    // Every member inflates straight onto the end of one buffer.
+    let mut out = Vec::new();
+    let mut pos = decompress_member(data, &mut out, max_out)?;
     while pos < data.len() {
-        let (mut member, used) = decompress_member(&data[pos..], max_out - out.len())?;
-        out.append(&mut member);
-        pos += used;
+        let budget = max_out - out.len();
+        pos += decompress_member(&data[pos..], &mut out, budget)?;
     }
     Ok(out)
 }
@@ -222,7 +224,7 @@ mod tests {
     fn parallel_small_input_is_byte_identical_to_single_stream() {
         // Below the member threshold the parallel path must not change the
         // bytes at all (the container format stays stable for small blobs).
-        let data = mixed_payload(MIN_MEMBER_BYTES - 1);
+        let data = mixed_payload(2 * MEMBER_BYTES - 1);
         assert_eq!(
             compress_parallel(&data, CompressionLevel::Default),
             compress_with_level(&data, CompressionLevel::Default)
@@ -231,11 +233,7 @@ mod tests {
 
     #[test]
     fn parallel_round_trips_large_inputs() {
-        for &n in &[
-            MIN_MEMBER_BYTES,
-            2 * MIN_MEMBER_BYTES + 17,
-            5 * MIN_MEMBER_BYTES,
-        ] {
+        for &n in &[MEMBER_BYTES, 2 * MEMBER_BYTES + 17, 5 * MEMBER_BYTES] {
             let data = mixed_payload(n);
             let packed = compress_parallel(&data, CompressionLevel::Fast);
             assert_eq!(decompress(&packed).unwrap(), data, "n={n}");
@@ -263,7 +261,7 @@ mod tests {
     fn single_member_streams_from_old_writer_still_decode() {
         // `compress_with_level` is the PR-1-era writer; its output must
         // decode byte-identically through the looping decoder.
-        let data = mixed_payload(3 * MIN_MEMBER_BYTES);
+        let data = mixed_payload(3 * MEMBER_BYTES);
         let old = compress_with_level(&data, CompressionLevel::Default);
         assert_eq!(decompress(&old).unwrap(), data);
     }

@@ -270,6 +270,7 @@ impl Corpus {
         let sz = vec![
             dpz_sz::compress(&line, &[600], &sz_cfg),
             dpz_sz::compress(&field, &[32, 32], &sz_auto),
+            sz_deep_code_table(),
         ];
         let zfp = vec![
             dpz_zfp::compress(&field, &[32, 32], dpz_zfp::ZfpMode::FixedPrecision(16)),
@@ -675,6 +676,56 @@ pub fn deflate_bomb_container(payload_mib: usize) -> Vec<u8> {
     section(&mut out, 40, &vec![0u8; payload_mib << 20]);
     // Outliers: honest empty section.
     section(&mut out, 0, &[]);
+    out
+}
+
+/// Values in [`sz_deep_code_table`]'s stream.
+const DEEP_CODE_VALUES: usize = 4096;
+
+/// A valid SZ stream whose code-length table is built to be the table
+/// decoder's worst case over the full 64 Ki-symbol alphabet (radius 2^15):
+/// a complete code of 8 codes of 15 bits, 65 519 of 16 bits and a branch
+/// of 17, 18, …, 24, 24 bits. Every one of the 1024 ten-bit prefixes holds
+/// codes deeper than the 15 bits a capped subtable resolves, so every
+/// primary slot points at a subtable and every subtable slot finishes with
+/// the canonical walk, and the last prefix reaches the 24-bit limit. The
+/// symbol stream uses all three depths; there are no outliers.
+pub fn sz_deep_code_table() -> Vec<u8> {
+    let radius: u32 = 1 << 15;
+    let alphabet = 2 * radius as usize;
+    let mut lengths = vec![16u8; alphabet];
+    lengths[..8].fill(15);
+    for (i, l) in lengths[alphabet - 9..].iter_mut().enumerate() {
+        *l = (17 + i).min(24) as u8;
+    }
+    let enc = dpz_deflate::huffman::Encoder::from_lengths(&lengths);
+    let mut bits = dpz_deflate::bitio::BitWriter::new();
+    for i in 0..DEEP_CODE_VALUES {
+        // Mostly the zero residual, with 15-bit and deep-branch symbols.
+        let sym = match i % 16 {
+            0 => 1 + i / 16 % 7,
+            1 => alphabet - 1 - i / 16 % 9,
+            _ => radius as usize + i % 3 - 1,
+        };
+        enc.write(&mut bits, sym);
+    }
+    let bitstream = bits.finish();
+    let level = dpz_deflate::CompressionLevel::Default;
+    let mut out = b"SZR1".to_vec();
+    out.push(1); // ndims
+    push_u64(&mut out, DEEP_CODE_VALUES as u64);
+    out.extend_from_slice(&1e-3f64.to_le_bytes()); // error bound
+    out.extend_from_slice(&radius.to_le_bytes());
+    out.push(0); // Lorenzo predictor
+    let packed_lengths = dpz_deflate::compress_with_level(&lengths, level);
+    push_u64(&mut out, packed_lengths.len() as u64);
+    out.extend_from_slice(&packed_lengths);
+    push_u64(&mut out, bitstream.len() as u64);
+    out.extend_from_slice(&bitstream);
+    let packed_outliers = dpz_deflate::compress_with_level(&[], level);
+    push_u64(&mut out, 0); // outlier count
+    push_u64(&mut out, packed_outliers.len() as u64);
+    out.extend_from_slice(&packed_outliers);
     out
 }
 

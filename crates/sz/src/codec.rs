@@ -27,7 +27,7 @@ use crate::regression::{
 };
 use crate::{Predictor, SzConfig, SzError};
 use dpz_deflate::bitio::{BitReader, BitWriter};
-use dpz_deflate::huffman::{build_code_lengths, Decoder, Encoder};
+use dpz_deflate::huffman::{build_code_lengths, Encoder, LutDecoder};
 use dpz_deflate::{compress_with_level, decompress_bounded, CompressionLevel};
 
 const MAGIC: &[u8; 4] = b"SZR1";
@@ -295,7 +295,7 @@ impl<'a> Cursor<'a> {
 
 /// Shared decode state: pulls the next symbol and resolves it to a value.
 struct SymbolReader<'a> {
-    decoder: Decoder,
+    decoder: LutDecoder,
     bits: BitReader<'a>,
     outliers: std::vec::IntoIter<f32>,
     q: Quantizer,
@@ -432,7 +432,7 @@ fn decompress_inner(bytes: &[u8]) -> Result<(Vec<f32>, Vec<usize>), SzError> {
 
     let grid = Grid::new(&dims);
     let mut reader = SymbolReader {
-        decoder: Decoder::from_lengths(&lengths)?,
+        decoder: LutDecoder::from_lengths(&lengths, false)?,
         bits: BitReader::new(bitstream),
         outliers: outliers.into_iter(),
         q: Quantizer::new(eb, radius),

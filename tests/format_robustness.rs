@@ -4,6 +4,53 @@
 use dpz::prelude::*;
 use dpz::sz::SzConfig;
 use dpz::zfp::ZfpMode;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Counts each thread's live heap bytes and their high-water mark, so one
+/// test can bound a decode's peak while the others run on their own threads.
+struct ThreadPeak;
+
+thread_local! {
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
+
+fn track(delta: isize) {
+    // `try_with`: the allocator also runs while a thread's locals are torn
+    // down, when there is nothing left to count into.
+    let _ = LIVE.try_with(|live| {
+        let now = live.get() + delta;
+        live.set(now);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
+    });
+}
+
+// SAFETY: every method forwards to `System` with the arguments it was
+// given, so `System`'s guarantees carry over; the counting touches only
+// const-initialized thread-locals and never allocates.
+unsafe impl GlobalAlloc for ThreadPeak {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        track(layout.size() as isize);
+        // SAFETY: the caller's contract for `alloc` is passed on unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-(layout.size() as isize));
+        // SAFETY: `ptr` came from this allocator, which is `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        track(new_size as isize - layout.size() as isize);
+        // SAFETY: `ptr` came from this allocator, which is `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: ThreadPeak = ThreadPeak;
 
 fn dpz_stream() -> Vec<u8> {
     let ds = Dataset::generate(DatasetKind::Freqsh, Scale::Tiny, 3);
@@ -210,6 +257,31 @@ fn sz_implausible_value_count_is_rejected() {
     push_u64(&mut stream, u64::MAX / 2); // dim
     stream.extend_from_slice(&[0u8; 64]);
     assert!(dpz::sz::decompress(&stream).is_err());
+}
+
+#[test]
+fn sz_deepest_code_table_decodes_in_bounded_memory() {
+    // The table decoder's worst case (see `sz_deep_code_table`): 64 Ki
+    // symbols, codes deeper than 15 bits under every one of the 1024
+    // primary slots, and a branch to 24 bits. Subtables stop at 5 index
+    // bits, so the tables hold at most 1024 + 1024·32 entries (132 KiB)
+    // whatever the code; the walk they validate with adds 128 KiB of sorted
+    // symbols. With the 64 KiB length table, the inflate buffer and 4096
+    // decoded values the decode peaked at 419 055 bytes. Uncapped
+    // subtables (one per prefix, as deep as its deepest code) would hold
+    // 1023·64 + 2^14 entries here, 192 KiB more, and cross the limit.
+    const LIMIT: isize = 512 << 10;
+    let stream = dpz_fuzz::sz_deep_code_table();
+    let baseline = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(baseline));
+    let (values, dims) = dpz::sz::decompress(&stream).expect("a valid stream decodes");
+    let growth = PEAK.with(Cell::get) - baseline;
+    assert_eq!(dims, [4096]);
+    assert!(values.iter().all(|v| v.is_finite()));
+    assert!(
+        growth < LIMIT,
+        "decoding grew this thread's heap by {growth} bytes (limit {LIMIT})"
+    );
 }
 
 #[test]
