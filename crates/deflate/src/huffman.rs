@@ -209,7 +209,9 @@ impl Encoder {
 
 /// Decoder-side canonical Huffman table. Decodes one symbol at a time by
 /// walking the canonical first-code/offset arrays per bit — simple and
-/// allocation-free after construction.
+/// allocation-free after construction. It is the reference the table
+/// decoder ([`LutDecoder`]) is tested against, and the validation and
+/// long-code walk that decoder builds on; decode paths use [`LutDecoder`].
 #[derive(Debug, Clone)]
 pub struct Decoder {
     /// `first_code[l]`: smallest canonical code of length `l` (MSB-first).

@@ -8,8 +8,9 @@
 //!
 //! * [`lz77`] — hash-chain string matching with one-step lazy evaluation
 //!   (window 32 KiB, matches 3..=258 bytes),
-//! * [`huffman`] — canonical, length-limited Huffman code construction and a
-//!   canonical decoder,
+//! * [`huffman`] — canonical, length-limited Huffman code construction, the
+//!   bounded table decoder every decode path uses, and the bit-walk
+//!   reference it is tested against,
 //! * [`deflate`] — block encoder choosing per block between *stored*, *fixed
 //!   Huffman* and *dynamic Huffman* representations,
 //! * [`inflate`] — the full decoder,
