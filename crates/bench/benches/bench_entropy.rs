@@ -1,8 +1,9 @@
 //! Microbenchmark: the entropy stage primitives behind the lossless
 //! backends — Huffman decode (bit-by-bit tree walk vs the table decoder, on
 //! a byte alphabet and on SZ's 64 Ki quantizer alphabet), inflate of a
-//! strict index section, the tANS coder, and the LZ77 match-length kernel
-//! (portable scalar vs the runtime-dispatched SIMD arm).
+//! strict index section and of an 8 MiB multi-member section, the tANS
+//! coder, and the LZ77 match-length kernel (portable scalar vs the
+//! runtime-dispatched SIMD arm).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dpz_core::DpzConfig;
@@ -162,6 +163,16 @@ fn bench_inflate_index_section(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(raw.len() as u64));
     group.bench_function("hacc_vx_strict", |b| {
         b.iter(|| dpz_deflate::decompress_bounded(black_box(&packed), raw.len()).unwrap());
+    });
+    // A paper-scale section: 8 MiB of index-plane bytes, 64 members.
+    let raw = index_plane(64 * 128 * 1024);
+    let packed = dpz_deflate::compress_parallel(&raw, dpz_deflate::CompressionLevel::Default);
+    group.throughput(Throughput::Bytes(raw.len() as u64));
+    group.bench_function("multi_member_8mib", |b| {
+        b.iter(|| dpz_deflate::decompress_bounded(black_box(&packed), raw.len()).unwrap());
+    });
+    group.bench_function("multi_member_8mib_unbounded", |b| {
+        b.iter(|| dpz_deflate::decompress(black_box(&packed)).unwrap());
     });
     group.finish();
 }

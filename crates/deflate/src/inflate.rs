@@ -82,52 +82,64 @@ pub fn inflate_consumed(data: &[u8]) -> Result<(Vec<u8>, usize)> {
 
 /// [`inflate_consumed`] with the [`inflate_bounded`] output cap.
 pub fn inflate_consumed_bounded(data: &[u8], max_out: usize) -> Result<(Vec<u8>, usize)> {
-    let mut out = Vec::new();
+    let mut out = Sink::new();
     let used = inflate_into(data, &mut out, max_out)?;
-    Ok((out, used))
+    Ok((out.into_vec(), used))
 }
 
 /// Decode one raw DEFLATE stream onto the end of `out`, writing at most
 /// `max_out` bytes of it, and return the input bytes the stream occupied.
-/// On error `out` keeps what was decoded before the failure.
-pub(crate) fn inflate_into(data: &[u8], out: &mut Vec<u8>, max_out: usize) -> Result<usize> {
+pub(crate) fn inflate_into(data: &[u8], out: &mut Sink, max_out: usize) -> Result<usize> {
     inflate_stream::<true>(data, out, max_out)
 }
 
 /// [`inflate_into`], with (`FAST`) or without the fast loop. Both decode
 /// every stream to the same bytes or the same error.
-fn inflate_stream<const FAST: bool>(
-    data: &[u8],
-    out: &mut Vec<u8>,
-    max_out: usize,
-) -> Result<usize> {
+fn inflate_stream<const FAST: bool>(data: &[u8], sink: &mut Sink, max_out: usize) -> Result<usize> {
     let mut r = BitReader::new(data);
-    let mut sink = Sink::new(out, max_out, data.len());
-    let result = decode_blocks::<FAST>(&mut r, &mut sink);
-    sink.buf.truncate(sink.pos);
-    result?;
+    sink.begin(max_out, data.len());
+    decode_blocks::<FAST>(&mut r, sink)?;
     // Discard the final block's bit padding so byte_position() is exact.
     r.align_to_byte();
     Ok(r.byte_position())
 }
 
-/// One stream's output, appended to the caller's vector. The vector's
-/// length runs ahead of the bytes written (`pos`): zero-filled room that
-/// stores and word copies write into without a capacity check, cut back to
-/// `pos` when the stream ends.
-struct Sink<'a> {
-    buf: &'a mut Vec<u8>,
-    /// Where this stream's output starts.
+/// Decoded output, shared by consecutive streams (the members of a zlib
+/// stream). The buffer's length runs ahead of the bytes written (`pos`):
+/// zero-filled room that stores and word copies write into without a
+/// capacity check. The room is never cut while streams decode, so each
+/// stream writes into what the last one left and every byte is
+/// zero-filled once; it is cut back to `pos` when the output is taken.
+pub(crate) struct Sink {
+    buf: Vec<u8>,
+    /// Where the current stream's output starts.
     start: usize,
     /// End of the bytes written so far.
     pos: usize,
-    /// The caller's bound on this stream's output.
+    /// The current stream's bound on its output.
     max_out: usize,
+    /// Bytes of room zero-filled so far.
+    #[cfg(test)]
+    zero_filled: usize,
 }
 
-impl<'a> Sink<'a> {
-    fn new(buf: &'a mut Vec<u8>, max_out: usize, input_len: usize) -> Sink<'a> {
-        let start = buf.len();
+impl Sink {
+    pub(crate) fn new() -> Sink {
+        Sink {
+            buf: Vec::new(),
+            start: 0,
+            pos: 0,
+            max_out: 0,
+            #[cfg(test)]
+            zero_filled: 0,
+        }
+    }
+
+    /// Start a stream at the end of the output that may write at most
+    /// `max_out` bytes; its encoded form is `input_len` bytes long.
+    fn begin(&mut self, max_out: usize, input_len: usize) {
+        self.start = self.pos;
+        self.max_out = max_out;
         // Reserve from the *smaller* of a heuristic on the input size and
         // the caller's bound, clamped to a fixed ceiling: untrusted lengths
         // must not drive a large up-front allocation.
@@ -135,13 +147,31 @@ impl<'a> Sink<'a> {
             .saturating_mul(2)
             .min(max_out)
             .min(INITIAL_RESERVE_CAP);
-        buf.resize(start + initial, 0);
-        Sink {
-            buf,
-            start,
-            pos: start,
-            max_out,
+        if self.pos + initial > self.buf.len() {
+            self.grow(self.pos + initial);
         }
+    }
+
+    /// Bytes every stream has written.
+    pub(crate) fn len(&self) -> usize {
+        self.pos
+    }
+
+    /// The current stream's output.
+    pub(crate) fn stream(&self) -> &[u8] {
+        &self.buf[self.start..self.pos]
+    }
+
+    /// Bytes of room zero-filled so far, the room still unused included.
+    #[cfg(test)]
+    pub(crate) fn zero_filled(&self) -> usize {
+        self.zero_filled
+    }
+
+    /// The output, without the room.
+    pub(crate) fn into_vec(mut self) -> Vec<u8> {
+        self.buf.truncate(self.pos);
+        self.buf
     }
 
     /// Bytes this stream has written.
@@ -167,10 +197,18 @@ impl<'a> Sink<'a> {
         }
     }
 
+    /// Lengthen the buffer to at least `need` (> its length) by doubling
+    /// this stream's share of it, so the room follows the stream's own
+    /// output, not what earlier streams wrote.
     #[cold]
     fn grow(&mut self, need: usize) {
         let cap = (self.start.saturating_add(self.max_out)).saturating_add(COPY_SLACK);
-        let len = self.buf.len().saturating_mul(2).max(need).min(cap);
+        let doubled = self.start + 2 * (self.buf.len() - self.start);
+        let len = doubled.max(need).min(cap);
+        #[cfg(test)]
+        {
+            self.zero_filled += len - self.buf.len();
+        }
         self.buf.resize(len, 0);
     }
 
@@ -181,7 +219,7 @@ impl<'a> Sink<'a> {
     }
 }
 
-fn decode_blocks<const FAST: bool>(r: &mut BitReader<'_>, sink: &mut Sink<'_>) -> Result<()> {
+fn decode_blocks<const FAST: bool>(r: &mut BitReader<'_>, sink: &mut Sink) -> Result<()> {
     loop {
         let bfinal = r.read_bit()?;
         let btype = r.read_bits(2)?;
@@ -203,7 +241,7 @@ fn decode_blocks<const FAST: bool>(r: &mut BitReader<'_>, sink: &mut Sink<'_>) -
     }
 }
 
-fn read_stored_block(r: &mut BitReader<'_>, sink: &mut Sink<'_>) -> Result<()> {
+fn read_stored_block(r: &mut BitReader<'_>, sink: &mut Sink) -> Result<()> {
     r.align_to_byte();
     let mut header = [0u8; 4];
     r.read_bytes(&mut header)?;
@@ -319,7 +357,7 @@ fn copy_match(buf: &mut [u8], pos: usize, d: usize, len: usize) {
 
 fn read_huffman_block<const FAST: bool>(
     r: &mut BitReader<'_>,
-    sink: &mut Sink<'_>,
+    sink: &mut Sink,
     lit: &LutDecoder,
     dist: &LutDecoder,
 ) -> Result<()> {
@@ -346,7 +384,7 @@ fn low_mask(n: u32) -> u64 {
 /// consuming it, at the first symbol that needs a check: the end of the
 /// block, an invalid or undefined code, a distance past the output start.
 #[inline(always)]
-fn fast_loop(r: &mut BitReader<'_>, sink: &mut Sink<'_>, lit: &LutDecoder, dist: &LutDecoder) {
+fn fast_loop(r: &mut BitReader<'_>, sink: &mut Sink, lit: &LutDecoder, dist: &LutDecoder) {
     // The last output position a step may start at.
     let Some(budget) = sink.max_out.checked_sub(MAX_MATCH) else {
         return;
@@ -450,7 +488,7 @@ fn fast_steps(
 /// output budget. Returns whether the block ended.
 fn checked_step(
     r: &mut BitReader<'_>,
-    sink: &mut Sink<'_>,
+    sink: &mut Sink,
     lit: &LutDecoder,
     dist: &LutDecoder,
 ) -> Result<bool> {
@@ -488,7 +526,7 @@ fn checked_step(
             return Err(sink.too_large());
         }
         sink.reserve(len);
-        copy_match(sink.buf, sink.pos, d, len);
+        copy_match(&mut sink.buf, sink.pos, d, len);
         sink.pos += len;
     }
     Ok(false)
@@ -617,13 +655,13 @@ mod tests {
     /// Decode through the fast loop and through the checked step alone.
     fn both_loops(data: &[u8], max_out: usize) -> [Result<(Vec<u8>, usize)>; 2] {
         let run = |fast: bool| {
-            let mut out = Vec::new();
+            let mut out = Sink::new();
             let used = if fast {
                 inflate_stream::<true>(data, &mut out, max_out)
             } else {
                 inflate_stream::<false>(data, &mut out, max_out)
             };
-            used.map(|n| (out, n))
+            used.map(|n| (out.into_vec(), n))
         };
         [run(true), run(false)]
     }

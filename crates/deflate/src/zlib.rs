@@ -9,7 +9,7 @@
 //! on any version that loops (forward + backward compatible).
 
 use crate::deflate::{deflate_compress, CompressionLevel};
-use crate::inflate::inflate_into;
+use crate::inflate::{inflate_into, Sink};
 use crate::{DeflateError, Result};
 use rayon::prelude::*;
 
@@ -86,7 +86,7 @@ pub fn compress_parallel(data: &[u8], level: CompressionLevel) -> Vec<u8> {
 /// Decompress one zlib member starting at the beginning of `data` onto the
 /// end of `out`, producing at most `max_out` bytes. Returns the member's
 /// total encoded length (header + deflate body + trailer).
-fn decompress_member(data: &[u8], out: &mut Vec<u8>, max_out: usize) -> Result<usize> {
+fn decompress_member(data: &[u8], out: &mut Sink, max_out: usize) -> Result<usize> {
     if data.len() < 6 {
         return Err(DeflateError::UnexpectedEof);
     }
@@ -101,7 +101,6 @@ fn decompress_member(data: &[u8], out: &mut Vec<u8>, max_out: usize) -> Result<u
     if flg & 0x20 != 0 {
         return Err(DeflateError::BadHeader); // FDICT unsupported
     }
-    let start = out.len();
     let body_len = inflate_into(&data[2..data.len() - 4], out, max_out)?;
     let trailer = 2 + body_len;
     if data.len() < trailer + 4 {
@@ -113,7 +112,7 @@ fn decompress_member(data: &[u8], out: &mut Vec<u8>, max_out: usize) -> Result<u
         data[trailer + 2],
         data[trailer + 3],
     ]);
-    let actual = adler32(&out[start..]);
+    let actual = adler32(out.stream());
     if stored != actual {
         return Err(DeflateError::ChecksumMismatch {
             expected: stored,
@@ -137,14 +136,20 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>> {
 /// can exhaust memory. Callers should derive `max_out` from the size the
 /// surrounding container *declared* for this payload.
 pub fn decompress_bounded(data: &[u8], max_out: usize) -> Result<Vec<u8>> {
-    // Every member inflates straight onto the end of one buffer.
-    let mut out = Vec::new();
-    let mut pos = decompress_member(data, &mut out, max_out)?;
+    let mut out = Sink::new();
+    decompress_members(data, &mut out, max_out)?;
+    Ok(out.into_vec())
+}
+
+/// Inflate every member of `data` straight onto the end of `out`, at most
+/// `max_out` bytes in all.
+fn decompress_members(data: &[u8], out: &mut Sink, max_out: usize) -> Result<()> {
+    let mut pos = decompress_member(data, out, max_out)?;
     while pos < data.len() {
         let budget = max_out - out.len();
-        pos += decompress_member(&data[pos..], &mut out, budget)?;
+        pos += decompress_member(&data[pos..], out, budget)?;
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -237,6 +242,30 @@ mod tests {
             let data = mixed_payload(n);
             let packed = compress_parallel(&data, CompressionLevel::Fast);
             assert_eq!(decompress(&packed).unwrap(), data, "n={n}");
+        }
+    }
+
+    #[test]
+    fn many_members_fill_each_byte_of_room_once() {
+        // 64 members, each expanding past the first reservation: the room
+        // one member leaves is the next one's, so the bytes zero-filled
+        // stay within the output plus one member's growth, unbounded or
+        // at the exact bound. Cutting the room after every member and
+        // regrowing it from the whole buffer filled 31.6 times the output.
+        let data = mixed_payload(64 * MEMBER_BYTES);
+        for level in [CompressionLevel::Store, CompressionLevel::Fast] {
+            let packed = compress_parallel(&data, level);
+            for max_out in [usize::MAX, data.len()] {
+                let mut out = Sink::new();
+                decompress_members(&packed, &mut out, max_out).unwrap();
+                let filled = out.zero_filled();
+                assert!(
+                    filled <= data.len() + 2 * MEMBER_BYTES,
+                    "{level:?}, bound {max_out}: {filled} bytes zero-filled for {}",
+                    data.len()
+                );
+                assert!(out.into_vec() == data, "{level:?}, bound {max_out}");
+            }
         }
     }
 
