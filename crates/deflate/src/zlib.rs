@@ -250,8 +250,9 @@ mod tests {
         // 64 members, each expanding past the first reservation: the room
         // one member leaves is the next one's, so the bytes zero-filled
         // stay within the output plus one member's growth, unbounded or
-        // at the exact bound. Cutting the room after every member and
-        // regrowing it from the whole buffer filled 31.6 times the output.
+        // at the exact bound. A decoder that cut the room after every
+        // member and regrew it from the whole buffer would fill 31.6 times
+        // the output here.
         let data = mixed_payload(64 * MEMBER_BYTES);
         for level in [CompressionLevel::Store, CompressionLevel::Fast] {
             let packed = compress_parallel(&data, level);
