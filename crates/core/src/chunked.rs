@@ -60,12 +60,10 @@ use crate::config::DpzConfig;
 use crate::container::{self, checked_product, ContainerInfo, DpzError, ProgressiveLayout};
 use crate::decompose::extract_region;
 use crate::pipeline::{
-    decompress_with_info, record_result_gauges, Compressed, CompressionStats, NumericOutcome,
-    PipelinePlan,
+    decompress_with_info, record_result_gauges, CompressionStats, NumericOutcome, PipelinePlan,
 };
 use crate::target::{self, TargetArtifact};
 use dpz_deflate::crc32;
-use dpz_linalg::SubspaceSeed;
 use dpz_telemetry::span;
 use rayon::prelude::*;
 use std::io::{Cursor, Read, Seek, SeekFrom};
@@ -83,11 +81,6 @@ const VERSION_CRC: u8 = 2;
 /// Oldest version the decoder still accepts (pre-checksum layout).
 const MIN_VERSION: u8 = 1;
 
-/// Projection wave width for the pipelined chunk driver. Deliberately a
-/// constant rather than `rayon::current_num_threads()`: the cross-chunk
-/// warm-start chain follows wave boundaries, so a thread-count-dependent
-/// width would make the compressed bytes depend on the host's core count.
-const PROJECT_WAVE: usize = 8;
 /// Container flag: chunks are progressive `DPZP` streams with per-component
 /// byte ranges in the footer.
 pub const FLAG_PROGRESSIVE: u8 = 1;
@@ -177,22 +170,37 @@ impl<'a> Slabs<'a> {
     }
 
     /// Run one slab's numeric stages through its plan, with the slab's own
-    /// dims. `warm` seeds full-size slabs only: the ragged tail has a
-    /// different block shape, so a full-slab basis can never seed it; it
-    /// fits cold and passes nothing on.
-    fn project(
-        &self,
-        slab: &[f32],
-        warm: Option<&SubspaceSeed>,
-    ) -> Result<(NumericOutcome, Option<SubspaceSeed>), DpzError> {
+    /// dims.
+    fn project(&self, slab: &[f32]) -> Result<NumericOutcome, DpzError> {
         let mut slab_dims = self.dims.to_vec();
         slab_dims[0] = self.rows(slab);
         match &self.tail {
-            Some(tail) if slab.len() != self.slab_values => tail
-                .project(slab, &slab_dims, None)
-                .map(|(outcome, _)| (outcome, None)),
-            _ => self.full.project(slab, &slab_dims, warm),
+            Some(tail) if slab.len() != self.slab_values => tail.project(slab, &slab_dims),
+            _ => self.full.project(slab, &slab_dims),
         }
+    }
+
+    /// The slab pass both writers share: in one parallel pass, every slab
+    /// runs [`Slabs::project`] and then `encode` on its outcome, inside a
+    /// `chunk` span. A worker holds one slab's outcome at a time, and a
+    /// slab's stream depends on nothing but the slab. The results come back
+    /// in slab order; the first failed slab's error wins.
+    fn pass<T: Send>(
+        &self,
+        data: &[f32],
+        encode: impl Fn(NumericOutcome) -> T + Sync,
+    ) -> Result<Vec<T>, DpzError> {
+        let slabs: Vec<(usize, &[f32])> = data.chunks(self.slab_values).enumerate().collect();
+        let results: Vec<Result<T, DpzError>> = slabs
+            .par_iter()
+            .map(|&(index, slab)| {
+                let mut chunk_span = span!("chunk");
+                chunk_span.annotate("chunk", index as f64);
+                chunk_span.annotate("bytes", (slab.len() * 4) as f64);
+                self.project(slab).map(&encode)
+            })
+            .collect();
+        results.into_iter().collect()
     }
 
     /// Frame the slab streams (in slab order) as a seekable v4 container.
@@ -250,88 +258,17 @@ fn compress_chunked_resolved(
     chunks: usize,
 ) -> Result<ChunkedCompressed, DpzError> {
     let _root = span!("compress_chunked");
-    // The chunked driver is the plain pipeline's stage chain run once per
-    // slab through the shared slab plans.
+    // The plain pipeline's stage chain run once per slab: each chunk stream
+    // is what `compress` writes for its slab. `encode` reads only the
+    // config, which both plans share.
     let slabs = Slabs::plan(data.len(), dims, cfg, chunks)?;
-
-    // Two-phase pipelined execution: each slab's numeric stages
-    // (DCT → PCA → quantize, via `PipelinePlan::project`) and its entropy
-    // coding (`PipelinePlan::encode`) are separate tasks. Slabs are
-    // taken in fixed-width waves; `rayon::join` runs wave `w`'s entropy
-    // coding concurrently with wave `w+1`'s numeric stages, so the DEFLATE
-    // or tANS work of finished slabs overlaps the transform math of later
-    // ones instead of serializing behind it. At most two waves of numeric
-    // outcomes are ever alive — the bounded in-flight queue that keeps
-    // memory proportional to the wave width, not the chunk count.
-    //
-    // Cross-chunk basis warm-start rides the same wave structure: the
-    // converged PCA sketch basis of wave `w`'s last full-size slab seeds
-    // every fit in wave `w+1`. The fitter's TVE gate rejects a seed whose
-    // subspace no longer explains the data (dissimilar consecutive chunks
-    // fall back to a cold randomized fit), so quality never depends on the
-    // handoff — only the iteration count does. The wave width is a fixed
-    // constant, NOT the rayon pool width: the warm-start chain (and thus
-    // every artifact byte) must be identical no matter how many threads the
-    // host has. Within a wave each slab sees the same seed, so per-chunk
-    // output is also independent of intra-wave scheduling. The container is
-    // therefore deterministic for a given input and config, but — unlike
-    // the pre-warm-start driver — chunk streams are no longer byte-equal to
-    // compressing each slab in isolation (the seed changes which basis the
-    // sketch converges to; the TVE certificate is unchanged).
-    let project_one = |(index, chunk): (usize, &[f32]), warm: Option<&SubspaceSeed>| {
-        let mut chunk_span = span!("chunk");
-        chunk_span.annotate("chunk", index as f64);
-        chunk_span.annotate("bytes", (chunk.len() * 4) as f64);
-        slabs.project(chunk, warm)
-    };
-    let encode_wave = |outcomes: Vec<NumericOutcome>| -> Vec<Compressed> {
-        outcomes
-            .into_par_iter()
-            .map(|o| slabs.full.encode(o))
-            .collect()
-    };
-
-    let slab_data: Vec<(usize, &[f32])> = data.chunks(slabs.slab_values).enumerate().collect();
-    let mut streams = Vec::with_capacity(slab_data.len());
-    let mut chunk_stats = Vec::with_capacity(slab_data.len());
-    let mut pending: Option<Vec<NumericOutcome>> = None;
-    let mut warm: Option<SubspaceSeed> = None;
-    for wave_slabs in slab_data.chunks(PROJECT_WAVE) {
-        let seed = warm.as_ref();
-        let (encoded, projected) = rayon::join(
-            || pending.take().map(&encode_wave),
-            || {
-                wave_slabs
-                    .par_iter()
-                    .map(|&s| project_one(s, seed))
-                    .collect::<Vec<Result<_, DpzError>>>()
-            },
-        );
-        for c in encoded.into_iter().flatten() {
-            streams.push(c.bytes);
-            chunk_stats.push(c.stats);
-        }
-        let mut wave_outcomes = Vec::with_capacity(projected.len());
-        let mut wave_basis: Option<SubspaceSeed> = None;
-        for r in projected {
-            let (outcome, basis) = r?;
-            // Last full-size slab's converged basis seeds the next wave; a
-            // wave that produced none (dense routing) keeps the prior seed.
-            if basis.is_some() {
-                wave_basis = basis;
-            }
-            wave_outcomes.push(outcome);
-        }
-        if wave_basis.is_some() {
-            warm = wave_basis;
-        }
-        pending = Some(wave_outcomes);
-    }
-    for c in pending.take().map(&encode_wave).into_iter().flatten() {
-        streams.push(c.bytes);
-        chunk_stats.push(c.stats);
-    }
-
+    let (streams, chunk_stats): (Vec<_>, Vec<_>) = slabs
+        .pass(data, |outcome| {
+            let c = slabs.full.encode(outcome);
+            (c.bytes, c.stats)
+        })?
+        .into_iter()
+        .unzip();
     Ok(slabs.assemble(data, &streams, None, chunk_stats))
 }
 
@@ -361,21 +298,12 @@ fn compress_progressive_resolved(
 ) -> Result<ChunkedCompressed, DpzError> {
     let _root = span!("compress_progressive");
     let slabs = Slabs::plan(data.len(), dims, cfg, chunks)?;
-    let slab_data: Vec<&[f32]> = data.chunks(slabs.slab_values).collect();
-    let results: Vec<Result<(Vec<u8>, ProgressiveLayout), DpzError>> = slab_data
-        .par_iter()
-        .map(|chunk| {
-            let (outcome, _) = slabs.project(chunk, None)?;
-            Ok(container::serialize_progressive(&outcome.into_payload()))
-        })
-        .collect();
-    let mut streams = Vec::with_capacity(slab_data.len());
-    let mut layouts = Vec::with_capacity(slab_data.len());
-    for r in results {
-        let (bytes, layout) = r?;
-        streams.push(bytes);
-        layouts.push(layout);
-    }
+    let (streams, layouts): (Vec<_>, Vec<_>) = slabs
+        .pass(data, |outcome| {
+            container::serialize_progressive(&outcome.into_payload())
+        })?
+        .into_iter()
+        .unzip();
     Ok(slabs.assemble(data, &streams, Some(&layouts), Vec::new()))
 }
 
@@ -817,16 +745,6 @@ impl SeekableIndex {
             self.total_len,
             "truncated chunk payload",
         )
-    }
-
-    /// Fetch one chunk's stream bytes from a seekable source and verify its
-    /// CRC, when the container stores one. Reads exactly `chunks[i].len`
-    /// bytes.
-    pub fn read_chunk<R: Read + Seek>(&self, r: &mut R, i: usize) -> Result<Vec<u8>, DpzError> {
-        let e = self.entry(i)?;
-        let stream = self.fetch(r, e)?;
-        e.verify(&stream)?;
-        Ok(stream)
     }
 }
 
@@ -1332,135 +1250,45 @@ mod tests {
         assert_eq!(dims, vec![3, 40]);
     }
 
-    #[test]
-    fn one_chunk_equals_plain_pipeline() {
-        let data = field(16, 16);
-        let cfg = DpzConfig::loose();
-        let chunked = compress_chunked(&data, &[16, 16], &cfg, 1).unwrap();
-        let (a, _) = decompress_chunked(&chunked.bytes).unwrap();
-        let plain = crate::pipeline::compress(&data, &[16, 16], &cfg).unwrap();
-        let (b, _) = crate::pipeline::decompress(&plain.bytes).unwrap();
-        assert_eq!(a, b, "single chunk must reproduce the plain pipeline");
-    }
-
     /// 16 slabs of 128 rows x 256 cols: each slab decomposes to M = 128
-    /// blocks, which routes stage 2 through the randomized range-finder
-    /// (sketch·4 < M) — the shape the cross-wave warm-start rides on.
-    const WARM_ROWS_PER_CHUNK: usize = 128;
-    const WARM_COLS: usize = 256;
-    const WARM_CHUNKS: usize = 16;
+    /// blocks, which routes stage 2 through the randomized range-finder.
+    const SLAB_ROWS: usize = 128;
+    const SLAB_COLS: usize = 256;
+    const SLABS: usize = 16;
 
     #[test]
-    fn warm_start_chains_across_waves_on_similar_chunks() {
-        // Every chunk carries identical data, so wave 2's fits (chunks
-        // 8..16) are seeded with the exact converged basis of their own
-        // matrix — the warm path must engage and hit the TVE target on the
-        // first sketch.
-        let rows = WARM_ROWS_PER_CHUNK * WARM_CHUNKS;
-        let data: Vec<f32> = (0..rows * WARM_COLS)
+    fn chunk_streams_equal_per_slab_compresses() {
+        // Every slab carries the same values, so a basis handed from one
+        // slab's fit to the next would be taken, and would move bytes: each
+        // chunk stream must still be exactly `compress` of its own slab.
+        let rows = SLAB_ROWS * SLABS;
+        let data: Vec<f32> = (0..rows * SLAB_COLS)
             .map(|i| {
-                let r = ((i / WARM_COLS) % WARM_ROWS_PER_CHUNK) as f32;
-                let c = (i % WARM_COLS) as f32;
+                let r = ((i / SLAB_COLS) % SLAB_ROWS) as f32;
+                let c = (i % SLAB_COLS) as f32;
                 (0.05 * r).sin() * 10.0
                     + (0.04 * c).cos() * 5.0
                     + (0.03 * r).cos() * (0.02 * c).sin() * 2.0
             })
             .collect();
         let cfg = DpzConfig::loose().with_tve(TveLevel::FiveNines);
-        let before = dpz_telemetry::global().snapshot();
-        let out = compress_chunked(&data, &[rows, WARM_COLS], &cfg, WARM_CHUNKS).unwrap();
-        let delta = dpz_telemetry::global().snapshot().since(&before);
-        assert!(
-            delta.counter("dpz_pca_warm_hits_total", &[]).unwrap_or(0) >= 1,
-            "wave 2 should reuse the converged basis from wave 1"
-        );
-        // Quality certificate holds for every chunk, warm or cold.
-        let target = TveLevel::FiveNines.fraction();
-        for (i, s) in out.chunk_stats.iter().enumerate() {
-            assert!(
-                s.tve_achieved >= target,
-                "chunk {i} tve {} < {target}",
-                s.tve_achieved
-            );
-        }
-        let (recon, dims) = decompress_chunked(&out.bytes).unwrap();
-        assert_eq!(dims, vec![rows, WARM_COLS]);
-        let max_err = data
-            .iter()
-            .zip(&recon)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f32, f32::max);
-        assert!(max_err < 0.5, "round-trip error {max_err}");
-    }
-
-    #[test]
-    fn dissimilar_chunks_fall_back_to_cold_fits_with_no_quality_loss() {
-        // First half: smooth low-rank data. Second half: pseudo-noise with
-        // a completely different (much flatter) spectrum. The wave-2 warm
-        // seed comes from the smooth regime and cannot certify the noise
-        // chunks' TVE, so the fitter must fall back to cold fits — and
-        // those must be *identical* to compressing the noise half with no
-        // warm chain at all (the gate leaves no residue).
-        let rows = WARM_ROWS_PER_CHUNK * WARM_CHUNKS;
-        let half = rows / 2;
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut noise = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 40) as f32 / (1u64 << 24) as f32 - 0.5
-        };
-        let data: Vec<f32> = (0..rows * WARM_COLS)
-            .map(|i| {
-                let r = i / WARM_COLS;
-                let c = (i % WARM_COLS) as f32;
-                if r < half {
-                    (0.05 * r as f32).sin() * 10.0 + (0.04 * c).cos() * 5.0
-                } else {
-                    noise() * 8.0
-                }
-            })
-            .collect();
-        let cfg = DpzConfig::loose().with_tve(TveLevel::FiveNines);
-        let before = dpz_telemetry::global().snapshot();
-        let out = compress_chunked(&data, &[rows, WARM_COLS], &cfg, WARM_CHUNKS).unwrap();
-        let delta = dpz_telemetry::global().snapshot().since(&before);
-        assert!(
-            delta
-                .counter("dpz_pca_warm_cold_fallbacks_total", &[])
-                .unwrap_or(0)
-                >= 1,
-            "noise chunks must reject the smooth-regime warm seed"
-        );
-        // No quality loss from the rejected handoff: every chunk still
-        // certifies the TVE target.
-        let target = TveLevel::FiveNines.fraction();
-        for (i, s) in out.chunk_stats.iter().enumerate() {
-            assert!(
-                s.tve_achieved >= target,
-                "chunk {i} tve {} < {target}",
-                s.tve_achieved
-            );
-        }
-        // Bitwise parity with a cold compression of the noise half alone:
-        // a gated-out warm seed must leave artifacts identical to never
-        // having offered one. (Chunks 8.. of the combined container line up
-        // with chunks 0.. of the standalone second half, whose first wave
-        // runs cold by construction.)
-        let cold = compress_chunked(
-            &data[half * WARM_COLS..],
-            &[half, WARM_COLS],
-            &cfg,
-            WARM_CHUNKS / 2,
-        )
-        .unwrap();
-        for i in 0..WARM_CHUNKS / 2 {
-            let (warm_vals, _) = decompress_chunk(&out.bytes, WARM_CHUNKS / 2 + i).unwrap();
-            let (cold_vals, _) = decompress_chunk(&cold.bytes, i).unwrap();
-            assert_eq!(
-                warm_vals, cold_vals,
-                "noise chunk {i} decoded differently under the warm chain"
-            );
+        for chunks in [1, SLABS] {
+            let out = compress_chunked(&data, &[rows, SLAB_COLS], &cfg, chunks).unwrap();
+            let idx = SeekableIndex::from_bytes(&out.bytes).unwrap();
+            assert_eq!(idx.chunk_count(), chunks);
+            let slab_rows = rows / chunks;
+            for (i, (e, slab)) in idx
+                .chunks
+                .iter()
+                .zip(data.chunks(slab_rows * SLAB_COLS))
+                .enumerate()
+            {
+                let plain = crate::pipeline::compress(slab, &[slab_rows, SLAB_COLS], &cfg).unwrap();
+                assert!(
+                    out.bytes[e.offset..e.offset + e.len] == plain.bytes[..],
+                    "{chunks} chunks: stream {i} is not `compress` of its slab"
+                );
+            }
         }
     }
 

@@ -72,7 +72,7 @@ fn keep_top_per_column(mat: &mut Matrix, keep: usize) {
 /// compression pipeline's stage 2 uses ([`Pca::fit_rank`]).
 fn fit_leading(mat: &Matrix, k: usize) -> Result<Pca, DpzError> {
     let opts = PcaOptions::default();
-    Ok(Pca::fit_rank(mat, opts, k, &crate::pipeline::RF_OPTS, None)?.pca)
+    Ok(Pca::fit_rank(mat, opts, k, &crate::pipeline::RF_OPTS)?.pca)
 }
 
 /// Project onto the leading `k` components and rotate back (component

@@ -31,7 +31,7 @@ use crate::kpca::select_k;
 use crate::quantize::{dequantize_scores, quantize_scores, QuantizedScores};
 use crate::sampling::{SamplingEstimate, SamplingStrategy};
 use crate::target::{self, TargetArtifact};
-use dpz_linalg::{Matrix, Pca, PcaOptions, RangeFinderOptions, SubspaceSeed, RANDOMIZED_MIN_M};
+use dpz_linalg::{Matrix, Pca, PcaOptions, RangeFinderOptions, RANDOMIZED_MIN_M};
 use dpz_telemetry::span;
 use dpz_telemetry::span::Span;
 use std::time::Duration;
@@ -166,43 +166,11 @@ pub(crate) fn rank_with_margin(k: usize) -> usize {
     k + (k / 4).max(2)
 }
 
-/// A stage-2 fit: the model, the sketch scores when the randomized arm ran,
-/// and the converged basis to hand to the next similar buffer.
-type Stage2Fit = (Pca, Option<Matrix>, Option<SubspaceSeed>);
-
-/// Rank-bounded stage-2 fit of [`rank_with_margin`]`(k)` pairs through
-/// [`Pca::fit_rank`]'s solver policy. The warm seed goes in, and the
-/// converged basis is handed on only from the randomized arm — the one
-/// that returns sketch scores. A wave that fitted densely therefore keeps
-/// the chunked driver's prior seed.
-fn fit_rank_margin(
-    coeffs: &Matrix,
-    opts: PcaOptions,
-    k: usize,
-    warm: Option<&SubspaceSeed>,
-) -> Result<Stage2Fit, DpzError> {
-    let want = rank_with_margin(k);
-    let fit = Pca::fit_rank(coeffs, opts, want, &RF_OPTS, warm)?;
-    let randomized = fit.scores.is_some();
-    record_pca_route(randomized, warm.is_some(), fit.warm_used);
-    Ok((fit.pca, fit.scores, randomized.then_some(fit.basis)))
-}
-
-/// Telemetry for the stage-2 solver routing: how often the randomized path
-/// runs, and whether offered warm seeds are kept or fall back to a cold
-/// fit.
-fn record_pca_route(randomized: bool, warm_offered: bool, warm_used: bool) {
-    let reg = dpz_telemetry::global();
-    if randomized {
-        reg.counter("dpz_pca_randomized_total").inc();
-    }
-    if warm_offered {
-        if warm_used {
-            reg.counter("dpz_pca_warm_hits_total").inc();
-        } else {
-            reg.counter("dpz_pca_warm_cold_fallbacks_total").inc();
-        }
-    }
+/// Count a stage-2 fit routed to the randomized range-finder.
+fn record_randomized() {
+    dpz_telemetry::global()
+        .counter("dpz_pca_randomized_total")
+        .inc();
 }
 
 /// What stage 2 hands on: the fitted model, the selected rank and the
@@ -213,9 +181,6 @@ struct Projection {
     k: usize,
     tve_achieved: f64,
     scores: Matrix,
-    /// Converged sketch basis for the next similar buffer (randomized arms
-    /// only).
-    basis: Option<SubspaceSeed>,
 }
 
 /// Everything stages 1–3 produce for one buffer, ready for entropy coding:
@@ -223,10 +188,11 @@ struct Projection {
 /// survives into it: stage 2 frees the block matrix and stage 3 the
 /// scores.
 ///
-/// The numeric/lossless split exists so the chunked driver can overlap
-/// chunk `i`'s entropy coding with chunk `i+1`'s DCT/PCA on the same
-/// thread pool — see [`crate::chunked::compress_chunked`]. Feeding it to
-/// `PipelinePlan::encode` is exactly equivalent to `PipelinePlan::execute`.
+/// The numeric/lossless split exists for the progressive writer, which
+/// serializes the payload per component instead of through
+/// `PipelinePlan::encode` ([`crate::chunked::compress_progressive`]).
+/// Feeding it to `PipelinePlan::encode` is exactly equivalent to
+/// `PipelinePlan::execute`.
 pub(crate) struct NumericOutcome {
     payload: ContainerData,
     timings: StageTimings,
@@ -292,26 +258,13 @@ impl PipelinePlan {
     pub(crate) fn execute(&self, data: &[f32], dims: &[usize]) -> Result<Compressed, DpzError> {
         let mut root = span!("compress");
         root.annotate("bytes", (data.len() * 4) as f64);
-        let (outcome, _) = self.project(data, dims, None)?;
-        Ok(self.encode(outcome))
+        Ok(self.encode(self.project(data, dims)?))
     }
 
     /// Run the numeric phase only — stages 1–3 plus model rounding — and
-    /// return the artifacts the entropy coder needs. The chunked driver
-    /// uses this to overlap one slab's [`PipelinePlan::encode`] with the
-    /// next slab's numeric stages.
-    ///
-    /// `warm` seeds this buffer's PCA sketch (under TVE selection the
-    /// fitter's gate rejects it if the data drifted), and the converged
-    /// basis comes back for the next statistically-similar buffer. The
-    /// basis is `None` when the routing took a dense path (small M,
-    /// knee-point selection, …).
-    pub(crate) fn project(
-        &self,
-        data: &[f32],
-        dims: &[usize],
-        warm: Option<&SubspaceSeed>,
-    ) -> Result<(NumericOutcome, Option<SubspaceSeed>), DpzError> {
+    /// return the artifacts the entropy coder needs: the chunked writers
+    /// feed it to [`PipelinePlan::encode`] or to the progressive serializer.
+    pub(crate) fn project(&self, data: &[f32], dims: &[usize]) -> Result<NumericOutcome, DpzError> {
         if data.len() != self.len {
             return Err(DpzError::BadInput("data length does not match plan"));
         }
@@ -332,7 +285,7 @@ impl PipelinePlan {
         });
         let sampling_est = sampling_est?;
         let (proj, t_pca) = in_span(STAGE2_NAME, |span| {
-            let proj = self.fit_pca(coeffs, sampling_est.as_ref(), warm)?;
+            let proj = self.fit_pca(coeffs, sampling_est.as_ref())?;
             // Score matrix size: what stage 3 will quantize.
             span.annotate("k", proj.k as f64);
             span.annotate("bytes", (shape.n * proj.k * 8) as f64);
@@ -393,7 +346,7 @@ impl PipelinePlan {
             n_outliers,
             orig_bytes: data.len() * 4,
         };
-        Ok((outcome, proj.basis))
+        Ok(outcome)
     }
 
     /// Stage 1 ([`decompose::stage1`]) on the plan's shape and transform.
@@ -429,7 +382,6 @@ impl PipelinePlan {
         &self,
         coeffs: Matrix,
         est: Option<&SamplingEstimate>,
-        warm: Option<&SubspaceSeed>,
     ) -> Result<Projection, DpzError> {
         let cfg = &self.cfg;
         let standardize = match cfg.standardize {
@@ -438,11 +390,18 @@ impl PipelinePlan {
             Standardize::Auto => est.is_some_and(|e| e.low_linearity),
         };
         let opts = PcaOptions { standardize };
-        let (pca, sketch_scores, basis) = match cfg.selection {
+        let (pca, sketch_scores) = match cfg.selection {
             // The selection mode bounds the needed rank: route through the
             // rank-bounded solvers instead of the full O(M³) decomposition
-            // whenever the bound is far below M.
-            KSelection::Fixed(k_fixed) => fit_rank_margin(&coeffs, opts, k_fixed, warm)?,
+            // whenever the bound is far below M. Only the randomized arm
+            // returns sketch scores.
+            KSelection::Fixed(k_fixed) => {
+                let fit = Pca::fit_rank(&coeffs, opts, rank_with_margin(k_fixed), &RF_OPTS)?;
+                if fit.scores.is_some() {
+                    record_randomized();
+                }
+                (fit.pca, fit.scores)
+            }
             // The randomized range-finder sketches k0 + oversample probe
             // vectors directly on the data matrix — no M×M Gram, no
             // Householder reduction — then escalates the sketch until the
@@ -450,14 +409,14 @@ impl PipelinePlan {
             // for the produced basis, so the certificate is sound).
             KSelection::Tve(tve) if self.shape.m >= RANDOMIZED_MIN_M => {
                 let k0 = (self.shape.m / 8).max(8);
-                let fit = Pca::fit_tve_randomized(&coeffs, opts, tve, k0, &RF_OPTS, warm)?;
-                record_pca_route(true, warm.is_some(), fit.warm_used);
-                (fit.pca, fit.scores, Some(fit.basis))
+                let fit = Pca::fit_tve_randomized(&coeffs, opts, tve, k0, &RF_OPTS, None)?;
+                record_randomized();
+                (fit.pca, fit.scores)
             }
             // Tiny M cannot amortize the sketch; keep the exact solver.
-            KSelection::Tve(tve) => (Pca::fit_tve_exact(&coeffs, opts, tve)?, None, None),
+            KSelection::Tve(tve) => (Pca::fit_tve_exact(&coeffs, opts, tve)?, None),
             // Knee-point detection inspects the whole spectrum.
-            KSelection::KneePoint(_) => (Pca::fit(&coeffs, opts)?, None, None),
+            KSelection::KneePoint(_) => (Pca::fit(&coeffs, opts)?, None),
         };
         let choice = select_k(&pca, cfg.selection);
         // The randomized fitter already produced the projected scores from
@@ -474,7 +433,6 @@ impl PipelinePlan {
             k: choice.k,
             tve_achieved: choice.tve_achieved,
             scores,
-            basis,
         })
     }
 
@@ -760,8 +718,7 @@ pub fn compress_with_breakdown(
 ) -> Result<CompressionBreakdown, DpzError> {
     check_input(data, dims)?;
     let plan = PipelinePlan::new(data.len(), cfg)?;
-    let (outcome, _) = plan.project(data, dims, None)?;
-    let compressed = plan.encode(outcome);
+    let compressed = plan.encode(plan.project(data, dims)?);
     let (coeffs, _, _) = plan.decompose_dct(data);
     let payload = container::deserialize(&compressed.bytes)?;
     let (reconstructed, _, _) = reconstruct(&payload)?;

@@ -74,12 +74,6 @@ impl Xoshiro256 {
             }
         }
     }
-
-    /// Normal with the given mean and standard deviation.
-    #[inline]
-    pub fn normal_with(&mut self, mean: f64, sd: f64) -> f64 {
-        mean + sd * self.normal()
-    }
 }
 
 #[cfg(test)]

@@ -267,17 +267,20 @@ fn block_end(d: &[f64], e: &[f64], l: usize, iter: usize, tnorm: f64) -> usize {
     m
 }
 
-/// Implicit QL with shifts on the tridiagonal `(d, e)`, rotating the **rows**
-/// of `zt` (the transposed accumulated basis) into eigenvectors. On success
-/// `d` holds eigenvalues (unsorted) and row `i` of `zt` is the eigenvector
-/// for `d[i]`.
+/// Implicit QL with shifts on the tridiagonal `(d, e)`. On success `d` holds
+/// the eigenvalues (unsorted).
 ///
-/// Operating on the transpose turns each Givens rotation into a fused pass
-/// over two contiguous rows ([`blas::rot2`]) instead of a strided
-/// column-pair walk — the dominant cost of the QL phase for the matrix
-/// sizes PCA feeds in.
+/// With `VECTORS`, each Givens rotation is also applied to the **rows** of
+/// `zt` (the transposed accumulated basis), so row `i` of `zt` ends as the
+/// eigenvector for `d[i]`. Operating on the transpose turns each rotation
+/// into a fused pass over two contiguous rows ([`blas::rot2`]) instead of a
+/// strided column-pair walk — the dominant cost of the QL phase for the
+/// matrix sizes PCA feeds in. Without it `zt` is never touched, leaving an
+/// `O(n²)` eigenvalues-only sweep. The rotation never feeds back into
+/// `(d, e)`, so both variants produce the same eigenvalues bit for bit; the
+/// const parameter gives each its own machine code.
 #[allow(clippy::needless_range_loop)]
-fn ql_implicit(d: &mut [f64], e: &mut [f64], zt: &mut Matrix) -> Result<()> {
+fn ql_implicit<const VECTORS: bool>(d: &mut [f64], e: &mut [f64], zt: &mut Matrix) -> Result<()> {
     let n = d.len();
     if n == 0 {
         return Ok(());
@@ -298,7 +301,11 @@ fn ql_implicit(d: &mut [f64], e: &mut [f64], zt: &mut Matrix) -> Result<()> {
             iter += 1;
             if iter > 2 * MAX_QL_ITERATIONS {
                 return Err(LinalgError::NoConvergence {
-                    algorithm: "implicit QL (sym_eigen)",
+                    algorithm: if VECTORS {
+                        "implicit QL (sym_eigen)"
+                    } else {
+                        "implicit QL (sym_eigen_select, values)"
+                    },
                     iterations: 2 * MAX_QL_ITERATIONS,
                 });
             }
@@ -328,10 +335,12 @@ fn ql_implicit(d: &mut [f64], e: &mut [f64], zt: &mut Matrix) -> Result<()> {
                 p = s * r;
                 d[i + 1] = g + p;
                 g = c * r - b;
-                // Apply the rotation to eigenvector rows i, i+1 (adjacent
-                // and contiguous in the row-major transpose).
-                let (row_i, row_i1) = zt.as_mut_slice()[i * n..(i + 2) * n].split_at_mut(n);
-                blas::rot2(row_i, row_i1, c, s);
+                if VECTORS {
+                    // Apply the rotation to eigenvector rows i, i+1
+                    // (adjacent and contiguous in the row-major transpose).
+                    let (row_i, row_i1) = zt.as_mut_slice()[i * n..(i + 2) * n].split_at_mut(n);
+                    blas::rot2(row_i, row_i1, c, s);
+                }
             }
             if underflow {
                 continue;
@@ -371,7 +380,7 @@ pub fn sym_eigen(a: &Matrix) -> Result<SymEigen> {
     // QL runs on the transpose so each Givens rotation touches two
     // contiguous rows instead of two strided columns.
     let mut zt = z.transpose();
-    ql_implicit(&mut d, &mut e, &mut zt)?;
+    ql_implicit::<true>(&mut d, &mut e, &mut zt)?;
 
     // Sort descending by eigenvalue, gathering eigenvector rows of the
     // transpose back into columns of the result.
@@ -389,70 +398,6 @@ pub fn sym_eigen(a: &Matrix) -> Result<SymEigen> {
         eigenvalues,
         eigenvectors,
     })
-}
-
-/// Implicit QL with shifts computing **eigenvalues only** — [`ql_implicit`]
-/// minus the rotation of the accumulated basis, dropping the `O(n³)`
-/// eigenvector work and leaving an `O(n²)` total. On success `d` holds the
-/// (unsorted) eigenvalues of the tridiagonal `(d, e)`.
-fn ql_values(d: &mut [f64], e: &mut [f64]) -> Result<()> {
-    let n = d.len();
-    if n == 0 {
-        return Ok(());
-    }
-    for i in 1..n {
-        e[i - 1] = e[i];
-    }
-    e[n - 1] = 0.0;
-    let tnorm = tridiagonal_norm(d, e);
-    for l in 0..n {
-        let mut iter = 0;
-        loop {
-            let m = block_end(d, e, l, iter, tnorm);
-            if m == l {
-                break;
-            }
-            iter += 1;
-            if iter > 2 * MAX_QL_ITERATIONS {
-                return Err(LinalgError::NoConvergence {
-                    algorithm: "implicit QL (sym_eigen_select, values)",
-                    iterations: 2 * MAX_QL_ITERATIONS,
-                });
-            }
-            let mut g = (d[l + 1] - d[l]) / (2.0 * e[l]);
-            let mut r = pythag(g, 1.0);
-            g = d[m] - d[l] + e[l] / (g + sign_like(r, g));
-            let (mut s, mut c) = (1.0f64, 1.0f64);
-            let mut p = 0.0f64;
-            let mut underflow = false;
-            for i in (l..m).rev() {
-                let f = s * e[i];
-                let b = c * e[i];
-                r = pythag(f, g);
-                e[i + 1] = r;
-                if r == 0.0 {
-                    d[i + 1] -= p;
-                    e[m] = 0.0;
-                    underflow = true;
-                    break;
-                }
-                s = f / r;
-                c = g / r;
-                g = d[i + 1] - p;
-                r = (d[i] - g) * s + 2.0 * c * b;
-                p = s * r;
-                d[i + 1] = g + p;
-                g = c * r - b;
-            }
-            if underflow {
-                continue;
-            }
-            d[l] -= p;
-            e[l] = g;
-            e[m] = 0.0;
-        }
-    }
-    Ok(())
 }
 
 /// One solve of `(T − λI)·x = rhs` for the symmetric tridiagonal `T` with
@@ -576,7 +521,7 @@ where
 
     let mut dq = diag.clone();
     let mut eq = e.clone();
-    ql_values(&mut dq, &mut eq)?;
+    ql_implicit::<false>(&mut dq, &mut eq, &mut Matrix::zeros(0, 0))?;
     dq.sort_by(|x, y| y.partial_cmp(x).unwrap_or(std::cmp::Ordering::Equal));
     let spectrum = dq;
 

@@ -78,16 +78,13 @@ impl Pca {
     ///   backend;
     /// * the full `O(m³)` eigendecomposition otherwise (all `m` pairs).
     ///
-    /// Only the randomized arm reads `warm`, and only it returns `scores`.
-    /// `warm` seeds the probe subspace from a previous fit's converged basis
-    /// (ignored on feature-count mismatch); `warm_used` reports whether it
-    /// was.
+    /// Only the randomized arm returns `scores`. Every arm fits cold, so
+    /// `warm_used` is always false.
     pub fn fit_rank(
         data: &Matrix,
         opts: PcaOptions,
         k: usize,
         rf: &RangeFinderOptions,
-        warm: Option<&SubspaceSeed>,
     ) -> Result<RandomizedFit> {
         let m = data.cols();
         let k = k.max(1);
@@ -112,14 +109,12 @@ impl Pca {
             });
         }
         let prep = PreparedData::new(data, opts)?;
-        let s = k + rf.oversample;
-        let warm_now = warm.filter(|w| w.n_features() == m);
-        let out = randomized_covariance_eigen(&prep.centered, s, rf, warm_now)?;
+        let out = randomized_covariance_eigen(&prep.centered, k + rf.oversample, rf, None)?;
         let scores = scores_from_t(&out.scores_t, k)?;
         Ok(RandomizedFit {
             pca: prep.pca(out.eigen, k),
             basis: out.seed,
-            warm_used: warm_now.is_some(),
+            warm_used: false,
             scores: Some(scores),
         })
     }
@@ -143,10 +138,9 @@ impl Pca {
     /// TVE-driven randomized fit: sketch at `k0 + oversample`, read the
     /// TVE-minimal rank off the (exact-for-this-basis) Ritz spectrum, and
     /// escalate — warm-starting each retry from the converged rows — until
-    /// the target is met. A warm basis that misses the target is retried
-    /// cold at the same rank before escalating (the cross-chunk quality
-    /// gate); once the sketch stops being ≪ `m`, the dense exact-TVE
-    /// solver takes over.
+    /// the target is met. A `warm` basis that misses the target is retried
+    /// cold at the same rank before escalating (the warm gate); once the
+    /// sketch stops being ≪ `m`, the dense exact-TVE solver takes over.
     pub fn fit_tve_randomized(
         data: &Matrix,
         opts: PcaOptions,
@@ -355,18 +349,18 @@ impl Pca {
     }
 }
 
-/// Outcome of a randomized fit: the model, the converged subspace (for
-/// warm-starting the next statistically similar fit) and whether the warm
-/// seed survived the quality gate.
+/// Outcome of a rank-bounded or randomized fit: the model, the converged
+/// subspace and whether a warm seed survived the quality gate.
 #[derive(Debug, Clone)]
 pub struct RandomizedFit {
     /// The fitted (truncated) model.
     pub pca: Pca,
-    /// The converged subspace, energy-descending — hand it to the next
-    /// fit's `warm` parameter.
+    /// The converged subspace, energy-descending — what
+    /// [`Pca::fit_tve_randomized`]'s `warm` parameter takes.
     pub basis: SubspaceSeed,
     /// Whether the returned model was seeded from the provided warm basis
-    /// (false for cold fits, gate fallbacks and dense-solver crossovers).
+    /// (false for cold fits, gate fallbacks, dense-solver crossovers and
+    /// every [`Pca::fit_rank`]).
     pub warm_used: bool,
     /// Scores of the fitted data in the kept basis (`n x keep`), recovered
     /// from the range-finder's sketch product at `O(s²·n)` instead of a
@@ -751,7 +745,7 @@ mod tests {
         let x = synthetic(150, 24, 91);
         let full = Pca::fit(&x, PcaOptions::default()).unwrap();
         let rf = RangeFinderOptions::default();
-        let fit = Pca::fit_rank(&x, PcaOptions::default(), 3, &rf, None).unwrap();
+        let fit = Pca::fit_rank(&x, PcaOptions::default(), 3, &rf).unwrap();
         assert!(fit.scores.is_none() && !fit.warm_used);
         let trunc = fit.pca;
         assert_eq!(trunc.n_components(), 3);
@@ -775,7 +769,7 @@ mod tests {
         let opts = PcaOptions::default();
         let small = synthetic(150, 24, 5);
         // 4·6 ≥ 24: the full solve, every eigenpair.
-        let full = Pca::fit_rank(&small, opts, 4, &rf, None).unwrap();
+        let full = Pca::fit_rank(&small, opts, 4, &rf).unwrap();
         assert_eq!(full.pca.n_components(), 24);
         assert!(full.scores.is_none());
         assert_eq!(
@@ -783,16 +777,14 @@ mod tests {
             Pca::fit(&small, opts).unwrap().eigenvalues()
         );
         // k = 0 is clamped to one pair (subspace iteration).
-        let one = Pca::fit_rank(&small, opts, 0, &rf, None).unwrap();
+        let one = Pca::fit_rank(&small, opts, 0, &rf).unwrap();
         assert_eq!(one.pca.n_components(), 1);
         // m = 128, (4 + 12)·4 < 128: the randomized sketch, with scores.
         let wide = synthetic(200, 128, 5);
-        let sketched = Pca::fit_rank(&wide, opts, 4, &rf, None).unwrap();
+        let sketched = Pca::fit_rank(&wide, opts, 4, &rf).unwrap();
         assert_eq!(sketched.pca.n_components(), 4);
         assert_eq!(sketched.scores.map(|s| s.shape()), Some((200, 4)));
-        // A warm seed of the wrong width is ignored.
-        let warm = Pca::fit_rank(&wide, opts, 4, &rf, Some(&one.basis)).unwrap();
-        assert!(!warm.warm_used);
+        assert!(!sketched.warm_used);
     }
 
     #[test]
@@ -834,7 +826,7 @@ mod tests {
     fn truncated_tve_uses_total_variance() {
         let x = synthetic(150, 24, 17);
         let rf = RangeFinderOptions::default();
-        let trunc = Pca::fit_rank(&x, PcaOptions::default(), 2, &rf, None)
+        let trunc = Pca::fit_rank(&x, PcaOptions::default(), 2, &rf)
             .unwrap()
             .pca;
         // Two dominant factors: the truncated TVE must still be a fraction
@@ -856,7 +848,7 @@ mod tests {
             power_iters: 2,
             ..Default::default()
         };
-        let rand = Pca::fit_rank(&x, PcaOptions::default(), 4, &rf, None)
+        let rand = Pca::fit_rank(&x, PcaOptions::default(), 4, &rf)
             .unwrap()
             .pca;
         assert_eq!(rand.n_components(), 4);
@@ -883,7 +875,7 @@ mod tests {
         let x = synthetic(150, 128, 13);
         let rf = RangeFinderOptions::default();
         let fit = || {
-            Pca::fit_rank(&x, PcaOptions::default(), 5, &rf, None)
+            Pca::fit_rank(&x, PcaOptions::default(), 5, &rf)
                 .unwrap()
                 .pca
         };
@@ -1023,18 +1015,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_rank_fit_uses_a_matching_warm_seed() {
-        let rf = RangeFinderOptions::default();
-        let opts = PcaOptions::default();
-        let a = synthetic(200, 128, 7);
-        let cold = Pca::fit_rank(&a, opts, 4, &rf, None).unwrap();
-        assert!(!cold.warm_used);
-        // Same data, warm seed of the right width: the seed is used.
-        let again = Pca::fit_rank(&a, opts, 4, &rf, Some(&cold.basis)).unwrap();
-        assert!(again.warm_used);
-    }
-
-    #[test]
     fn randomized_fit_scores_match_transform() {
         let x = synthetic(220, 128, 17);
         let rf = RangeFinderOptions::default();
@@ -1048,7 +1028,7 @@ mod tests {
             "sketch-derived scores diverge from the explicit projection"
         );
 
-        let fixed = Pca::fit_rank(&x, PcaOptions::default(), 6, &rf, None).unwrap();
+        let fixed = Pca::fit_rank(&x, PcaOptions::default(), 6, &rf).unwrap();
         let scores = fixed.scores.expect("randomized path emits scores");
         let reference = fixed.pca.transform(&x, 6).unwrap();
         assert!(scores.max_abs_diff(&reference) < 1e-9);

@@ -58,8 +58,9 @@ impl Default for RangeFinderOptions {
 }
 
 /// A converged (transposed, orthonormal-rows) subspace from one randomized
-/// fit, reusable as the starting basis for a statistically similar data
-/// matrix — the cross-chunk warm start.
+/// fit, reusable as the starting basis of a later fit: each escalation of
+/// [`crate::Pca::fit_tve_randomized`] restarts from the previous sketch's,
+/// and its `warm` parameter takes one.
 ///
 /// Opaque on purpose: callers hand it back to the next fit, nothing else.
 #[derive(Debug, Clone)]
@@ -81,8 +82,8 @@ impl SubspaceSeed {
     }
 
     /// Build a seed from the leading `k` columns of a component basis
-    /// (`m x c`, columns energy-descending) — lets dense-solver fallbacks
-    /// keep the warm chain alive.
+    /// (`m x c`, columns energy-descending), so a fit that crossed over to
+    /// a dense solver still returns its basis.
     pub(crate) fn from_components(components: &Matrix, k: usize) -> SubspaceSeed {
         let k = k.min(components.cols());
         SubspaceSeed {

@@ -35,11 +35,6 @@ pub fn variance_sample(data: &[f64]) -> f64 {
     data.iter().map(|&x| (x - m) * (x - m)).sum::<f64>() / (data.len() - 1) as f64
 }
 
-/// Sample standard deviation.
-pub fn std_sample(data: &[f64]) -> f64 {
-    variance_sample(data).sqrt()
-}
-
 /// Pearson correlation coefficient of two equal-length series.
 ///
 /// Returns `0.0` when either series is constant (correlation undefined).

@@ -31,8 +31,9 @@
 //! ## Event journal
 //!
 //! [`trace`] is a structured event journal behind the same spans: when
-//! enabled ([`trace::start`]), every span close, instant marker and counter
-//! sample lands in a per-thread lock-free ring buffer. [`trace::drain`]
+//! enabled ([`trace::start`]), every span close and instant marker lands in
+//! a per-thread lock-free ring buffer; running totals live in the registry
+//! alone. [`trace::drain`]
 //! collects the events and [`trace::to_chrome_json`] renders them as Chrome
 //! trace-event JSON for Perfetto / `chrome://tracing`, with a p50/p99 and
 //! MB/s digest embedded. When the journal is off, the cost is one relaxed
