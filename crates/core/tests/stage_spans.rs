@@ -1,7 +1,7 @@
 //! The compression chain's telemetry contract: one span per stage, inside
 //! `compress` on the caller's thread, in chain order, with the stage's
 //! annotations, and `StageTimings` read off those spans. Every span carries
-//! its own static name, whichever thread runs it: the chunked driver's
+//! its own static name, whichever thread runs it: the chunked writers'
 //! stage and chunk spans are named the same on the caller and on pool
 //! workers.
 //!
@@ -9,7 +9,7 @@
 //! and holds a single test: nothing else may emit into the journal while it
 //! records.
 
-use dpz_core::{compress, compress_chunked, Compressed, DpzConfig};
+use dpz_core::{compress, compress_chunked, compress_progressive, Compressed, DpzConfig};
 use dpz_telemetry::trace::{self, EventKind, TraceEvent};
 use std::time::Duration;
 
@@ -162,5 +162,14 @@ fn compress_emits_one_annotated_span_per_stage() {
     for name in names {
         let hits = spans.iter().filter(|e| e.name == name).count();
         assert_eq!(hits, chunks, "one {name} span per chunk");
+    }
+
+    // The progressive writer runs the same slab pass, so each of its slabs
+    // gets a chunk span too; it serializes without the lossless stage.
+    let (_, spans) =
+        journaled(|| compress_progressive(&data, &[64, 96], &DpzConfig::loose(), chunks).unwrap());
+    for name in ["stage2.pca", "chunk"] {
+        let hits = spans.iter().filter(|e| e.name == name).count();
+        assert_eq!(hits, chunks, "one progressive {name} span per chunk");
     }
 }

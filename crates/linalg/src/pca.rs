@@ -784,7 +784,6 @@ mod tests {
         let sketched = Pca::fit_rank(&wide, opts, 4, &rf).unwrap();
         assert_eq!(sketched.pca.n_components(), 4);
         assert_eq!(sketched.scores.map(|s| s.shape()), Some((200, 4)));
-        assert!(!sketched.warm_used);
     }
 
     #[test]
