@@ -129,14 +129,19 @@ impl AutoCodec {
         let baseline_ok = check_baseline_geometry(dims).is_ok();
         let mut probes = Vec::new();
         if src.len() >= TINY_INPUT {
+            let _s = dpz_telemetry::span!("auto.probe_dpz");
             if let Ok(p) = DpzCodec::default().probe(src, dims, target) {
                 probes.push(p);
             }
         }
         if baseline_ok {
-            if let Ok(p) = self.sz.probe(src, dims, target) {
-                probes.push(p);
+            {
+                let _s = dpz_telemetry::span!("auto.probe_sz");
+                if let Ok(p) = self.sz.probe(src, dims, target) {
+                    probes.push(p);
+                }
             }
+            let _s = dpz_telemetry::span!("auto.probe_zfp");
             if let Ok(p) = self.zfp.probe(src, dims, target) {
                 probes.push(p);
             }

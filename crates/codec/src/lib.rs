@@ -158,14 +158,15 @@ pub trait Codec: Send + Sync {
 }
 
 /// Measured PSNR of a probe roundtrip (range-normalized, matching the
-/// pipeline's own metric).
-pub(crate) fn probe_psnr(original: &[f32], reconstructed: &[f32]) -> f64 {
+/// pipeline's own metric). `reconstructed` holds decoded `f32`s, or their
+/// exact `f64` widening.
+pub(crate) fn probe_psnr<T: Copy + Into<f64>>(original: &[f32], reconstructed: &[T]) -> f64 {
     let (_, range) = dpz_core::decompose::value_extent(original);
     let mse = original
         .iter()
         .zip(reconstructed)
         .map(|(&a, &b)| {
-            let d = f64::from(a) - f64::from(b);
+            let d = f64::from(a) - b.into();
             d * d
         })
         .sum::<f64>()

@@ -287,6 +287,10 @@ impl Codec for DpzChunkedCodec {
     }
 }
 
+/// An SZ stream and the values it decodes to, as
+/// [`dpz_sz::compress_reconstructed`] returns them.
+type SzCoded = (Vec<u8>, Vec<f64>);
+
 /// SZ-style baseline (`SZR1`): Lorenzo prediction + linear-scaling
 /// quantization + Huffman.
 #[derive(Debug, Clone, Copy)]
@@ -325,31 +329,33 @@ impl SzCodec {
     /// measurement *is* the oracle — SZ is cheap enough that measuring
     /// beats modelling).
     ///
-    /// Also returns that prefix view compressed at the bound when the
-    /// search's last evaluation was at it, which it is unless a search
-    /// that used up its probes fell back to an earlier point.
+    /// Also returns that prefix view compressed at the bound, with its
+    /// reconstruction, when the search's last evaluation was at it, which
+    /// it is unless a search that used up its probes fell back to an
+    /// earlier point.
     fn resolve_bound(
         &self,
         src: &[f32],
         target: &QualityTarget,
-    ) -> Result<(f64, Option<Vec<u8>>), DpzError> {
+    ) -> Result<(f64, Option<SzCoded>), DpzError> {
         target.validate()?;
         let (_, range) = value_extent(src);
         match Request::new(target, range) {
             Request::Bound(eb) => Ok((eb, None)),
             Request::Ratio { target: t, tol } => {
                 let sample = &src[..src.len().min(PROBE_CAP)];
-                let last = RefCell::new((f64::NAN, Vec::new()));
+                let last = RefCell::new((f64::NAN, None));
                 let predict = |eb: f64| {
-                    let bytes = dpz_sz::compress(sample, &[sample.len()], &self.at_bound(eb));
-                    let cr = (sample.len() * 4) as f64 / bytes.len().max(1) as f64;
-                    *last.borrow_mut() = (eb, bytes);
+                    let coded =
+                        dpz_sz::compress_reconstructed(sample, &[sample.len()], &self.at_bound(eb));
+                    let cr = (sample.len() * 4) as f64 / coded.0.len().max(1) as f64;
+                    *last.borrow_mut() = (eb, Some(coded));
                     cr
                 };
                 let outcome =
                     dpz_core::search_bound_for_ratio(predict, 1e-7 * range, 0.3 * range, t, tol)?;
-                let (eb, bytes) = last.into_inner();
-                Ok((outcome.p, (eb == outcome.p).then_some(bytes)))
+                let (eb, coded) = last.into_inner();
+                Ok((outcome.p, coded.filter(|_| eb == outcome.p)))
             }
         }
     }
@@ -406,7 +412,8 @@ impl Codec for SzCodec {
     /// the value range from the whole input, a ratio search on the 1-D view
     /// of the [`PROBE_CAP`] prefix — and measures that prefix view at the
     /// resolved bound, reusing the search's last evaluation when it is at
-    /// that bound. Reports `resolved = ErrorBound(eb)`.
+    /// that bound. The PSNR comes from the encoder's own reconstruction,
+    /// which is the decode bit for bit. Reports `resolved = ErrorBound(eb)`.
     fn probe(
         &self,
         src: &[f32],
@@ -417,9 +424,9 @@ impl Codec for SzCodec {
         check_baseline_geometry(dims)?;
         let (eb, searched) = self.resolve_bound(src, target)?;
         let sample = &src[..src.len().min(PROBE_CAP)];
-        let bytes = searched
-            .unwrap_or_else(|| dpz_sz::compress(sample, &[sample.len()], &self.at_bound(eb)));
-        let (values, _) = dpz_sz::decompress(&bytes).map_err(sz_err)?;
+        let (bytes, values) = searched.unwrap_or_else(|| {
+            dpz_sz::compress_reconstructed(sample, &[sample.len()], &self.at_bound(eb))
+        });
         Ok(CodecProbe {
             codec: "sz",
             predicted_cr: (sample.len() * 4) as f64 / bytes.len().max(1) as f64,

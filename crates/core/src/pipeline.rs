@@ -396,11 +396,12 @@ impl PipelinePlan {
             // whenever the bound is far below M. Only the randomized arm
             // returns sketch scores.
             KSelection::Fixed(k_fixed) => {
-                let fit = Pca::fit_rank(&coeffs, opts, rank_with_margin(k_fixed), &RF_OPTS)?;
-                if fit.scores.is_some() {
+                let (pca, scores) =
+                    Pca::fit_rank(&coeffs, opts, rank_with_margin(k_fixed), &RF_OPTS)?;
+                if scores.is_some() {
                     record_randomized();
                 }
-                (fit.pca, fit.scores)
+                (pca, scores)
             }
             // The randomized range-finder sketches k0 + oversample probe
             // vectors directly on the data matrix — no M×M Gram, no

@@ -251,8 +251,8 @@ impl RatioOracle {
             KSelection::Fixed(k) => {
                 let k = k.clamp(1, shape.m);
                 let want = crate::pipeline::rank_with_margin(k);
-                let fit = Pca::fit_rank(&coeffs, opts, want, &crate::pipeline::RF_OPTS)?;
-                (fit.pca, k)
+                let (pca, _) = Pca::fit_rank(&coeffs, opts, want, &crate::pipeline::RF_OPTS)?;
+                (pca, k)
             }
             KSelection::KneePoint(_) => {
                 let pca = Pca::fit(&coeffs, opts)?;

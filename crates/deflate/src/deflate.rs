@@ -52,14 +52,46 @@ const EOB: usize = 256;
 /// Maximum bytes a single block may cover (stored LEN is 16-bit).
 const MAX_BLOCK_BYTES: usize = 65_535;
 
+/// `LENGTH_CODE[len]`: the length code offset (0..=28) of match length
+/// `len` (3..=258), the last `LENGTH_BASE` entry not above `len`.
+const LENGTH_CODE: [u8; 259] = {
+    let mut table = [0u8; 259];
+    let (mut len, mut code) = (3usize, 0usize);
+    while len <= 258 {
+        while code + 1 < LENGTH_BASE.len() && LENGTH_BASE[code + 1] as usize <= len {
+            code += 1;
+        }
+        table[len] = code as u8;
+        len += 1;
+    }
+    table
+};
+
+/// Distance codes indexed as zlib's `d_code` does: `dist − 1` below 256
+/// directly, larger ones by `256 + ((dist − 1) >> 7)`. Every code from 16
+/// up starts at a multiple of 128 plus one, so each 128-distance stretch
+/// above 256 shares one code.
+const DIST_CODE: [u8; 512] = {
+    let mut table = [0u8; 512];
+    let mut i = 0usize;
+    while i < 512 {
+        // The smallest distance this slot stands for.
+        let dist = if i < 256 { i + 1 } else { ((i - 256) << 7) + 1 };
+        let mut code = 0usize;
+        while code + 1 < DIST_BASE.len() && DIST_BASE[code + 1] as usize <= dist {
+            code += 1;
+        }
+        table[i] = code as u8;
+        i += 1;
+    }
+    table
+};
+
 /// Map a match length (3..=258) to `(code offset 0..28, extra value, extra bits)`.
 #[inline]
 pub(crate) fn length_symbol(len: usize) -> (usize, u32, u8) {
     debug_assert!((3..=258).contains(&len));
-    let idx = match LENGTH_BASE.binary_search(&(len as u16)) {
-        Ok(i) => i,
-        Err(i) => i - 1,
-    };
+    let idx = usize::from(LENGTH_CODE[len]);
     let extra = (len as u16 - LENGTH_BASE[idx]) as u32;
     (idx, extra, LENGTH_EXTRA[idx])
 }
@@ -68,10 +100,12 @@ pub(crate) fn length_symbol(len: usize) -> (usize, u32, u8) {
 #[inline]
 pub(crate) fn dist_symbol(dist: usize) -> (usize, u32, u8) {
     debug_assert!((1..=32768).contains(&dist));
-    let idx = match DIST_BASE.binary_search(&(dist as u16)) {
-        Ok(i) => i,
-        Err(i) => i - 1,
-    };
+    let d = dist - 1;
+    let idx = usize::from(if d < 256 {
+        DIST_CODE[d]
+    } else {
+        DIST_CODE[256 + (d >> 7)]
+    });
     let extra = (dist as u16 - DIST_BASE[idx]) as u32;
     (idx, extra, DIST_EXTRA[idx])
 }
@@ -445,6 +479,33 @@ mod tests {
         assert_eq!(dist_symbol(5), (4, 0, 1));
         assert_eq!(dist_symbol(6), (4, 1, 1));
         assert_eq!(dist_symbol(32768), (29, 8191, 13));
+    }
+
+    #[test]
+    fn code_tables_match_a_base_search_everywhere() {
+        // The search the tables replaced: the last base not above the value.
+        let search = |bases: &[u16], v: usize| match bases.binary_search(&(v as u16)) {
+            Ok(i) => i,
+            Err(i) => i - 1,
+        };
+        for len in 3..=258 {
+            let idx = search(&LENGTH_BASE, len);
+            let want = (
+                idx,
+                (len - LENGTH_BASE[idx] as usize) as u32,
+                LENGTH_EXTRA[idx],
+            );
+            assert_eq!(length_symbol(len), want, "length {len}");
+        }
+        for dist in 1..=32768 {
+            let idx = search(&DIST_BASE, dist);
+            let want = (
+                idx,
+                (dist - DIST_BASE[idx] as usize) as u32,
+                DIST_EXTRA[idx],
+            );
+            assert_eq!(dist_symbol(dist), want, "distance {dist}");
+        }
     }
 
     #[test]

@@ -20,68 +20,64 @@ pub const MAX_BITS: usize = 15;
 pub fn build_code_lengths(freqs: &[u64], max_bits: usize) -> Vec<u8> {
     let n = freqs.len();
     let mut lengths = vec![0u8; n];
-    let used: Vec<usize> = (0..n).filter(|&i| freqs[i] > 0).collect();
-    match used.len() {
+    // Two-queue Huffman (van Leeuwen): the leaves sorted by (frequency,
+    // symbol), and the merged nodes, whose frequencies never decrease, in
+    // creation order. Taking the smaller front each time, the leaf on a
+    // tie, is exactly the pop order of a min-heap keyed on (frequency, id)
+    // with leaf ids below merged ids, so the tree is the textbook one.
+    let mut leaves: Vec<(u64, usize)> = freqs
+        .iter()
+        .enumerate()
+        .filter(|&(_, &f)| f > 0)
+        .map(|(sym, &f)| (f, sym))
+        .collect();
+    match leaves.len() {
         0 => return lengths,
         1 => {
-            lengths[used[0]] = 1;
+            lengths[leaves[0].1] = 1;
             return lengths;
         }
         _ => {}
     }
+    leaves.sort_unstable();
 
-    // Heap-based Huffman tree; node = (freq, tie-break id, index).
-    // Leaves are 0..n, internal nodes n..; `parent` chains let us read off
-    // depths at the end.
-    #[derive(PartialEq, Eq)]
-    struct Node {
-        freq: u64,
-        id: usize,
-    }
-    impl Ord for Node {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            // Reverse for a min-heap on freq, then id for determinism.
-            other.freq.cmp(&self.freq).then(other.id.cmp(&self.id))
+    // Merged node `j` is `merged[j]`; a child's parent is the index of the
+    // merged node that consumed it. The root is the last merged node.
+    let used = leaves.len();
+    let mut merged: Vec<u64> = Vec::with_capacity(used - 1);
+    let mut leaf_parent = vec![0u32; used];
+    let mut node_depth = vec![0u32; used - 1];
+    let (mut next_leaf, mut next_node) = (0usize, 0usize);
+    for j in 0..used - 1 {
+        let mut freq = 0u64;
+        for _ in 0..2 {
+            let take_leaf =
+                next_leaf < used && (next_node == j || leaves[next_leaf].0 <= merged[next_node]);
+            let f = if take_leaf {
+                leaf_parent[next_leaf] = j as u32;
+                next_leaf += 1;
+                leaves[next_leaf - 1].0
+            } else {
+                // Until the depth pass, a merged node's slot holds its parent.
+                node_depth[next_node] = j as u32;
+                next_node += 1;
+                merged[next_node - 1]
+            };
+            freq = freq.saturating_add(f);
         }
-    }
-    impl PartialOrd for Node {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    let mut heap = std::collections::BinaryHeap::new();
-    let mut parent = vec![usize::MAX; 2 * used.len()];
-    // Map heap ids to tree slots: first used.len() slots are leaves.
-    for (slot, &sym) in used.iter().enumerate() {
-        heap.push(Node {
-            freq: freqs[sym],
-            id: slot,
-        });
-    }
-    let mut next_id = used.len();
-    while heap.len() > 1 {
-        let a = heap.pop().unwrap();
-        let b = heap.pop().unwrap();
-        parent[a.id] = next_id;
-        parent[b.id] = next_id;
-        heap.push(Node {
-            freq: a.freq.saturating_add(b.freq),
-            id: next_id,
-        });
-        next_id += 1;
+        merged.push(freq);
     }
 
-    // Depth of each leaf = number of parent hops to the root.
-    let root = heap.pop().unwrap().id;
-    for (slot, &sym) in used.iter().enumerate() {
-        let mut depth = 0u32;
-        let mut node = slot;
-        while node != root {
-            node = parent[node];
-            depth += 1;
-        }
-        lengths[sym] = depth.min(255) as u8;
+    // Depths top-down: a parent was merged after its children, so walking
+    // the merged nodes from the root down turns each parent link into a
+    // depth before any child reads it.
+    let root = used - 2;
+    node_depth[root] = 0;
+    for j in (0..root).rev() {
+        node_depth[j] = node_depth[node_depth[j] as usize] + 1;
+    }
+    for (&(_, sym), &parent) in leaves.iter().zip(&leaf_parent) {
+        lengths[sym] = (node_depth[parent as usize] + 1).min(255) as u8;
     }
 
     limit_lengths(&mut lengths, max_bits);
@@ -138,18 +134,6 @@ fn limit_lengths(lengths: &mut [u8], max_bits: usize) {
     }
 }
 
-/// Reverse the low `len` bits of `code`.
-#[inline]
-fn reverse_bits(code: u32, len: u8) -> u32 {
-    let mut v = code;
-    let mut out = 0u32;
-    for _ in 0..len {
-        out = (out << 1) | (v & 1);
-        v >>= 1;
-    }
-    out
-}
-
 /// Encoder-side canonical Huffman code table.
 #[derive(Debug, Clone)]
 pub struct Encoder {
@@ -177,7 +161,8 @@ impl Encoder {
         let mut codes = vec![0u32; lengths.len()];
         for (sym, &l) in lengths.iter().enumerate() {
             if l > 0 {
-                codes[sym] = reverse_bits(next_code[l as usize], l);
+                debug_assert!(l <= 32, "code length {l} exceeds 32 bits");
+                codes[sym] = next_code[l as usize].reverse_bits() >> (32 - u32::from(l));
                 next_code[l as usize] += 1;
             }
         }
@@ -636,6 +621,138 @@ impl LutEntry {
 mod tests {
     use super::*;
 
+    /// The heap construction [`build_code_lengths`] replaced, kept as its
+    /// reference: pop the two smallest (frequency, id) nodes, leaves first
+    /// by symbol, and read each leaf's depth by walking parent links up.
+    /// Returns the depths before [`limit_lengths`].
+    fn heap_depths(freqs: &[u64]) -> Vec<u8> {
+        use std::cmp::Reverse;
+        let mut lengths = vec![0u8; freqs.len()];
+        let used: Vec<usize> = (0..freqs.len()).filter(|&i| freqs[i] > 0).collect();
+        match used.len() {
+            0 => return lengths,
+            1 => {
+                lengths[used[0]] = 1;
+                return lengths;
+            }
+            _ => {}
+        }
+        let mut heap: std::collections::BinaryHeap<Reverse<(u64, usize)>> = used
+            .iter()
+            .enumerate()
+            .map(|(slot, &sym)| Reverse((freqs[sym], slot)))
+            .collect();
+        let mut parent = vec![usize::MAX; 2 * used.len()];
+        let mut next_id = used.len();
+        while heap.len() > 1 {
+            let Reverse((fa, a)) = heap.pop().unwrap();
+            let Reverse((fb, b)) = heap.pop().unwrap();
+            parent[a] = next_id;
+            parent[b] = next_id;
+            heap.push(Reverse((fa.saturating_add(fb), next_id)));
+            next_id += 1;
+        }
+        let Reverse((_, root)) = heap.pop().unwrap();
+        for (slot, &sym) in used.iter().enumerate() {
+            let (mut depth, mut node) = (0u32, slot);
+            while node != root {
+                node = parent[node];
+                depth += 1;
+            }
+            lengths[sym] = depth.min(255) as u8;
+        }
+        lengths
+    }
+
+    fn heap_code_lengths(freqs: &[u64], max_bits: usize) -> Vec<u8> {
+        let mut lengths = heap_depths(freqs);
+        limit_lengths(&mut lengths, max_bits);
+        lengths
+    }
+
+    fn xorshift(s: &mut u64) -> u64 {
+        *s ^= *s << 13;
+        *s ^= *s >> 7;
+        *s ^= *s << 17;
+        *s
+    }
+
+    #[test]
+    fn two_queue_lengths_match_the_heap_reference() {
+        let mut s = 0x5EED_u64;
+        let mut cases: Vec<(String, Vec<u64>)> = Vec::new();
+        // Random: sparse and dense alphabets, DEFLATE-sized and SZ-sized.
+        for (i, &n) in [2usize, 3, 19, 30, 288, 1000, 65_536].iter().enumerate() {
+            let freqs = (0..n)
+                .map(|_| {
+                    let r = xorshift(&mut s);
+                    if r.is_multiple_of(3) {
+                        0
+                    } else {
+                        (r >> 20) % (1 + (r >> 8) % 5000)
+                    }
+                })
+                .collect();
+            cases.push((format!("random {i} n={n}"), freqs));
+        }
+        // Tie-heavy: a handful of distinct weights, and all-equal weights.
+        for n in [4usize, 17, 286, 4096] {
+            let few = (0..n).map(|_| xorshift(&mut s) % 4).collect();
+            cases.push((format!("ties n={n}"), few));
+            cases.push((format!("flat n={n}"), vec![7; n]));
+        }
+        // Fibonacci weights build the deepest tree per symbol; 100 terms
+        // also saturate the u64 frequency sums.
+        for (n, shuffle) in [(12usize, false), (30, true), (60, false), (100, true)] {
+            let (mut a, mut b) = (1u64, 1u64);
+            let mut freqs: Vec<u64> = (0..n)
+                .map(|_| {
+                    let f = a;
+                    (a, b) = (b, a.saturating_add(b));
+                    f
+                })
+                .collect();
+            if shuffle {
+                for i in (1..n).rev() {
+                    freqs.swap(i, (xorshift(&mut s) % (i as u64 + 1)) as usize);
+                }
+            }
+            cases.push((format!("fibonacci n={n}"), freqs));
+        }
+        for (case, freqs) in &cases {
+            // Past a few thousand symbols only SZ's 24-bit limit applies
+            // (and the clamp-and-repair at 7 or 15 bits takes seconds).
+            let limits: &[usize] = if freqs.len() > 4096 {
+                &[24]
+            } else {
+                &[7, 15, 24]
+            };
+            for &max_bits in limits {
+                assert_eq!(
+                    build_code_lengths(freqs, max_bits),
+                    heap_code_lengths(freqs, max_bits),
+                    "{case} max_bits={max_bits}"
+                );
+            }
+        }
+        // The Fibonacci cases must reach the length limiter at every limit.
+        let deepest = |n: usize| {
+            let (mut a, mut b) = (1u64, 1u64);
+            let freqs: Vec<u64> = (0..n)
+                .map(|_| {
+                    let f = a;
+                    (a, b) = (b, a.saturating_add(b));
+                    f
+                })
+                .collect();
+            *heap_depths(&freqs).iter().max().unwrap() as usize
+        };
+        for n in [30usize, 60, 100] {
+            assert!(deepest(n) > 24, "fibonacci n={n} must exceed 24 bits");
+        }
+        assert!(deepest(12) > 7, "fibonacci n=12 must exceed 7 bits");
+    }
+
     fn kraft_ok(lengths: &[u8]) -> bool {
         let max = *lengths.iter().max().unwrap_or(&0) as u32;
         if max == 0 {
@@ -746,7 +863,8 @@ mod tests {
         let expected = [0b010u32, 0b011, 0b100, 0b101, 0b110, 0b00, 0b1110, 0b1111];
         for (sym, &code) in expected.iter().enumerate() {
             let len = lengths[sym];
-            assert_eq!(enc.codes[sym], reverse_bits(code, len), "symbol {sym}");
+            let reversed = (0..len).fold(0u32, |out, b| (out << 1) | ((code >> b) & 1));
+            assert_eq!(enc.codes[sym], reversed, "symbol {sym}");
         }
     }
 

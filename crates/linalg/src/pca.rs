@@ -78,14 +78,14 @@ impl Pca {
     ///   backend;
     /// * the full `O(m³)` eigendecomposition otherwise (all `m` pairs).
     ///
-    /// Only the randomized arm returns `scores`. Every arm fits cold, so
-    /// `warm_used` is always false.
+    /// Returns the model and, from the randomized arm only, the scores of
+    /// `data` in the kept basis (see [`RandomizedFit::scores`]).
     pub fn fit_rank(
         data: &Matrix,
         opts: PcaOptions,
         k: usize,
         rf: &RangeFinderOptions,
-    ) -> Result<RandomizedFit> {
+    ) -> Result<(Pca, Option<Matrix>)> {
         let m = data.cols();
         let k = k.max(1);
         if m < RANDOMIZED_MIN_M || (k + rf.oversample) * 4 >= m {
@@ -99,24 +99,12 @@ impl Pca {
             } else {
                 sym_eigen(&prep.cov)?
             };
-            let pca = prep.into_pca(eig);
-            let basis = SubspaceSeed::from_components(&pca.components, k);
-            return Ok(RandomizedFit {
-                pca,
-                basis,
-                warm_used: false,
-                scores: None,
-            });
+            return Ok((prep.into_pca(eig), None));
         }
         let prep = PreparedData::new(data, opts)?;
         let out = randomized_covariance_eigen(&prep.centered, k + rf.oversample, rf, None)?;
         let scores = scores_from_t(&out.scores_t, k)?;
-        Ok(RandomizedFit {
-            pca: prep.pca(out.eigen, k),
-            basis: out.seed,
-            warm_used: false,
-            scores: Some(scores),
-        })
+        Ok((prep.pca(out.eigen, k), Some(scores)))
     }
 
     /// Fit a model with **exactly** the TVE-minimal number of eigenpairs,
@@ -349,8 +337,9 @@ impl Pca {
     }
 }
 
-/// Outcome of a rank-bounded or randomized fit: the model, the converged
-/// subspace and whether a warm seed survived the quality gate.
+/// Outcome of a TVE-driven randomized fit ([`Pca::fit_tve_randomized`]):
+/// the model, the converged subspace and whether a warm seed survived the
+/// quality gate.
 #[derive(Debug, Clone)]
 pub struct RandomizedFit {
     /// The fitted (truncated) model.
@@ -359,8 +348,7 @@ pub struct RandomizedFit {
     /// [`Pca::fit_tve_randomized`]'s `warm` parameter takes.
     pub basis: SubspaceSeed,
     /// Whether the returned model was seeded from the provided warm basis
-    /// (false for cold fits, gate fallbacks, dense-solver crossovers and
-    /// every [`Pca::fit_rank`]).
+    /// (false for cold fits, gate fallbacks and dense-solver crossovers).
     pub warm_used: bool,
     /// Scores of the fitted data in the kept basis (`n x keep`), recovered
     /// from the range-finder's sketch product at `O(s²·n)` instead of a
@@ -745,9 +733,8 @@ mod tests {
         let x = synthetic(150, 24, 91);
         let full = Pca::fit(&x, PcaOptions::default()).unwrap();
         let rf = RangeFinderOptions::default();
-        let fit = Pca::fit_rank(&x, PcaOptions::default(), 3, &rf).unwrap();
-        assert!(fit.scores.is_none() && !fit.warm_used);
-        let trunc = fit.pca;
+        let (trunc, scores) = Pca::fit_rank(&x, PcaOptions::default(), 3, &rf).unwrap();
+        assert!(scores.is_none());
         assert_eq!(trunc.n_components(), 3);
         assert!((full.total_variance() - trunc.total_variance()).abs() < 1e-9);
         for i in 0..3 {
@@ -769,21 +756,21 @@ mod tests {
         let opts = PcaOptions::default();
         let small = synthetic(150, 24, 5);
         // 4·6 ≥ 24: the full solve, every eigenpair.
-        let full = Pca::fit_rank(&small, opts, 4, &rf).unwrap();
-        assert_eq!(full.pca.n_components(), 24);
-        assert!(full.scores.is_none());
+        let (full, scores) = Pca::fit_rank(&small, opts, 4, &rf).unwrap();
+        assert_eq!(full.n_components(), 24);
+        assert!(scores.is_none());
         assert_eq!(
-            full.pca.eigenvalues(),
+            full.eigenvalues(),
             Pca::fit(&small, opts).unwrap().eigenvalues()
         );
         // k = 0 is clamped to one pair (subspace iteration).
-        let one = Pca::fit_rank(&small, opts, 0, &rf).unwrap();
-        assert_eq!(one.pca.n_components(), 1);
+        let (one, _) = Pca::fit_rank(&small, opts, 0, &rf).unwrap();
+        assert_eq!(one.n_components(), 1);
         // m = 128, (4 + 12)·4 < 128: the randomized sketch, with scores.
         let wide = synthetic(200, 128, 5);
-        let sketched = Pca::fit_rank(&wide, opts, 4, &rf).unwrap();
-        assert_eq!(sketched.pca.n_components(), 4);
-        assert_eq!(sketched.scores.map(|s| s.shape()), Some((200, 4)));
+        let (sketched, scores) = Pca::fit_rank(&wide, opts, 4, &rf).unwrap();
+        assert_eq!(sketched.n_components(), 4);
+        assert_eq!(scores.map(|s| s.shape()), Some((200, 4)));
     }
 
     #[test]
@@ -825,9 +812,7 @@ mod tests {
     fn truncated_tve_uses_total_variance() {
         let x = synthetic(150, 24, 17);
         let rf = RangeFinderOptions::default();
-        let trunc = Pca::fit_rank(&x, PcaOptions::default(), 2, &rf)
-            .unwrap()
-            .pca;
+        let (trunc, _) = Pca::fit_rank(&x, PcaOptions::default(), 2, &rf).unwrap();
         // Two dominant factors: the truncated TVE must still be a fraction
         // of the *total* variance, close to the full model's value.
         let full = Pca::fit(&x, PcaOptions::default()).unwrap();
@@ -847,9 +832,7 @@ mod tests {
             power_iters: 2,
             ..Default::default()
         };
-        let rand = Pca::fit_rank(&x, PcaOptions::default(), 4, &rf)
-            .unwrap()
-            .pca;
+        let (rand, _) = Pca::fit_rank(&x, PcaOptions::default(), 4, &rf).unwrap();
         assert_eq!(rand.n_components(), 4);
         assert!((full.total_variance() - rand.total_variance()).abs() < 1e-9);
         let lmax = full.eigenvalues()[0].max(1e-300);
@@ -873,11 +856,7 @@ mod tests {
     fn randomized_fit_is_bitwise_deterministic() {
         let x = synthetic(150, 128, 13);
         let rf = RangeFinderOptions::default();
-        let fit = || {
-            Pca::fit_rank(&x, PcaOptions::default(), 5, &rf)
-                .unwrap()
-                .pca
-        };
+        let fit = || Pca::fit_rank(&x, PcaOptions::default(), 5, &rf).unwrap().0;
         let (a, b) = (fit(), fit());
         assert_eq!(a.components().as_slice(), b.components().as_slice());
         assert_eq!(a.eigenvalues(), b.eigenvalues());
@@ -1027,9 +1006,9 @@ mod tests {
             "sketch-derived scores diverge from the explicit projection"
         );
 
-        let fixed = Pca::fit_rank(&x, PcaOptions::default(), 6, &rf).unwrap();
-        let scores = fixed.scores.expect("randomized path emits scores");
-        let reference = fixed.pca.transform(&x, 6).unwrap();
+        let (fixed, scores) = Pca::fit_rank(&x, PcaOptions::default(), 6, &rf).unwrap();
+        let scores = scores.expect("randomized path emits scores");
+        let reference = fixed.transform(&x, 6).unwrap();
         assert!(scores.max_abs_diff(&reference) < 1e-9);
     }
 

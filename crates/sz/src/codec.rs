@@ -44,6 +44,22 @@ struct Predicted {
     selectors: Vec<u8>,
     /// Plane coefficients for regression blocks, 4 per selected block.
     coefficients: Vec<f32>,
+    /// The value the decoder reconstructs at each position: `f64::from` of
+    /// the stored `f32`, or the outlier itself.
+    reconstruction: Vec<f64>,
+}
+
+/// Quantize `value` against `pred`: its symbol (0 when it escapes, and the
+/// value joins `outliers`) and the decoder's reconstruction.
+#[inline(always)]
+fn code_value(q: &Quantizer, value: f32, pred: f64, outliers: &mut Vec<f32>) -> (u32, f64) {
+    match q.quantize(f64::from(value), pred) {
+        (Quantized::Code(sym), r) => (sym, r),
+        (Quantized::Outlier, r) => {
+            outliers.push(value);
+            (0, r)
+        }
+    }
 }
 
 /// Normalize dims to exactly three extents (leading 1s for lower dims).
@@ -65,25 +81,29 @@ fn flat(e: &[usize; 3], i: usize, j: usize, k: usize) -> usize {
 fn predict_lorenzo(data: &[f32], grid: &Grid, q: &Quantizer) -> Predicted {
     let n = data.len();
     let mut recon = vec![0.0f64; n];
-    let mut symbols = Vec::with_capacity(n);
+    let mut symbols = vec![0u32; n];
     let mut outliers = Vec::new();
-    for idx in 0..n {
-        let pred = grid.predict(&recon, idx);
-        let (decision, r) = q.quantize(f64::from(data[idx]), pred);
-        match decision {
-            Quantized::Code(sym) => symbols.push(sym),
-            Quantized::Outlier => {
-                symbols.push(0);
-                outliers.push(data[idx]);
-            }
+    if grid.dims().len() == 1 {
+        // 1-D Lorenzo predicts each value by the previous reconstruction
+        // (0 for the first), so carry it in a register: the hot path
+        // stores by index and calls nothing that could spill it.
+        let mut prev = 0.0;
+        for ((r, sym), &v) in recon.iter_mut().zip(symbols.iter_mut()).zip(data) {
+            (*sym, prev) = code_value(q, v, prev, &mut outliers);
+            *r = prev;
         }
-        recon[idx] = r;
+    } else {
+        for (idx, (sym, &v)) in symbols.iter_mut().zip(data).enumerate() {
+            let pred = grid.predict(&recon, idx);
+            (*sym, recon[idx]) = code_value(q, v, pred, &mut outliers);
+        }
     }
     Predicted {
         symbols,
         outliers,
         selectors: Vec::new(),
         coefficients: Vec::new(),
+        reconstruction: recon,
     }
 }
 
@@ -133,14 +153,8 @@ fn predict_blockwise(data: &[f32], dims: &[usize], grid: &Grid, q: &Quantizer) -
                             } else {
                                 grid.predict(&recon, idx)
                             };
-                            let (decision, r) = q.quantize(f64::from(data[idx]), pred);
-                            match decision {
-                                Quantized::Code(sym) => symbols.push(sym),
-                                Quantized::Outlier => {
-                                    symbols.push(0);
-                                    outliers.push(data[idx]);
-                                }
-                            }
+                            let (sym, r) = code_value(q, data[idx], pred, &mut outliers);
+                            symbols.push(sym);
                             recon[idx] = r;
                         }
                     }
@@ -153,6 +167,7 @@ fn predict_blockwise(data: &[f32], dims: &[usize], grid: &Grid, q: &Quantizer) -
         outliers,
         selectors,
         coefficients,
+        reconstruction: recon,
     }
 }
 
@@ -161,6 +176,14 @@ fn predict_blockwise(data: &[f32], dims: &[usize], grid: &Grid, q: &Quantizer) -
 /// Guarantees `|data[i] − decompress(...)[i]| ≤ cfg.error_bound` for every
 /// element, with either predictor.
 pub fn compress(data: &[f32], dims: &[usize], cfg: &SzConfig) -> Vec<u8> {
+    compress_reconstructed(data, dims, cfg).0
+}
+
+/// [`compress`], also returning the values [`decompress`] will reconstruct
+/// from the stream, widened to `f64`. The encoder predicts from exactly
+/// these values, so they come out of the same pass, bit for bit what a
+/// decode would return and at no decode's cost.
+pub fn compress_reconstructed(data: &[f32], dims: &[usize], cfg: &SzConfig) -> (Vec<u8>, Vec<f64>) {
     let _span = dpz_telemetry::span!("sz.compress");
     let grid = Grid::new(dims);
     assert_eq!(grid.len(), data.len(), "dims do not match data length");
@@ -244,7 +267,7 @@ pub fn compress(data: &[f32], dims: &[usize], cfg: &SzConfig) -> Vec<u8> {
         .add(out.len() as u64);
     reg.counter_with("dpz_outliers_total", &[("codec", "sz")])
         .add(predicted.outliers.len() as u64);
-    out
+    (out, predicted.reconstruction)
 }
 
 /// Cursor helpers for the flat container format.

@@ -95,7 +95,7 @@ impl From<DeflateError> for SzError {
     }
 }
 
-pub use codec::{compress, decompress};
+pub use codec::{compress, compress_reconstructed, decompress};
 
 #[cfg(test)]
 mod tests {

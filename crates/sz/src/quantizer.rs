@@ -41,15 +41,26 @@ impl Quantizer {
 
     /// Quantize `value` against `pred`, returning the decision and the
     /// reconstructed value the decoder will see.
+    ///
+    /// The code is `m = round(r / (2·eb))`, rounding half away from zero.
+    /// On the 1-D path each prediction is the previous reconstruction, so
+    /// this is one serial chain per value; `m` comes from a truncation and
+    /// the exact fractional part instead of a call to `f64::round`.
     #[inline]
     pub fn quantize(&self, value: f64, pred: f64) -> (Quantized, f64) {
-        let diff = value - pred;
-        let m = (diff / (2.0 * self.eb)).round();
-        if !m.is_finite() || m.abs() >= self.radius as f64 {
+        let q = (value - pred) / (2.0 * self.eb);
+        // |round(q)| >= radius exactly when |q| >= radius - 1/2; NaN and
+        // infinities fail the comparison too.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        if !(q.abs() < self.radius as f64 - 0.5) {
             return (Quantized::Outlier, value);
         }
-        let m = m as i64;
-        let recon = pred + (m as f64) * 2.0 * self.eb;
+        // |q| < 2^15: the truncation and `q - t` are exact.
+        let t = q as i64;
+        let frac = q - t as f64;
+        let m = t + i64::from(frac >= 0.5) - i64::from(frac <= -0.5);
+        // `(2m) as f64` is `(m as f64) * 2.0` exactly.
+        let recon = pred + ((2 * m) as f64) * self.eb;
         // The decoder stores f32; make sure the rounded value still honors
         // the bound, otherwise escape.
         let recon_f32 = recon as f32;
@@ -73,6 +84,76 @@ impl Quantizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The quantizer before its rounding went inline, kept as the reference
+    /// [`Quantizer::quantize`] must match bit for bit.
+    fn reference_quantize(q: &Quantizer, value: f64, pred: f64) -> (Quantized, f64) {
+        let diff = value - pred;
+        let m = (diff / (2.0 * q.eb)).round();
+        if !m.is_finite() || m.abs() >= q.radius as f64 {
+            return (Quantized::Outlier, value);
+        }
+        let m = m as i64;
+        let recon = pred + (m as f64) * 2.0 * q.eb;
+        let recon_f32 = recon as f32;
+        if (f64::from(recon_f32) - value).abs() > q.eb {
+            return (Quantized::Outlier, value);
+        }
+        (Quantized::Code((m + q.radius) as u32), f64::from(recon_f32))
+    }
+
+    fn same(a: (Quantized, f64), b: (Quantized, f64)) -> bool {
+        a.0 == b.0 && a.1.to_bits() == b.1.to_bits()
+    }
+
+    #[test]
+    fn quantize_matches_the_round_reference() {
+        let mut s = 0x51ED_u64;
+        let mut next = || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        let mut checked = 0usize;
+        for radius in [2u32, 7, 1 << 10, 1 << 15] {
+            for eb in [1e-7, 3.3e-3, 0.5, 1.0, 7.25e4, 1e300] {
+                let q = Quantizer::new(eb, radius);
+                let r = radius as f64;
+                // Residuals at exact half-bins, one ulp either side of them
+                // and of the radius edge, then random ones across the range.
+                let mut bins: Vec<f64> = Vec::new();
+                for k in [0.0, 0.5, 1.0, 1.5, 2.5, r - 1.5, r - 0.5, r, r + 0.5, 40.5] {
+                    for sign in [1.0, -1.0] {
+                        let x: f64 = sign * k;
+                        bins.extend([x, x.next_up(), x.next_down()]);
+                    }
+                }
+                for _ in 0..2000 {
+                    let u = (next() >> 11) as f64 / (1u64 << 53) as f64;
+                    bins.push((u - 0.5) * 2.4 * r);
+                }
+                for (i, &bin) in bins.iter().enumerate() {
+                    let pred = [0.0, -3.75, 1e9, 2.5e-3][i % 4];
+                    let value = pred + bin * 2.0 * eb;
+                    assert!(
+                        same(q.quantize(value, pred), reference_quantize(&q, value, pred)),
+                        "eb {eb} radius {radius} value {value} pred {pred}"
+                    );
+                    checked += 1;
+                }
+                for value in [f64::NAN, f64::INFINITY, -f64::INFINITY, -0.0, 1e308, 5e-324] {
+                    for pred in [0.0, -0.0, 1.0, f64::INFINITY] {
+                        assert!(same(
+                            q.quantize(value, pred),
+                            reference_quantize(&q, value, pred)
+                        ));
+                    }
+                }
+            }
+        }
+        assert!(checked > 40_000);
+    }
 
     #[test]
     fn in_range_value_meets_bound() {

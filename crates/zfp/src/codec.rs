@@ -119,17 +119,23 @@ fn encode_ints(w: &mut BitWriter, ublock: &[u32], maxprec: u32, budget: u64) -> 
     budget - left
 }
 
-/// Decode one block of negabinary coefficients (sequency order), consuming
-/// at most `budget` bits. Returns the block and the bits consumed.
+/// Decode one block of negabinary coefficients (sequency order) into
+/// `ublock`, consuming at most `budget` bits. Returns the bits consumed.
+///
+/// Reads what [`encode_ints`] writes a run at a time: each group test's
+/// zero run up to the next significant coefficient resolves with one peek
+/// and a trailing-zero count, and each plane deposits only its set bits.
 fn decode_ints(
     r: &mut BitReader<'_>,
-    size: usize,
+    ublock: &mut [u32],
     maxprec: u32,
     budget: u64,
-) -> Result<(Vec<u32>, u64), ZfpError> {
+) -> Result<u64, ZfpError> {
+    let size = ublock.len();
     debug_assert!(size <= 64);
+    let truncated = ZfpError::Corrupt("bitstream truncated");
     let kmin = INTPREC.saturating_sub(maxprec);
-    let mut ublock = vec![0u32; size];
+    ublock.fill(0);
     let mut left = budget;
     let mut n = 0usize;
     for k in (kmin..INTPREC).rev() {
@@ -142,17 +148,33 @@ fn decode_ints(
         let mut i = n;
         while i < size && left > 0 {
             left -= 1;
-            let any = read_bits64(r, 1)? != 0;
-            if !any {
+            if read_bits64(r, 1)? == 0 {
                 break;
             }
-            while i < size - 1 && left > 0 {
-                left -= 1;
-                let bit = read_bits64(r, 1)?;
-                if bit != 0 {
+            // Zero bits up to the next set bit, which is written unless the
+            // run reaches the last position or the budget runs out. Peeked
+            // bits past the end of the stream read as zero, so only an
+            // all-zero peek can overrun it.
+            let mut run = ((size - 1 - i) as u64).min(left);
+            while run > 0 {
+                let count = run.min(32) as u32;
+                let bits = r.peek_bits(count);
+                let take = if bits != 0 {
+                    bits.trailing_zeros() + 1
+                } else {
+                    count
+                };
+                if take > r.bits_available() {
+                    return Err(truncated);
+                }
+                r.consume(take);
+                left -= u64::from(take);
+                if bits != 0 {
+                    i += take as usize - 1;
                     break;
                 }
-                i += 1;
+                i += take as usize;
+                run -= u64::from(take);
             }
             // Significant bit at position i (explicit or implied at the end).
             x |= 1u64 << i;
@@ -160,17 +182,12 @@ fn decode_ints(
         }
         n = n.max(i.min(size));
         // Deposit the plane.
-        let mut bits = x;
-        let mut idx = 0usize;
-        while bits != 0 {
-            if bits & 1 != 0 {
-                ublock[idx] |= 1 << k;
-            }
-            bits >>= 1;
-            idx += 1;
+        while x != 0 {
+            ublock[x.trailing_zeros() as usize] |= 1 << k;
+            x &= x - 1;
         }
     }
-    Ok((ublock, budget - left))
+    Ok(budget - left)
 }
 
 /// Per-block precision for a mode given the block exponent.
@@ -318,6 +335,15 @@ pub fn decompress(bytes: &[u8]) -> Result<(Vec<f32>, Vec<usize>), ZfpError> {
 }
 
 fn decompress_inner(bytes: &[u8]) -> Result<(Vec<f32>, Vec<usize>), ZfpError> {
+    decode_stream(bytes, decode_ints)
+}
+
+/// Decode a whole stream with `decode_block` as the per-block coefficient
+/// decoder (tests pass the bit-at-a-time reference).
+fn decode_stream<D>(bytes: &[u8], decode_block: D) -> Result<(Vec<f32>, Vec<usize>), ZfpError>
+where
+    D: Fn(&mut BitReader<'_>, &mut [u32], u32, u64) -> Result<u64, ZfpError>,
+{
     let need = |ok: bool| {
         if ok {
             Ok(())
@@ -410,6 +436,7 @@ fn decompress_inner(bytes: &[u8]) -> Result<(Vec<f32>, Vec<usize>), ZfpError> {
     let mut out = vec![0.0f32; n_values];
     let mut fblock = vec![0.0f64; bl];
     let mut iblock = vec![0i64; bl];
+    let mut ublock = vec![0u32; bl];
     let rate_budget = block_bit_budget(mode, bl);
     for b in 0..layout.n_blocks() {
         let nonzero = read_bits64(&mut r, 1)? != 0;
@@ -426,7 +453,7 @@ fn decompress_inner(bytes: &[u8]) -> Result<(Vec<f32>, Vec<usize>), ZfpError> {
             }
             let maxprec = block_precision(mode, e, ndims);
             let payload_budget = rate_budget.map_or(u64::MAX, |t| t - BLOCK_HEADER_BITS);
-            let (ublock, used) = decode_ints(&mut r, bl, maxprec, payload_budget)?;
+            let used = decode_block(&mut r, &mut ublock, maxprec, payload_budget)?;
             if let Some(total) = rate_budget {
                 pad = total - BLOCK_HEADER_BITS - used;
             }
@@ -457,6 +484,191 @@ fn decompress_inner(bytes: &[u8]) -> Result<(Vec<f32>, Vec<usize>), ZfpError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bit-at-a-time block decoder [`decode_ints`] replaced, kept as
+    /// its reference: one call per group-test bit, a fresh block per call.
+    fn reference_decode_ints(
+        r: &mut BitReader<'_>,
+        size: usize,
+        maxprec: u32,
+        budget: u64,
+    ) -> Result<(Vec<u32>, u64), ZfpError> {
+        let kmin = INTPREC.saturating_sub(maxprec);
+        let mut ublock = vec![0u32; size];
+        let mut left = budget;
+        let mut n = 0usize;
+        for k in (kmin..INTPREC).rev() {
+            if left == 0 {
+                break;
+            }
+            let m = n.min(left as usize);
+            let mut x = read_bits64(r, m)?;
+            left -= m as u64;
+            let mut i = n;
+            while i < size && left > 0 {
+                left -= 1;
+                let any = read_bits64(r, 1)? != 0;
+                if !any {
+                    break;
+                }
+                while i < size - 1 && left > 0 {
+                    left -= 1;
+                    let bit = read_bits64(r, 1)?;
+                    if bit != 0 {
+                        break;
+                    }
+                    i += 1;
+                }
+                x |= 1u64 << i;
+                i += 1;
+            }
+            n = n.max(i.min(size));
+            let mut bits = x;
+            let mut idx = 0usize;
+            while bits != 0 {
+                if bits & 1 != 0 {
+                    ublock[idx] |= 1 << k;
+                }
+                bits >>= 1;
+                idx += 1;
+            }
+        }
+        Ok((ublock, budget - left))
+    }
+
+    /// The reference in [`decode_stream`]'s block-decoder shape.
+    fn reference_block(
+        r: &mut BitReader<'_>,
+        ublock: &mut [u32],
+        maxprec: u32,
+        budget: u64,
+    ) -> Result<u64, ZfpError> {
+        let (block, used) = reference_decode_ints(r, ublock.len(), maxprec, budget)?;
+        ublock.copy_from_slice(&block);
+        Ok(used)
+    }
+
+    /// `decode_ints` in the reference's return shape.
+    fn fast_block(
+        r: &mut BitReader<'_>,
+        size: usize,
+        maxprec: u32,
+        budget: u64,
+    ) -> Result<(Vec<u32>, u64), ZfpError> {
+        let mut block = vec![0u32; size];
+        let used = decode_ints(r, &mut block, maxprec, budget)?;
+        Ok((block, used))
+    }
+
+    fn xorshift(s: &mut u64) -> u64 {
+        *s ^= *s << 13;
+        *s ^= *s >> 7;
+        *s ^= *s << 17;
+        *s
+    }
+
+    /// Whole-stream decodes with `decode_ints` and with the reference agree
+    /// on valid streams in every mode and dimensionality, on every
+    /// truncation, and on single-bit flips: the same values or the same
+    /// error.
+    #[test]
+    fn block_decoder_matches_the_bitwise_reference_on_streams() {
+        let mut s = 0x2F0C_u64;
+        let (mut checked, mut truncated_errors) = (0usize, 0usize);
+        for dims in [vec![301usize], vec![23, 17], vec![9, 7, 6]] {
+            let n: usize = dims.iter().product();
+            let data: Vec<f32> = (0..n)
+                .map(|i| {
+                    let noise = (xorshift(&mut s) >> 40) as f32 / (1u32 << 24) as f32;
+                    (i as f32 * 0.07).sin() * 30.0 + noise * if i % 5 == 0 { 1e3 } else { 1.0 }
+                })
+                .collect();
+            for mode in [
+                ZfpMode::FixedPrecision(7),
+                ZfpMode::FixedPrecision(32),
+                ZfpMode::FixedAccuracy(1e-3),
+                ZfpMode::FixedAccuracy(10.0),
+                ZfpMode::FixedRate(3.0),
+                ZfpMode::FixedRate(17.5),
+            ] {
+                let packed = compress(&data, &dims, mode);
+                let expect = decode_stream(&packed, reference_block);
+                assert!(expect.is_ok(), "{dims:?} {mode:?}");
+                assert_eq!(decompress_inner(&packed), expect, "{dims:?} {mode:?}");
+                // Truncate the bitstream and declare the shorter length, so
+                // the block decoders, not the header check, meet its end.
+                let len_at = 4 + 1 + 8 * dims.len() + 9;
+                let header = len_at + 8;
+                for cut in (header..packed.len()).step_by(3) {
+                    let mut part = packed[..cut].to_vec();
+                    part[len_at..header].copy_from_slice(&((cut - header) as u64).to_le_bytes());
+                    let got = decompress_inner(&part);
+                    assert_eq!(
+                        got,
+                        decode_stream(&part, reference_block),
+                        "{dims:?} {mode:?} cut {cut}"
+                    );
+                    truncated_errors += usize::from(got.is_err());
+                    checked += 1;
+                }
+                for _ in 0..64 {
+                    let mut flipped = packed.clone();
+                    let bit = (xorshift(&mut s) % (8 * packed.len() as u64)) as usize;
+                    flipped[bit / 8] ^= 1 << (bit % 8);
+                    assert_eq!(
+                        decompress_inner(&flipped),
+                        decode_stream(&flipped, reference_block),
+                        "{dims:?} {mode:?} flip {bit}"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 1000, "{checked} corrupt streams checked");
+        assert!(
+            truncated_errors > checked / 4,
+            "only {truncated_errors} truncations reached an error"
+        );
+    }
+
+    /// Block by block, on random and sparse coefficients at every budget
+    /// shape, including budgets that end mid-run.
+    #[test]
+    fn block_decoder_matches_the_bitwise_reference_on_blocks() {
+        let mut s = 0xB10C_u64;
+        for case in 0..400 {
+            let size = [4usize, 16, 64][case % 3];
+            let sparsity = 1 + case % 7;
+            let block: Vec<u32> = (0..size)
+                .map(|_| {
+                    let r = xorshift(&mut s);
+                    if r.is_multiple_of(sparsity as u64) {
+                        (r >> 32) as u32 >> (r % 31)
+                    } else {
+                        0
+                    }
+                })
+                .collect();
+            let maxprec = 1 + (xorshift(&mut s) % 32) as u32;
+            let budget = match case % 4 {
+                0 => u64::MAX,
+                _ => xorshift(&mut s) % (40 * size as u64),
+            };
+            let mut w = BitWriter::new();
+            encode_ints(&mut w, &block, maxprec, budget);
+            let bytes = w.finish();
+            for cut in [bytes.len(), bytes.len().saturating_sub(1), bytes.len() / 2] {
+                let (mut r1, mut r2) =
+                    (BitReader::new(&bytes[..cut]), BitReader::new(&bytes[..cut]));
+                let got = fast_block(&mut r1, size, maxprec, budget);
+                let want = reference_decode_ints(&mut r2, size, maxprec, budget);
+                assert_eq!(got, want, "case {case} cut {cut}");
+                if got.is_ok() {
+                    assert_eq!(r1.peek_bits(32), r2.peek_bits(32), "case {case}: position");
+                }
+            }
+        }
+    }
 
     #[test]
     fn negabinary_round_trip() {
@@ -489,7 +701,7 @@ mod tests {
         encode_ints(&mut w, &block, 32, u64::MAX);
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
-        let (got, _) = decode_ints(&mut r, 64, 32, u64::MAX).unwrap();
+        let (got, _) = fast_block(&mut r, 64, 32, u64::MAX).unwrap();
         assert_eq!(got, block);
     }
 
@@ -500,7 +712,7 @@ mod tests {
         encode_ints(&mut w, &block, 16, u64::MAX);
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
-        let (got, _) = decode_ints(&mut r, 16, 16, u64::MAX).unwrap();
+        let (got, _) = fast_block(&mut r, 16, 16, u64::MAX).unwrap();
         for (g, b) in got.iter().zip(&block) {
             assert_eq!(g >> 16, b >> 16, "high planes must survive");
             assert_eq!(g & 0xFFFF, 0, "low planes must be dropped");
@@ -517,7 +729,7 @@ mod tests {
         let bytes = w.finish();
         assert!(bytes.len() < 40, "sparse block took {} bytes", bytes.len());
         let mut r = BitReader::new(&bytes);
-        assert_eq!(decode_ints(&mut r, 64, 32, u64::MAX).unwrap().0, block);
+        assert_eq!(fast_block(&mut r, 64, 32, u64::MAX).unwrap().0, block);
     }
 
     #[test]
