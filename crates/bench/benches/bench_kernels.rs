@@ -2,11 +2,13 @@
 //! pits the portable scalar arm against whatever `dpz_kernels::backend()`
 //! dispatched on this host (AVX2+FMA, NEON, or scalar again), so the report
 //! directly shows the per-kernel speedup. On a scalar-only host the two
-//! series coincide — that is the expected result, not a regression.
+//! series coincide — that is the expected result, not a regression. The
+//! Gram rows time `Matrix::gram`, the PCA covariance, on the dispatched arm.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dpz_kernels::gemm::{gemm_strip, gemm_strip_scalar, PackedB};
 use dpz_kernels::{checksum, quant};
+use dpz_linalg::Matrix;
 use std::hint::black_box;
 
 fn xorshift_f64(n: usize, seed: u64) -> Vec<f64> {
@@ -114,5 +116,29 @@ fn bench_crc32(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_matmul, bench_quantize, bench_crc32);
+/// `Matrix::gram` at the suite's dense-PCA shapes (`n` samples × `m`
+/// features; 512×128 is HACC Small's) and at paper scale (3600×1800), on
+/// the pool's width: run under `DPZ_THREADS=1` and `DPZ_THREADS=2` to
+/// compare widths, which give the same bits.
+fn bench_gram(c: &mut Criterion) {
+    let mut group = c.benchmark_group("linalg/gram");
+    group.sample_size(10);
+    for (n, m) in [(256usize, 128usize), (512, 128), (360, 180), (3600, 1800)] {
+        let a = Matrix::from_vec(n, m, xorshift_f64(n * m, 0x6A4D)).unwrap();
+        // Upper-triangle multiply-adds per product.
+        group.throughput(Throughput::Elements((n * m * (m + 1) / 2) as u64));
+        group.bench_function(BenchmarkId::from_parameter(format!("{n}x{m}")), |bench| {
+            bench.iter(|| black_box(&a).gram())
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_matmul,
+    bench_quantize,
+    bench_crc32,
+    bench_gram
+);
 criterion_main!(benches);

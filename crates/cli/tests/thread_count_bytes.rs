@@ -1,14 +1,15 @@
-//! zlib member counts follow the section length, not the pool width. Each
-//! case compresses in its own `dpz` process at `DPZ_THREADS` 1, 2, 3, 4 and
-//! 8; the cases are the ones whose sections used to split into one member
-//! per worker.
+//! Artifacts do not follow the pool width. Each case compresses strict in
+//! its own `dpz` process at `DPZ_THREADS` 1, 2, 3, 4 and 8, and the five
+//! artifacts must hash alike:
 //!
-//! A strict white-noise field, whose two sections each span two whole
-//! 128 KiB members, must give one artifact hash. HACC-vx Small strict (a
-//! 128 KiB index section, one member) must give one packed index section;
-//! its PCA basis still differs by rounding between one worker and several
-//! (the Gram reduction follows the pool width), so its bytes are not
-//! compared whole.
+//! - a white-noise field whose two sections each span two whole 128 KiB
+//!   zlib members: member counts follow the section length alone;
+//! - HACC-vx Small, whose 128 KiB index section is one member;
+//! - FREQSH Small, whose strict fit keeps directions so close in variance
+//!   that the last bits of the covariance decide their eigenvector signs.
+//!
+//! The last two fit PCA densely, through `Matrix::gram`, which sums every
+//! covariance element in the same order at any width.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -60,35 +61,11 @@ fn artifacts(dir: &Path, input: &Path, dims: &str) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// The packed (still-zlib) bytes of a v2 DPZ1 container's model, index and
-/// outlier sections. Each section is its raw length, its packed length,
-/// the packed bytes and a CRC-32; they follow the magic, the version, the
-/// dimension count, the dimensions and 68 bytes of fixed header fields.
-fn packed_sections(bytes: &[u8]) -> Vec<&[u8]> {
-    assert_eq!(&bytes[..5], b"DPZ1\x02", "a v2 DPZ1 container");
-    let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
-    let mut at = 6 + 8 * usize::from(bytes[5]) + 68;
-    let sections = (0..3)
-        .map(|_| {
-            let packed = u64_at(at + 8);
-            let section = &bytes[at + 16..at + 16 + packed];
-            at += 16 + packed + 4;
-            section
-        })
-        .collect();
-    assert_eq!(at, bytes.len(), "sections end the container");
-    sections
-}
-
-/// `key` of every run equals the one-worker run's.
-fn assert_same<T: PartialEq + std::fmt::Debug>(
-    what: &str,
-    runs: &[Vec<u8>],
-    key: impl Fn(&[u8]) -> T,
-) {
-    let first = key(&runs[0]);
+/// Every run's artifact hashes like the one-worker run's.
+fn assert_one_hash(runs: &[Vec<u8>]) {
+    let first = fnv1a(&runs[0]);
     for (n, run) in THREADS.iter().zip(runs) {
-        assert_eq!(key(run), first, "{what} at DPZ_THREADS={n} vs 1");
+        assert_eq!(fnv1a(run), first, "artifact hash at DPZ_THREADS={n} vs 1");
     }
 }
 
@@ -113,30 +90,34 @@ fn two_member_sections_are_identical_at_every_thread_count() {
     let payload = dpz_core::container::deserialize(&runs[0]).expect("decodes");
     assert!(payload.scores.indices.len() >= 2 * 128 * 1024);
     assert!(payload.basis.len() * 4 >= 2 * 128 * 1024);
-    assert_same("artifact hash", &runs, fnv1a);
+    assert_one_hash(&runs);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Generate the Small-scale `dataset` and compress it at every width.
+fn small_strict_runs(dataset: &str, dims: &str) -> (PathBuf, Vec<Vec<u8>>) {
+    let dir = scratch(dataset);
+    let field = dir.join("field.f32");
+    dpz(
+        &["gen", dataset, field.to_str().unwrap(), "--scale", "small"],
+        None,
+    );
+    let runs = artifacts(&dir, &field, dims);
+    (dir, runs)
+}
+
+#[test]
+fn hacc_vx_small_strict_is_identical_at_every_thread_count() {
+    let (dir, runs) = small_strict_runs("HACC-vx", "65536");
+    let payload = dpz_core::container::deserialize(&runs[0]).expect("decodes");
+    assert_eq!(payload.scores.indices.len(), 128 * 1024);
+    assert_one_hash(&runs);
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn hacc_vx_small_strict_has_one_index_section_at_every_thread_count() {
-    let dir = scratch("hacc");
-    let field = dir.join("hacc.f32");
-    dpz(
-        &[
-            "gen",
-            "HACC-vx",
-            field.to_str().unwrap(),
-            "--scale",
-            "small",
-        ],
-        None,
-    );
-    let runs = artifacts(&dir, &field, "65536");
-    let index_section = |bytes: &[u8]| {
-        let payload = dpz_core::container::deserialize(bytes).expect("decodes");
-        assert_eq!(payload.scores.indices.len(), 128 * 1024);
-        fnv1a(packed_sections(bytes)[1])
-    };
-    assert_same("packed index section hash", &runs, index_section);
+fn freqsh_small_strict_is_identical_at_every_thread_count() {
+    let (dir, runs) = small_strict_runs("FREQSH", "180x360");
+    assert_one_hash(&runs);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,10 +1,7 @@
 //! Output pins for the four transform-combination pipelines (Figure 4).
 //!
-//! The PCA-bearing combos fit densely, and `Matrix::gram` reduces one
-//! partial sum per pool worker, so their outputs change with the pool
-//! width. This file is its own test binary so it can pin the pool at one
-//! worker before the pool exists; at one worker the outputs are stable
-//! across runs and kernel backends.
+//! The PCA-bearing combos fit densely through `Matrix::gram`, whose bits
+//! do not follow the pool width, so every pin holds at any `DPZ_THREADS`.
 
 use dpz_core::combos::{lossy_roundtrip, TransformCombo};
 
@@ -33,10 +30,7 @@ fn field() -> Vec<f32> {
 }
 
 #[test]
-fn combo_outputs_are_pinned_at_one_thread() {
-    // Pin the pool before first use: the dense PCA fits reduce one Gram
-    // partial per worker.
-    std::env::set_var("DPZ_THREADS", "1");
+fn combo_outputs_are_pinned() {
     let data = field();
     let expected = [
         (TransformCombo::DctOnly, 0xe9b4_44d9_b916_96c4u64),

@@ -6,6 +6,7 @@
 //! curvature. Both fitters work on an abscissa normalized to `[0, 1]` and
 //! expose value plus first/second derivatives through [`CurveFit`].
 
+use crate::stats::ridge_normal_solve;
 use crate::{LinalgError, Matrix, Result};
 
 /// Which fitting method to use on the TVE curve (Algorithm 1's `sf`).
@@ -93,16 +94,7 @@ impl PolyFit {
                 p *= x;
             }
         }
-        let mut xtx = design.gram();
-        let xty = design.transpose().mul_vec(y)?;
-        let diag_max = (0..cols)
-            .map(|i| xtx.get(i, i))
-            .fold(f64::MIN_POSITIVE, f64::max);
-        for i in 0..cols {
-            let v = xtx.get(i, i) + 1e-10 * diag_max;
-            xtx.set(i, i, v);
-        }
-        let coeffs = xtx.solve(&xty)?;
+        let coeffs = ridge_normal_solve(&design, y, 1e-10)?;
         Ok(PolyFit { coeffs })
     }
 

@@ -301,72 +301,67 @@ impl Matrix {
     /// Gram product `selfᵀ * self`, the `cols x cols` matrix of column inner
     /// products. This is the covariance kernel used by PCA; it is symmetric,
     /// so only the upper triangle is computed (in parallel) and mirrored.
+    /// The pool width only sizes the blocks of output rows: every element is
+    /// the same chain of operations over the input rows in order, so it has
+    /// the same bits at any width.
     pub fn gram(&self) -> Matrix {
-        let m = self.cols;
-        let n = self.rows;
-        let mut out = vec![0.0; m * m];
+        self.gram_blocks(rayon::current_num_threads())
+    }
 
-        // Parallelize over *input* row-strips, one per worker: each strip
-        // accumulates a private partial upper triangle (balanced — every
-        // strip does `strip_rows · m²/2` work and reads its rows exactly
-        // once), and the partials are reduced element-wise at the end. The
-        // previous scheme parallelized over output rows, which skewed the
-        // load (row `i` costs `m - i`) and re-read the whole input per
-        // worker.
-        if m > 0 && n > 0 {
-            let strips = rayon::current_num_threads().min(n);
-            let strip_rows = n.div_ceil(strips);
-            let partials: Vec<Vec<f64>> = self
-                .data
-                .par_chunks(strip_rows * m)
-                .map(|rows| {
-                    let mut part = vec![0.0; m * m];
-                    // Rank-4 blocking over input rows: four rows scatter into
-                    // each output row in one fused pass (`accum4`), so every
-                    // `part` element is loaded/stored once per *four* rows
-                    // instead of once per row.
-                    let mut quads = rows.chunks_exact(4 * m);
-                    for quad in quads.by_ref() {
-                        let (r0, rest) = quad.split_at(m);
-                        let (r1, rest) = rest.split_at(m);
-                        let (r2, r3) = rest.split_at(m);
-                        for i in 0..m {
-                            let (a, b, c, d) = (r0[i], r1[i], r2[i], r3[i]);
-                            if a == 0.0 && b == 0.0 && c == 0.0 && d == 0.0 {
-                                continue;
-                            }
-                            blas::accum4(
-                                &mut part[i * m + i..(i + 1) * m],
-                                &r0[i..],
-                                &r1[i..],
-                                &r2[i..],
-                                &r3[i..],
-                                a,
-                                b,
-                                c,
-                                d,
-                            );
-                        }
-                    }
-                    for row in quads.remainder().chunks_exact(m) {
-                        for (i, &xi) in row.iter().enumerate() {
-                            if xi == 0.0 {
-                                continue;
-                            }
-                            // Upper-triangle row update as one contiguous
-                            // fused axpy: part[i, i..] += xi * row[i..].
-                            blas::axpy(&mut part[i * m + i..(i + 1) * m], &row[i..], xi);
-                        }
-                    }
-                    part
-                })
-                .collect();
-            for part in &partials {
-                for (o, p) in out.iter_mut().zip(part) {
-                    *o += p;
-                }
+    /// [`Matrix::gram`] over at most `blocks` contiguous blocks of output
+    /// rows of about equal work, filled in parallel.
+    fn gram_blocks(&self, blocks: usize) -> Matrix {
+        let m = self.cols;
+        let mut out = vec![0.0; m * m];
+        // Row `i` holds `m - i` upper-triangle elements: a block ends where
+        // the work so far reaches its cumulative share (the last at row m-1).
+        let (total, blocks) = (m * (m + 1) / 2, blocks.clamp(1, m.max(1)));
+        let (mut parts, mut rest, mut lo, mut done) = (Vec::new(), out.as_mut_slice(), 0, 0);
+        for i in 0..m {
+            done += m - i;
+            if done * blocks >= (parts.len() + 1) * total {
+                let (block, tail) = rest.split_at_mut((i + 1 - lo) * m);
+                parts.push((lo, block));
+                (rest, lo) = (tail, i + 1);
             }
         }
+        parts.into_par_iter().for_each(|(lo, block)| {
+            // Rank-4 blocking over input rows: four rows scatter into each
+            // output row in one fused pass (`accum4`), so every element is
+            // loaded/stored once per *four* rows instead of once per row.
+            let mut quads = self.data.chunks_exact(4 * m);
+            for quad in quads.by_ref() {
+                let (r0, rest) = quad.split_at(m);
+                let (r1, rest) = rest.split_at(m);
+                let (r2, r3) = rest.split_at(m);
+                for (i, out) in (lo..).zip(block.chunks_exact_mut(m)) {
+                    let (a, b, c, d) = (r0[i], r1[i], r2[i], r3[i]);
+                    if a == 0.0 && b == 0.0 && c == 0.0 && d == 0.0 {
+                        continue;
+                    }
+                    blas::accum4(
+                        &mut out[i..],
+                        &r0[i..],
+                        &r1[i..],
+                        &r2[i..],
+                        &r3[i..],
+                        a,
+                        b,
+                        c,
+                        d,
+                    );
+                }
+            }
+            for row in quads.remainder().chunks_exact(m) {
+                for (i, out) in (lo..).zip(block.chunks_exact_mut(m)) {
+                    if row[i] != 0.0 {
+                        // Upper-triangle row update as one contiguous fused
+                        // axpy: out[i, i..] += row[i] * row[i..].
+                        blas::axpy(&mut out[i..], &row[i..], row[i]);
+                    }
+                }
+            }
+        });
         // Mirror the strict upper triangle into the lower one.
         for i in 0..m {
             for j in (i + 1)..m {
@@ -603,6 +598,39 @@ mod tests {
             for j in 0..3 {
                 assert_eq!(g.get(i, j), g.get(j, i));
             }
+        }
+    }
+
+    #[test]
+    fn gram_bits_do_not_follow_the_block_count() {
+        // 37 rows leave one row after the quads; the zeroed entries reach
+        // the all-zero skips of both passes.
+        for (n, m) in [(37usize, 13usize), (512, 128)] {
+            let mut s = 0x9E37_79B9_7F4A_7C15u64;
+            let data = (0..n * m)
+                .map(|i| {
+                    s ^= s << 13;
+                    s ^= s >> 7;
+                    s ^= s << 17;
+                    if i % m == 2 || (i / m) % 5 == 0 && i % m < m / 2 {
+                        0.0
+                    } else {
+                        (s >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+                    }
+                })
+                .collect();
+            let a = Matrix::from_vec(n, m, data).unwrap();
+            let bits = |g: Matrix| {
+                g.into_vec()
+                    .into_iter()
+                    .map(f64::to_bits)
+                    .collect::<Vec<_>>()
+            };
+            let one = bits(a.gram_blocks(1));
+            for blocks in [2, 3, 7] {
+                assert_eq!(bits(a.gram_blocks(blocks)), one, "{n}x{m}, {blocks} blocks");
+            }
+            assert_eq!(bits(a.gram()), one, "{n}x{m}, the pool's width");
         }
     }
 

@@ -65,6 +65,22 @@ pub fn pearson(x: &[f64], y: &[f64]) -> Result<f64> {
     Ok(sxy / (sxx * syy).sqrt())
 }
 
+/// Least squares `design · β ≈ y` through the normal equations, with a
+/// relative diagonal ridge for robustness against collinearity:
+/// `(XᵀX + ridge · max diag(XᵀX) · I) β = Xᵀy`, solved by [`Matrix::solve`].
+pub(crate) fn ridge_normal_solve(design: &Matrix, y: &[f64], ridge: f64) -> Result<Vec<f64>> {
+    let mut xtx = design.gram();
+    let xty = design.transpose().mul_vec(y)?;
+    let diag_max = (0..xtx.rows())
+        .map(|i| xtx.get(i, i))
+        .fold(f64::MIN_POSITIVE, f64::max);
+    for i in 0..xtx.rows() {
+        let v = xtx.get(i, i) + ridge * diag_max;
+        xtx.set(i, i, v);
+    }
+    xtx.solve(&xty)
+}
+
 /// Result of an ordinary least squares fit `y ≈ X·beta (+ intercept)`.
 #[derive(Debug, Clone)]
 pub struct OlsFit {
@@ -101,18 +117,7 @@ pub fn ols(x: &Matrix, y: &[f64], with_intercept: bool) -> Result<OlsFit> {
             design.row_mut(r)[p] = 1.0;
         }
     }
-    let mut xtx = design.gram();
-    let xty = design.transpose().mul_vec(y)?;
-    // Relative ridge for numerical robustness against collinearity.
-    let diag_scale: f64 = (0..cols)
-        .map(|i| xtx.get(i, i))
-        .fold(0.0, f64::max)
-        .max(f64::MIN_POSITIVE);
-    for i in 0..cols {
-        let v = xtx.get(i, i) + 1e-12 * diag_scale;
-        xtx.set(i, i, v);
-    }
-    let beta = xtx.solve(&xty)?;
+    let beta = ridge_normal_solve(&design, y, 1e-12)?;
 
     let intercept = if with_intercept { beta[p] } else { 0.0 };
     let coefficients = beta[..p].to_vec();

@@ -176,7 +176,12 @@ fn predict_blockwise(data: &[f32], dims: &[usize], grid: &Grid, q: &Quantizer) -
 /// Guarantees `|data[i] − decompress(...)[i]| ≤ cfg.error_bound` for every
 /// element, with either predictor.
 pub fn compress(data: &[f32], dims: &[usize], cfg: &SzConfig) -> Vec<u8> {
-    compress_reconstructed(data, dims, cfg).0
+    let _span = dpz_telemetry::span!("sz.compress");
+    let mut predicted = predict(data, dims, cfg);
+    // Coding never reads the reconstruction (8 bytes per value): free it
+    // before the coder's buffers grow.
+    predicted.reconstruction = Vec::new();
+    encode(&predicted, dims, cfg)
 }
 
 /// [`compress`], also returning the values [`decompress`] will reconstruct
@@ -185,6 +190,12 @@ pub fn compress(data: &[f32], dims: &[usize], cfg: &SzConfig) -> Vec<u8> {
 /// decode would return and at no decode's cost.
 pub fn compress_reconstructed(data: &[f32], dims: &[usize], cfg: &SzConfig) -> (Vec<u8>, Vec<f64>) {
     let _span = dpz_telemetry::span!("sz.compress");
+    let predicted = predict(data, dims, cfg);
+    (encode(&predicted, dims, cfg), predicted.reconstruction)
+}
+
+/// The prediction pass of `cfg.predictor` over `data`.
+fn predict(data: &[f32], dims: &[usize], cfg: &SzConfig) -> Predicted {
     let grid = Grid::new(dims);
     assert_eq!(grid.len(), data.len(), "dims do not match data length");
     assert!(
@@ -192,14 +203,16 @@ pub fn compress_reconstructed(data: &[f32], dims: &[usize], cfg: &SzConfig) -> (
         "radius too large for u16 alphabet"
     );
     let q = Quantizer::new(cfg.error_bound, cfg.quant_radius);
-
-    let predicted = match cfg.predictor {
+    match cfg.predictor {
         Predictor::Lorenzo => predict_lorenzo(data, &grid, &q),
         Predictor::Auto => predict_blockwise(data, dims, &grid, &q),
-    };
+    }
+}
 
+/// Entropy-code a prediction pass into the SZR1 container.
+fn encode(predicted: &Predicted, dims: &[usize], cfg: &SzConfig) -> Vec<u8> {
     // Entropy-code the symbol stream.
-    let alphabet = q.alphabet_size();
+    let alphabet = Quantizer::new(cfg.error_bound, cfg.quant_radius).alphabet_size();
     let mut freqs = vec![0u64; alphabet];
     for &s in &predicted.symbols {
         freqs[s as usize] += 1;
@@ -262,12 +275,12 @@ pub fn compress_reconstructed(data: &[f32], dims: &[usize], cfg: &SzConfig) -> (
     let reg = dpz_telemetry::global();
     let labels = [("codec", "sz"), ("op", "compress")];
     reg.counter_with("dpz_bytes_in_total", &labels)
-        .add(data.len() as u64 * 4);
+        .add(predicted.symbols.len() as u64 * 4);
     reg.counter_with("dpz_bytes_out_total", &labels)
         .add(out.len() as u64);
     reg.counter_with("dpz_outliers_total", &[("codec", "sz")])
         .add(predicted.outliers.len() as u64);
-    (out, predicted.reconstruction)
+    out
 }
 
 /// Cursor helpers for the flat container format.

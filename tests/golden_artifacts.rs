@@ -38,9 +38,10 @@ fn smooth_field(rows: usize, cols: usize) -> Vec<f32> {
 }
 
 /// Deterministic xorshift white noise. Its flat PCA spectrum keeps the
-/// rank-bounded solvers away from convergence, where rounding dust decides
-/// eigenvector signs: on the smooth field the fixed-`k` pins below flip with
-/// the Gram's thread-count-dependent reduction order.
+/// rank-bounded solvers far from convergence; the smooth field's steep one
+/// drives them to it, where the last bits of the covariance decide the
+/// eigenvector signs. The fixed-`k` pins below take both fields, so they
+/// also pin that the covariance has the same bits at every pool width.
 fn noise_field(rows: usize, cols: usize) -> Vec<f32> {
     let mut s = 0x2545_f491_4f6c_dd1du64;
     (0..rows * cols)
@@ -111,6 +112,14 @@ fn golden_cases() -> Vec<(&'static str, Vec<u8>)> {
         (
             "dpz1-fixed8-full-64x96",
             compress(&noise, &[64, 96], &fixed(8)).unwrap().bytes,
+        ),
+        (
+            "dpz1-fixed3-subspace-smooth-64x96",
+            compress(&field, &[64, 96], &fixed(3)).unwrap().bytes,
+        ),
+        (
+            "dpz1-fixed8-full-smooth-64x96",
+            compress(&field, &[64, 96], &fixed(8)).unwrap().bytes,
         ),
         // 256×256 gives M = 128: the fixed-k arm and the sampled-k arm
         // (k_e = 3) both take the randomized range-finder.
@@ -229,6 +238,8 @@ fn dpz_artifacts_are_byte_identical_to_golden() {
         ("dpzp-progressive-4x-64x96", 0xc8fe461fc394dcd8),
         ("dpz1-fixed3-subspace-64x96", 0xa32b8f47bba236cb),
         ("dpz1-fixed8-full-64x96", 0xe663e7838a97d871),
+        ("dpz1-fixed3-subspace-smooth-64x96", 0x79162af91fe401ae),
+        ("dpz1-fixed8-full-smooth-64x96", 0x089b848cf294d202),
         ("dpz1-fixed6-randomized-256x256", 0xbc19901237fca76f),
         // The two sampling pins moved when the sampled k stopped replacing
         // the TVE selection: sampling now only reports its estimate, so both
