@@ -5,8 +5,8 @@
 //! - a white-noise field whose two sections each span two whole 128 KiB
 //!   zlib members: member counts follow the section length alone;
 //! - HACC-vx Small, whose 128 KiB index section is one member;
-//! - FREQSH Small, whose strict fit keeps directions so close in variance
-//!   that the last bits of the covariance decide their eigenvector signs.
+//! - FREQSH Small, whose strict artifact, length included, moves with the
+//!   last bits of its covariance.
 //!
 //! The last two fit PCA densely, through `Matrix::gram`, which sums every
 //! covariance element in the same order at any width.

@@ -97,39 +97,32 @@ pub fn build_code_lengths(freqs: &[u64], max_bits: usize) -> Vec<u8> {
 fn limit_lengths(lengths: &mut [u8], max_bits: usize) {
     let used = lengths.iter().filter(|&&l| l > 0).count();
     let feasible = usize::BITS - used.next_power_of_two().leading_zeros() - 1;
-    let max_bits = max_bits.max(feasible as usize) as u8;
-    if lengths.iter().all(|&l| l <= max_bits) {
+    let max_bits = max_bits.max(feasible as usize);
+    if lengths.iter().all(|&l| usize::from(l) <= max_bits) {
         return;
     }
-    for l in lengths.iter_mut() {
-        if *l > max_bits {
-            *l = max_bits;
-        }
+    // Clamp, and file the used symbols by depth, each depth ordered by
+    // symbol. Every step below moves the highest-numbered symbol of the
+    // deepest eligible depth: the one a rescan of all symbols keeping the
+    // last maximum would pick.
+    let mut at_depth = vec![BTreeSet::new(); max_bits + 1];
+    for (sym, l) in lengths.iter_mut().enumerate().filter(|(_, l)| **l > 0) {
+        *l = (*l).min(max_bits as u8);
+        at_depth[usize::from(*l)].insert(sym);
     }
     // Kraft sum in units of 2^-max_bits.
-    let unit = |l: usize| 1u64 << (usize::from(max_bits) - l);
+    let unit = |l: usize| 1u64 << (max_bits - l);
     let budget = 1u64 << max_bits;
-    let mut kraft: u64 = lengths
-        .iter()
-        .filter(|&&l| l > 0)
-        .map(|&l| unit(l.into()))
+    let mut kraft: u64 = (1..=max_bits)
+        .map(|d| at_depth[d].len() as u64 * unit(d))
         .sum();
-    // The used symbols by depth, each depth ordered by symbol. Every step
-    // moves the highest-numbered symbol of the deepest eligible depth, the
-    // one a rescan of all symbols keeping the last maximum would pick.
-    let mut at_depth = vec![BTreeSet::new(); usize::from(max_bits) + 1];
-    for (sym, &l) in lengths.iter().enumerate() {
-        if l > 0 {
-            at_depth[usize::from(l)].insert(sym);
-        }
-    }
     let deepest = |at_depth: &[BTreeSet<usize>], depths: Range<usize>| {
         depths.rev().find(|&d| !at_depth[d].is_empty())
     };
     // Overfull: push the deepest symbol shallower than max_bits down one
     // level; this reduces the sum by unit(l) / 2.
     while kraft > budget {
-        let d = deepest(&at_depth, 1..usize::from(max_bits))
+        let d = deepest(&at_depth, 1..max_bits)
             .expect("kraft overfull but all codes already at max length");
         let sym = at_depth[d].pop_last().expect("depth is not empty");
         at_depth[d + 1].insert(sym);
@@ -137,7 +130,7 @@ fn limit_lengths(lengths: &mut [u8], max_bits: usize) {
         lengths[sym] += 1;
     }
     // Underfull (possible after the clamp): raise the deepest codes back up.
-    while let Some(d) = deepest(&at_depth, 2..usize::from(max_bits) + 1) {
+    while let Some(d) = deepest(&at_depth, 2..max_bits + 1) {
         let gain = unit(d); // moving up one level adds `gain`
         if kraft + gain > budget {
             break;
