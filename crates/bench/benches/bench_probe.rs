@@ -1,7 +1,6 @@
 //! Microbenchmark: the kernels behind `AutoCodec`'s probes, each on the
 //! probe's own input shape (the 1-D view of a 64 Ki-value prefix): the
-//! Huffman code-length build over SZ's 65 536-symbol alphabet (and over a
-//! dense random one at 15 bits, which needs the length limiter), SZ compress
+//! Huffman code-length build over SZ's 65 536-symbol alphabet, SZ compress
 //! at the ratio search's lower bracket (`1e-7·range`) and near its upper
 //! end (`1e-3·range`), and the ZFP fixed-accuracy decode the ZFP probe
 //! measures PSNR with.
@@ -51,28 +50,6 @@ fn bench_code_lengths(c: &mut Criterion) {
             |b, f| b.iter(|| build_code_lengths(black_box(f), 24)),
         );
     }
-    // A dense random vector limited to 15 bits: with over 2^15 symbols
-    // used the limit rises to 16, and the length limiter repairs the tree.
-    let mut s = 99u64;
-    let freqs: Vec<u64> = (0..1 << 16)
-        .map(|_| {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            if s.is_multiple_of(3) {
-                0
-            } else {
-                (s >> 20) % (1 + (s >> 8) % 5000)
-            }
-        })
-        .collect();
-    let used = freqs.iter().filter(|&&f| f > 0).count();
-    group.throughput(Throughput::Elements(used as u64));
-    group.bench_with_input(
-        BenchmarkId::new("random_65536", "15_bits"),
-        &freqs,
-        |b, f| b.iter(|| build_code_lengths(black_box(f), 15)),
-    );
     group.finish();
 }
 
